@@ -16,19 +16,14 @@ from .barriers import (
     TargetSet,
     eval_avoidance,
     eval_reach,
-    gamma_eval,
-    radius_at,
-    rate_of,
 )
 from .confinement import (
     ConfinementBreachError,
     ConfinementLaw,
-    ErrorState,
     confinement_control,
     small_error_slope,
     zeta,
 )
-from .oracles import FdConfig, fd_gradient, sphere_sample
 from .plant import PlantModel, benchmark_plant, integrator_plant, plant_derivative
 from .qp import (
     GridInfeasibleError,
@@ -45,8 +40,6 @@ from .scenario import (
     ScenarioInvalidError,
     ValidationReport,
     benchmark_scenario,
-    sphere_containment_violations,
-    tightened_unsafe_distance,
     uniform_alphas,
     validate,
 )
@@ -59,14 +52,12 @@ from .scenario_io import (
 )
 from .simulator import (
     RunMetrics,
-    VerificationReport,
     SimState,
     SimTrace,
     SimulationAbort,
     compute_metrics,
     read_trace,
     run,
-    step,
     verify_trace,
     write_trace,
 )
@@ -76,6 +67,5 @@ from .virtual import (
     VirtualSystem,
     assemble_rows,
     barrier_values,
-    regularity_margin,
     virtual_control,
 )

@@ -76,17 +76,6 @@ class Obstacle:
         return np.asarray(self.velocity_path(t), dtype=float)
 
 
-def velocity_consistency_error(obstacle: Obstacle, times, fd_step: float = 1e-4) -> float:
-    """Worst relative mismatch between velocity_path and differenced center_path."""
-    worst = 0.0
-    for t in times:
-        fd = (obstacle.center(t + fd_step) - obstacle.center(t - fd_step)) / (2 * fd_step)
-        v = obstacle.velocity(t)
-        err = float(np.linalg.norm(fd - v)) / max(1.0, float(np.linalg.norm(v)))
-        worst = max(worst, err)
-    return worst
-
-
 @dataclass(frozen=True)
 class TargetSet:
     """Closed-ball target region."""
@@ -128,14 +117,6 @@ class ShrinkSchedule:
         return (self.r_end - self.r_start) / self.t_f
 
 
-def radius_at(schedule: ShrinkSchedule, t: float) -> float:
-    return schedule.radius_at(t)
-
-
-def rate_of(schedule: ShrinkSchedule) -> float:
-    return schedule.rate_of()
-
-
 @dataclass(frozen=True)
 class BarrierEval:
     """Barrier value with its spatial gradient and time partial."""
@@ -157,10 +138,6 @@ class ClassKappa:
 
     def __call__(self, h: float) -> float:
         return self.slope * h
-
-
-def gamma_eval(kappa: ClassKappa, h: float) -> float:
-    return kappa(h)
 
 
 def eval_avoidance(c, t: float, obstacle: Obstacle, r_c: float) -> BarrierEval:

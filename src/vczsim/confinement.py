@@ -48,19 +48,6 @@ class ConfinementLaw:
             raise ValueError(f"epsilon_sat must lie in (0, 1), got {self.epsilon_sat}")
 
 
-@dataclass(frozen=True)
-class ErrorState:
-    """Raw and normalized tracking error."""
-
-    e: np.ndarray
-    e_hat: float
-
-    @staticmethod
-    def from_states(x, c, r_c: float) -> "ErrorState":
-        e = np.asarray(x, dtype=float) - np.asarray(c, dtype=float)
-        return ErrorState(e, float(np.linalg.norm(e)) / r_c)
-
-
 def zeta(e_hat: float, epsilon_sat: float = DEFAULT_EPSILON_SAT) -> float:
     """Log barrier ln((1+e)/(1-e)), clamped at e = 1 - epsilon_sat."""
     if e_hat < 0:

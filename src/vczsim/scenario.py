@@ -15,7 +15,6 @@ import numpy as np
 
 from .barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet
 from .confinement import ConfinementLaw
-from .oracles import sphere_sample
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, benchmark_plant, sign_class_margin
 from .virtual import VirtualSystem
 
@@ -218,38 +217,6 @@ def validate(scenario: Scenario, time_samples: int = 1001) -> ValidationReport:
     checks.append(CheckResult("V5", v5_pass, v5_margin, None, "plant sign class"))
 
     return ValidationReport(tuple(checks))
-
-
-def tightened_unsafe_distance(c, t: float, scenario: Scenario) -> float:
-    """Distance of the center to the nearest r_c-inflated obstacle boundary.
-
-    Nonnegative iff c lies outside the tightened unsafe set; +inf with no
-    obstacles.
-    """
-    c = np.asarray(c, dtype=float)
-    dist = math.inf
-    for obs in scenario.obstacles:
-        dist = min(
-            dist, float(np.linalg.norm(c - obs.center(t))) - (obs.radius + scenario.r_c)
-        )
-    return dist
-
-
-def sphere_containment_violations(
-    c, t: float, scenario: Scenario, count: int = 64, seed: int = 0, shrink_factor: float = 1e-9
-) -> int:
-    """Count sampled points of the confinement sphere that fall inside a true obstacle.
-
-    Samples the sphere of radius r_c(1 - shrink_factor) about c; zero
-    violations witnesses that center-level safety transfers to every point
-    the true state can occupy.
-    """
-    pts = sphere_sample(c, scenario.r_c * (1.0 - shrink_factor), count, seed)
-    violations = 0
-    for obs in scenario.obstacles:
-        d = np.linalg.norm(pts - obs.center(t), axis=1)
-        violations += int(np.sum(d < obs.radius))
-    return violations
 
 
 def benchmark_scenario(dt: float = 1e-3) -> Scenario:

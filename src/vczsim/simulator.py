@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .confinement import ConfinementBreachError, confinement_control
+from .confinement import confinement_control
 from .plant import plant_derivative
 from .scenario import (
     CheckResult,
@@ -25,8 +25,6 @@ from .scenario import (
     validate,
 )
 from .virtual import QpInfeasibleError, barrier_values, virtual_control
-
-VerificationReport = ValidationReport  # post-run reports share the container
 
 BREACH = "confinement_breach"
 QP_INFEASIBLE = "qp_infeasible"
@@ -137,54 +135,54 @@ def _rk4(scenario: Scenario, x, c, u, u_c, t: float, dt: float):
 
 
 def _controls(state: SimState, scenario: Scenario):
-    u_c, solution = virtual_control(state.c, state.t, scenario)
+    u_c, solution, h = virtual_control(state.c, state.t, scenario)
     u = confinement_control(state.x, state.c, scenario.confinement)
-    return u, u_c, solution
-
-
-def step(state: SimState, scenario: Scenario, dt: float) -> SimState:
-    """One zero-order-hold RK4 step of the coupled system."""
-    u, u_c, _ = _controls(state, scenario)
-    x_next, c_next = _rk4(scenario, state.x, state.c, u, u_c, state.t, dt)
-    gap = float(np.linalg.norm(x_next - c_next))
-    if gap >= scenario.r_c:
-        raise ConfinementBreachError(gap, scenario.r_c)
-    return SimState(state.t + dt, x_next, c_next)
+    return u, u_c, solution, h
 
 
 class _Recorder:
-    def __init__(self, scenario: Scenario, scenario_hash: str):
+    """Trace columns preallocated for `rows` records, filled in step order."""
+
+    def __init__(self, scenario: Scenario, scenario_hash: str, rows: int):
+        n, m, d = scenario.n, scenario.virtual_system.m, scenario.barrier_count
         self.scenario = scenario
         self.hash = scenario_hash
-        self.rows: list[tuple] = []
+        self.k = 0
+        self.t = np.zeros(rows)
+        self.x = np.zeros((rows, n))
+        self.c = np.zeros((rows, n))
+        self.u = np.zeros((rows, n))
+        self.u_c = np.zeros((rows, m))
+        self.h = np.zeros((rows, d))
+        self.e_hat = np.zeros(rows)
+        self.status = [""] * rows
+        self.kkt = np.zeros(rows)
 
-    def add(self, state: SimState, u, u_c, solution):
-        h = barrier_values(state.c, state.t, self.scenario)
-        e_hat = float(np.linalg.norm(state.x - state.c)) / self.scenario.r_c
-        self.rows.append(
-            (state.t, state.x, state.c, u, u_c, h, e_hat, solution.status, solution.kkt_residual)
-        )
+    def add(self, state: SimState, u, u_c, solution, h):
+        k = self.k
+        self.t[k] = state.t
+        self.x[k] = state.x
+        self.c[k] = state.c
+        self.u[k] = u
+        self.u_c[k] = u_c
+        self.h[k] = h
+        self.e_hat[k] = float(np.linalg.norm(state.x - state.c)) / self.scenario.r_c
+        self.status[k] = solution.status
+        self.kkt[k] = solution.kkt_residual
+        self.k = k + 1
 
     def trace(self) -> SimTrace:
-        if not self.rows:
-            n, m, d = self.scenario.n, self.scenario.virtual_system.m, self.scenario.barrier_count
-            return SimTrace(
-                t=np.zeros(0), x=np.zeros((0, n)), c=np.zeros((0, n)), u=np.zeros((0, n)),
-                u_c=np.zeros((0, m)), h=np.zeros((0, d)), e_hat=np.zeros(0),
-                qp_status=(), qp_kkt=np.zeros(0),
-                scenario_hash=self.hash, dt=self.scenario.dt,
-            )
-        cols = list(zip(*self.rows))
+        k = self.k
         return SimTrace(
-            t=np.array(cols[0]),
-            x=np.array(cols[1]),
-            c=np.array(cols[2]),
-            u=np.array(cols[3]),
-            u_c=np.array(cols[4]),
-            h=np.array(cols[5]),
-            e_hat=np.array(cols[6]),
-            qp_status=tuple(cols[7]),
-            qp_kkt=np.array(cols[8]),
+            t=self.t[:k],
+            x=self.x[:k],
+            c=self.c[:k],
+            u=self.u[:k],
+            u_c=self.u_c[:k],
+            h=self.h[:k],
+            e_hat=self.e_hat[:k],
+            qp_status=tuple(self.status[:k]),
+            qp_kkt=self.kkt[:k],
             scenario_hash=self.hash,
             dt=self.scenario.dt,
         )
@@ -202,17 +200,21 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
             raise ScenarioInvalidError(report)
     from .scenario_io import scenario_hash  # local import to avoid a cycle
 
-    recorder = _Recorder(scenario, scenario_hash(scenario))
-    state = SimState(0.0, scenario.x0.copy(), scenario.x0.copy())
-    for t_k, dt_k in _step_schedule(scenario.t_f, scenario.dt):
-        state = SimState(t_k, state.x, state.c)  # pin recorded time to the grid
+    schedule = _step_schedule(scenario.t_f, scenario.dt)
+    recorder = _Recorder(scenario, scenario_hash(scenario), len(schedule) + 1)
+    x, c = scenario.x0.copy(), scenario.x0.copy()
+    # The last pass records the controls at t_f and takes no step.
+    for t_k, dt_k in schedule + [(scenario.t_f, None)]:
+        state = SimState(t_k, x, c)  # pin recorded time to the grid
         try:
-            u, u_c, solution = _controls(state, scenario)
+            u, u_c, solution, h = _controls(state, scenario)
         except QpInfeasibleError as exc:
             raise SimulationAbort(QP_INFEASIBLE, t_k, recorder.trace(), str(exc)) from exc
-        recorder.add(state, u, u_c, solution)
-        x_next, c_next = _rk4(scenario, state.x, state.c, u, u_c, t_k, dt_k)
-        gap = float(np.linalg.norm(x_next - c_next))
+        recorder.add(state, u, u_c, solution, h)
+        if dt_k is None:
+            break
+        x, c = _rk4(scenario, x, c, u, u_c, t_k, dt_k)
+        gap = float(np.linalg.norm(x - c))
         if gap >= scenario.r_c:
             raise SimulationAbort(
                 BREACH,
@@ -220,13 +222,6 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
                 recorder.trace(),
                 f"||x - c|| = {gap:.6g} >= r_c = {scenario.r_c:.6g}",
             )
-        state = SimState(t_k + dt_k, x_next, c_next)
-    final = SimState(scenario.t_f, state.x, state.c)
-    try:
-        u, u_c, solution = _controls(final, scenario)
-    except QpInfeasibleError as exc:
-        raise SimulationAbort(QP_INFEASIBLE, scenario.t_f, recorder.trace(), str(exc)) from exc
-    recorder.add(final, u, u_c, solution)
     trace = recorder.trace()
     return trace, compute_metrics(trace, scenario)
 
@@ -270,7 +265,7 @@ def compute_metrics(trace: SimTrace, scenario: Scenario) -> RunMetrics:
     )
 
 
-def verify_trace(trace: SimTrace, scenario: Scenario) -> VerificationReport:
+def verify_trace(trace: SimTrace, scenario: Scenario) -> ValidationReport:
     """Re-check every claim from raw (t, x, c); logged h values are ignored.
 
     T1 center outside inflated obstacles, T2 center inside the shrinking
@@ -356,7 +351,9 @@ def write_trace(trace: SimTrace, path, decimate: int = 1) -> None:
         + [f"h{i+1}" for i in range(d)]
         + ["e_hat", "qp_status", "qp_kkt"]
     )
-    keep = sorted(set(range(0, len(trace), decimate)) | {len(trace) - 1})
+    keep = list(range(0, len(trace), decimate))
+    if keep and keep[-1] != len(trace) - 1:
+        keep.append(len(trace) - 1)
     fmt = TRACE_FLOAT_FMT
     with open(path, "w") as fh:
         fh.write(f"# scenario_hash = {trace.scenario_hash}\n")

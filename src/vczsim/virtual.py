@@ -9,7 +9,6 @@ minimizer steers the center.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -41,11 +40,13 @@ class VirtualSystem:
 
 @dataclass(frozen=True)
 class ConstraintRow:
-    """One stacked CBF condition, a' u_c >= rho, tagged with its barrier index."""
+    """One stacked CBF condition, a' u_c >= rho, tagged with its barrier index
+    and the barrier value h it was built from."""
 
     a: np.ndarray
     rho: float
     source: int
+    h: float
 
 
 class QpInfeasibleError(RuntimeError):
@@ -84,7 +85,7 @@ def assemble_rows(c, t: float, scenario: "Scenario") -> list[ConstraintRow]:
         alpha = scenario.alphas[j]
         a = g_c.T @ ev.grad_c
         rho = -alpha(ev.value) - float(ev.grad_c @ f_c) - ev.dt
-        rows.append(ConstraintRow(a, rho, j))
+        rows.append(ConstraintRow(a, rho, j, ev.value))
     return rows
 
 
@@ -107,25 +108,14 @@ def _conflicting_rows(scenario: "Scenario", rows) -> tuple[int, ...]:
     return tuple(rows[j].source for j in keep)
 
 
-def virtual_control(c, t: float, scenario: "Scenario") -> tuple[np.ndarray, QpSolution]:
-    """Solve the stacked CBF-QP at (c, t); raises QpInfeasibleError if empty."""
+def virtual_control(c, t: float, scenario: "Scenario") -> tuple[np.ndarray, QpSolution, np.ndarray]:
+    """Solve the stacked CBF-QP at (c, t); raises QpInfeasibleError if empty.
+
+    Returns u_c, the QP solution and the barrier values of the solved rows,
+    in row order, so callers need not evaluate the barriers again.
+    """
     rows = assemble_rows(c, t, scenario)
     solution = solve_qp(_stack(scenario, rows))
     if solution.status == INFEASIBLE:
         raise QpInfeasibleError(c, t, rows, _conflicting_rows(scenario, rows))
-    return solution.u_star, solution
-
-
-def regularity_margin(c, t: float, scenario: "Scenario") -> float:
-    """Smallest input-coefficient norm among rows near their barrier boundary.
-
-    Rows with |h| >= the configured regularity band are ignored; +inf when no
-    row is in the band.
-    """
-    rows = assemble_rows(c, t, scenario)
-    values = barrier_values(c, t, scenario)
-    margin = math.inf
-    for row, h in zip(rows, values):
-        if abs(h) < scenario.regularity_band:
-            margin = min(margin, float(np.linalg.norm(row.a)))
-    return margin
+    return solution.u_star, solution, np.array([row.h for row in rows])

@@ -11,9 +11,9 @@ import time
 import numpy as np
 
 from conftest import minimizer_box_bound, random_qp_problem
+from oracles import fd_gradient, sphere_sample
 from vczsim.barriers import eval_avoidance, eval_reach
 from vczsim.confinement import ConfinementLaw, confinement_control, small_error_slope
-from vczsim.oracles import fd_gradient, sphere_sample
 from vczsim.qp import brute_force_qp, solve_qp
 from vczsim.randomized import run_campaign
 from vczsim.scenario import benchmark_scenario

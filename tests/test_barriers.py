@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import fd_gradient
 from vczsim.barriers import (
     ClassKappa,
     Obstacle,
@@ -12,26 +13,32 @@ from vczsim.barriers import (
     TimeDomainError,
     eval_avoidance,
     eval_reach,
-    gamma_eval,
-    radius_at,
-    rate_of,
-    velocity_consistency_error,
 )
-from vczsim.oracles import FdConfig, fd_gradient
 
 SCHEDULE = ShrinkSchedule(15.0, 0.5, 10.0)
 STATIC_OBS = Obstacle.static([1.5, 2.0], 0.5)
 MOVING_OBS = Obstacle.linear([5.0, 5.0], [0.4, -0.4], 1.5)
 
 
+def velocity_consistency_error(obstacle: Obstacle, times, fd_step: float = 1e-4) -> float:
+    """Worst relative mismatch between velocity_path and differenced center_path."""
+    worst = 0.0
+    for t in times:
+        fd = (obstacle.center(t + fd_step) - obstacle.center(t - fd_step)) / (2 * fd_step)
+        v = obstacle.velocity(t)
+        err = float(np.linalg.norm(fd - v)) / max(1.0, float(np.linalg.norm(v)))
+        worst = max(worst, err)
+    return worst
+
+
 class TestShrinkSchedule:
     def test_endpoints(self):
-        assert radius_at(SCHEDULE, 0.0) == 15.0
-        assert radius_at(SCHEDULE, 10.0) == 0.5
+        assert SCHEDULE.radius_at(0.0) == 15.0
+        assert SCHEDULE.radius_at(10.0) == 0.5
 
     def test_midpoint_and_rate(self):
-        assert radius_at(SCHEDULE, 5.0) == pytest.approx(7.75)
-        assert rate_of(SCHEDULE) == pytest.approx(-1.45)
+        assert SCHEDULE.radius_at(5.0) == pytest.approx(7.75)
+        assert SCHEDULE.rate_of() == pytest.approx(-1.45)
 
     def test_rejects_time_outside_horizon(self):
         with pytest.raises(TimeDomainError):
@@ -97,11 +104,11 @@ class TestReach:
 
 class TestClassKappa:
     def test_identity_slope(self):
-        assert gamma_eval(ClassKappa(1.0), 5.25) == 5.25
+        assert ClassKappa(1.0)(5.25) == 5.25
 
     def test_linearity_and_sign(self):
-        assert gamma_eval(ClassKappa(2.0), -1.0) == -2.0
-        assert gamma_eval(ClassKappa(1.0), 0.0) == 0.0
+        assert ClassKappa(2.0)(-1.0) == -2.0
+        assert ClassKappa(1.0)(0.0) == 0.0
 
     def test_rejects_nonpositive_slope(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,10 @@ import sys
 import pytest
 
 from conftest import bundled_benchmark_text
+from vczsim import simulator
 from vczsim.cli import EXIT_ABORT, EXIT_FAIL, EXIT_PARSE, EXIT_PASS, main
 from vczsim.simulator import read_trace
+from vczsim.virtual import QpInfeasibleError
 
 SQUEEZE_TEXT = """
 [plant]
@@ -100,6 +102,21 @@ class TestRunCommand:
         assert (out_dir / "abort.txt").exists()
         trace = read_trace(out_dir / "trace.csv")
         assert trace.t[-1] < 4.0
+
+    def test_infeasible_first_qp_exits_three_with_header_only_trace(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def infeasible(c, t, scenario):
+            raise QpInfeasibleError(c, t, [], (0, 2))
+
+        monkeypatch.setattr(simulator, "virtual_control", infeasible)
+        out_dir = tmp_path / "out"
+        assert main(["run", "benchmark", "--out", str(out_dir)]) == EXIT_ABORT
+        assert "aborted" in capsys.readouterr().err
+        assert (out_dir / "abort.txt").read_text().startswith("qp_infeasible at t = 0.0")
+        lines = (out_dir / "trace.csv").read_text().splitlines()
+        assert len(lines) == 4
+        assert lines[3].startswith("t,x1,x2,")
 
 
 class TestPlotCommand:

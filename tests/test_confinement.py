@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from vczsim.confinement import (
     ConfinementBreachError,
     ConfinementLaw,
-    ErrorState,
     confinement_control,
     small_error_slope,
     zeta,
@@ -140,9 +139,3 @@ class TestLawValidation:
             ConfinementLaw(gain=1.0, r_c=0.0)
         with pytest.raises(ValueError):
             ConfinementLaw(gain=1.0, r_c=0.5, epsilon_sat=1.5)
-
-
-def test_error_state_normalization():
-    state = ErrorState.from_states([1.0, 1.25], [1.0, 1.0], 0.5)
-    np.testing.assert_allclose(state.e, [0.0, 0.25])
-    assert state.e_hat == pytest.approx(0.5)

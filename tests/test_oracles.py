@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import FdConfig, fd_gradient, sphere_sample
 from vczsim.barriers import Obstacle, ShrinkSchedule, eval_avoidance, eval_reach
-from vczsim.oracles import FdConfig, fd_gradient, sphere_sample
 
 SCHEDULE = ShrinkSchedule(15.0, 0.5, 10.0)
 

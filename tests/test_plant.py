@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vczsim.oracles import difference_quotient_bound
+from oracles import difference_quotient_bound
 from vczsim.plant import (
     NEGATIVE_DEFINITE,
     POSITIVE_DEFINITE,

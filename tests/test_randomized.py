@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from vczsim import simulator
 from vczsim.randomized import WORKSPACE, random_scenario, run_campaign
 from vczsim.scenario import validate
 from vczsim.scenario_io import scenario_hash
@@ -33,3 +34,18 @@ def test_small_campaign_is_reproducible():
     b = run_campaign(count=3, base_seed=77)
     assert a.runs == b.runs
     assert a.infeasible_count == b.infeasible_count
+
+
+def test_campaign_validates_only_inside_random_scenario(monkeypatch):
+    # random_scenario validates what it returns; the run must not do it again
+    calls = []
+    real = simulator.validate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "validate", counted)
+    summary = run_campaign(count=2, base_seed=2024, dt=1e-2)
+    assert len(summary.runs) == 2
+    assert calls == []

@@ -6,20 +6,51 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import sphere_sample
 from vczsim.barriers import Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
 from vczsim.plant import integrator_plant
 from vczsim.scenario import (
     Scenario,
     benchmark_scenario,
-    sphere_containment_violations,
-    tightened_unsafe_distance,
     uniform_alphas,
     validate,
 )
 from vczsim.virtual import VirtualSystem
 
 BENCH = benchmark_scenario()
+
+
+def tightened_unsafe_distance(c, t: float, scenario: Scenario) -> float:
+    """Distance of the center to the nearest r_c-inflated obstacle boundary.
+
+    Nonnegative iff c lies outside the tightened unsafe set; +inf with no
+    obstacles.
+    """
+    c = np.asarray(c, dtype=float)
+    dist = math.inf
+    for obs in scenario.obstacles:
+        dist = min(
+            dist, float(np.linalg.norm(c - obs.center(t))) - (obs.radius + scenario.r_c)
+        )
+    return dist
+
+
+def sphere_containment_violations(
+    c, t: float, scenario: Scenario, count: int = 64, seed: int = 0, shrink_factor: float = 1e-9
+) -> int:
+    """Count sampled points of the confinement sphere that fall inside a true obstacle.
+
+    Samples the sphere of radius r_c(1 - shrink_factor) about c; zero
+    violations witnesses that center-level safety transfers to every point
+    the true state can occupy.
+    """
+    pts = sphere_sample(c, scenario.r_c * (1.0 - shrink_factor), count, seed)
+    violations = 0
+    for obs in scenario.obstacles:
+        d = np.linalg.norm(pts - obs.center(t), axis=1)
+        violations += int(np.sum(d < obs.radius))
+    return violations
 
 
 def simple_scenario(obstacles, x0=(0.0, 0.0), r_c=0.5, target=None, shrink=None):

@@ -5,24 +5,63 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vczsim import virtual
 from vczsim.barriers import Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
 from vczsim.plant import benchmark_plant, integrator_plant
 from vczsim.scenario import Scenario, ScenarioInvalidError, benchmark_scenario, uniform_alphas
+from vczsim.scenario_io import parse_scenario
 from vczsim.simulator import (
     BREACH,
     QP_INFEASIBLE,
-    SimState,
     SimulationAbort,
     read_trace,
     run,
-    step,
     verify_trace,
     write_trace,
 )
-from vczsim.virtual import VirtualSystem, virtual_control
+from vczsim.virtual import VirtualSystem, barrier_values, virtual_control
 
-BENCH = benchmark_scenario()
+# Integrator reach task past an obstacle whose centre follows a path expression.
+PATH_OBSTACLE_TEXT = """
+[plant]
+catalog = integrator
+
+[obstacle]
+path = (+ 1.5 (* 0.2 (sin t))) (+ 1.0 (* 0.1 t))
+radius = 0.4
+
+[target]
+center = 3.0 0.0
+radius = 1.2
+
+[vcz]
+r_c = 0.3
+
+[horizon]
+t_f = 2.0
+dt = 0.01
+
+[shrink]
+r_start = 3.5
+r_end = 0.8
+
+[controller]
+gain = 10.0
+
+[initial_state]
+x0 = 0.0 0.0
+"""
+
+
+def head(trace, k):
+    """The first k records of a trace."""
+    return replace(
+        trace,
+        t=trace.t[:k], x=trace.x[:k], c=trace.c[:k], u=trace.u[:k],
+        u_c=trace.u_c[:k], h=trace.h[:k], e_hat=trace.e_hat[:k],
+        qp_status=trace.qp_status[:k], qp_kkt=trace.qp_kkt[:k],
+    )
 
 
 def quiet_scenario(**overrides):
@@ -45,27 +84,32 @@ def quiet_scenario(**overrides):
     return replace(base, **overrides) if overrides else base
 
 
+@pytest.fixture(scope="module")
+def quiet_run():
+    scenario = quiet_scenario()
+    trace, metrics = run(scenario)
+    return scenario, trace, metrics
+
+
 class TestStep:
-    def test_zero_error_state_splits_dynamics(self):
-        state = SimState(0.0, np.zeros(2), np.zeros(2))
-        after = step(state, BENCH, 1e-3)
+    """The first step of a run: records 0 and 1 of its trace."""
+
+    def test_zero_error_state_splits_dynamics(self, benchmark_run):
+        scenario, trace, _, _ = benchmark_run
         # c is a single integrator under constant u_c: exact displacement
-        u_c, _ = virtual_control([0.0, 0.0], 0.0, BENCH)
-        np.testing.assert_allclose(after.c, 1e-3 * u_c, rtol=1e-12)
+        u_c, _, _ = virtual_control([0.0, 0.0], 0.0, scenario)
+        np.testing.assert_allclose(trace.c[1], 1e-3 * u_c, rtol=1e-12)
         # x evolves under drift + disturbance only (u = 0 at zero error)
-        np.testing.assert_allclose(after.x, [0.4e-3, 5e-3], atol=1e-6)
-        assert after.t == pytest.approx(1e-3)
+        np.testing.assert_allclose(trace.x[1], [0.4e-3, 5e-3], atol=1e-6)
+        assert trace.t[1] == pytest.approx(1e-3)
 
-    def test_inactive_rows_keep_center_still(self):
-        scenario = quiet_scenario()
-        state = SimState(0.0, np.zeros(2), np.zeros(2))
-        after = step(state, scenario, 1e-3)
-        np.testing.assert_array_equal(after.c, [0.0, 0.0])
+    def test_inactive_rows_keep_center_still(self, quiet_run):
+        _, trace, _ = quiet_run
+        np.testing.assert_array_equal(trace.c[1], [0.0, 0.0])
 
-    def test_benchmark_first_step_direction(self):
-        state = SimState(0.0, np.zeros(2), np.zeros(2))
-        after = step(state, BENCH, 1e-3)
-        np.testing.assert_allclose(after.c, [0.4625e-3, 0.4625e-3], rtol=1e-12)
+    def test_benchmark_first_step_direction(self, benchmark_run):
+        _, trace, _, _ = benchmark_run
+        np.testing.assert_allclose(trace.c[1], [0.4625e-3, 0.4625e-3], rtol=1e-12)
 
 
 def short_scenario(t_f: float):
@@ -124,11 +168,10 @@ class TestRun:
         assert metrics.all_qp_optimal
         assert metrics.min_barrier_value >= -scenario.invariance_tol
 
-    def test_obstacle_free_start_inside_target(self):
+    def test_obstacle_free_start_inside_target(self, quiet_run):
         # start at the target center: confinement keeps x near c and the
         # reach row keeps c inside the shrinking ball
-        scenario = quiet_scenario()
-        trace, metrics = run(scenario)
+        scenario, _, metrics = quiet_run
         assert metrics.ptra_verdict == "pass"
         assert metrics.terminal_distance <= scenario.target.radius
         assert metrics.max_e_hat < 1.0
@@ -174,6 +217,33 @@ class TestRun:
         assert len(abort.trace) >= 1
 
 
+class TestBarrierPass:
+    """The h a run records are the values its CBF rows were built from."""
+
+    def test_each_barrier_evaluated_once_per_step(self, monkeypatch):
+        scenario = parse_scenario(PATH_OBSTACLE_TEXT)
+        assert scenario.obstacles[0].kind == "custom"
+        calls = {"eval_avoidance": 0, "eval_reach": 0}
+        for name in calls:
+            real = getattr(virtual, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(virtual, name, counted)
+        trace, _ = run(scenario)
+        assert calls == {"eval_avoidance": len(trace), "eval_reach": len(trace)}
+        monkeypatch.undo()
+        for k in range(len(trace)):
+            assert np.array_equal(trace.h[k], barrier_values(trace.c[k], trace.t[k], scenario))
+
+    def test_recorded_h_is_bitwise_fresh_evaluation(self, benchmark_run):
+        scenario, trace, _, _ = benchmark_run
+        for k in range(len(trace)):
+            assert np.array_equal(trace.h[k], barrier_values(trace.c[k], trace.t[k], scenario))
+
+
 class TestVerifyTrace:
     def test_passing_run_verifies(self, benchmark_run):
         scenario, trace, _, _ = benchmark_run
@@ -193,14 +263,7 @@ class TestVerifyTrace:
 
     def test_truncated_trace_fails_t5(self, benchmark_run):
         scenario, trace, _, _ = benchmark_run
-        half = len(trace) // 2
-        short = replace(
-            trace,
-            t=trace.t[:half], x=trace.x[:half], c=trace.c[:half], u=trace.u[:half],
-            u_c=trace.u_c[:half], h=trace.h[:half], e_hat=trace.e_hat[:half],
-            qp_status=trace.qp_status[:half], qp_kkt=trace.qp_kkt[:half],
-        )
-        report = verify_trace(short, scenario)
+        report = verify_trace(head(trace, len(trace) // 2), scenario)
         t5 = report.check("T5")
         assert not t5.passed
         assert "not evaluable" in t5.detail
@@ -244,6 +307,15 @@ class TestTraceIo:
         expected = len(set(range(0, len(trace), 100)) | {len(trace) - 1})
         assert len(loaded) == expected
         assert loaded.t[-1] == trace.t[-1]
+
+    def test_empty_trace_writes_header_only(self, tmp_path, benchmark_run):
+        _, trace, _, _ = benchmark_run
+        path = tmp_path / "empty.csv"
+        write_trace(head(trace, 0), path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 4
+        assert all(line.startswith("# ") for line in lines[:3])
+        assert lines[3].startswith("t,x1,x2,c1,c2,")
 
     def test_rejects_bad_decimation(self, tmp_path, benchmark_run):
         _, trace, _, _ = benchmark_run

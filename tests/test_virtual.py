@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import difference_quotient_bound
 from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
 from vczsim.plant import integrator_plant
@@ -15,7 +16,6 @@ from vczsim.virtual import (
     VirtualSystem,
     assemble_rows,
     barrier_values,
-    regularity_margin,
     virtual_control,
 )
 
@@ -41,6 +41,19 @@ def make_scenario(obstacles, shrink, target=None, r_c=0.5, virtual_system=None, 
 
 
 BENCH = benchmark_scenario()
+
+
+def regularity_margin(c, t: float, scenario: Scenario) -> float:
+    """Smallest input-coefficient norm among rows near their barrier boundary.
+
+    Rows with |h| >= the configured regularity band are ignored; +inf when no
+    row is in the band.
+    """
+    margin = math.inf
+    for row in assemble_rows(c, t, scenario):
+        if abs(row.h) < scenario.regularity_band:
+            margin = min(margin, float(np.linalg.norm(row.a)))
+    return margin
 
 
 class TestAssembleRows:
@@ -99,14 +112,14 @@ class TestAssembleRows:
 class TestVirtualControl:
     def test_single_active_reach_row(self):
         scenario = make_scenario([], ShrinkSchedule(15.0, 0.5, 10.0))
-        u_c, sol = virtual_control([0.0, 0.0], 0.0, scenario)
+        u_c, sol, _ = virtual_control([0.0, 0.0], 0.0, scenario)
         np.testing.assert_allclose(u_c, [0.4625, 0.4625], atol=1e-10)
         assert sol.status == "optimal"
 
     def test_inactive_rows_give_zero_input(self):
         # Deep inside a slowly shrinking ball the minimum-norm input is zero.
         scenario = make_scenario([], ShrinkSchedule(5.0, 1.0, 10.0), target=TargetSet([0.0, 0.0], 1.1), r_c=0.1)
-        u_c, _ = virtual_control([0.0, 0.0], 0.0, scenario)
+        u_c, _, _ = virtual_control([0.0, 0.0], 0.0, scenario)
         np.testing.assert_allclose(u_c, [0.0, 0.0], atol=1e-12)
 
     def test_benchmark_start_matches_grid_oracle(self):
@@ -115,7 +128,7 @@ class TestVirtualControl:
             BENCH.qp_h, BENCH.qp_f, np.array([r.a for r in rows]), np.array([r.rho for r in rows])
         )
         grid = brute_force_qp(problem, 5.0, 501)
-        u_c, _ = virtual_control([0.0, 0.0], 0.0, BENCH)
+        u_c, _, _ = virtual_control([0.0, 0.0], 0.0, BENCH)
         assert np.linalg.norm(grid - u_c) <= (10.0 / 500) * math.sqrt(2) + 1e-12
 
     def test_infeasible_raises_with_conflicting_rows(self):
@@ -166,8 +179,6 @@ def test_barrier_values_order_and_content():
 
 
 def test_virtual_system_lipschitz_spot_check():
-    from vczsim.oracles import difference_quotient_bound
-
     drift_map = np.array([[0.1, -0.05], [0.02, 0.08]])
     vs = VirtualSystem(lambda c: drift_map @ c, lambda c: np.eye(2), 2, 2)
     bound = difference_quotient_bound(vs.drift, [-5.0, -5.0], [25.0, 25.0], 500, 3)
