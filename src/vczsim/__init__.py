@@ -66,6 +66,5 @@ from .virtual import (
     QpInfeasibleError,
     VirtualSystem,
     assemble_rows,
-    barrier_values,
     virtual_control,
 )

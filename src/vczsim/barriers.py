@@ -27,13 +27,18 @@ class TimeDomainError(ValueError):
 
 @dataclass(frozen=True)
 class Obstacle:
-    """Open-ball obstacle with a known center path and velocity."""
+    """Open-ball obstacle with a known center path and velocity.
+
+    centers_path, when given, maps a 1-D array of times to the (len, n)
+    array of centres, row k bitwise equal to center_path(ts[k]).
+    """
 
     center_path: Callable[[float], np.ndarray]
     velocity_path: Callable[[float], np.ndarray]
     radius: float
     kind: str
     path_source: tuple[str, ...] | None = None
+    centers_path: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -45,7 +50,13 @@ class Obstacle:
     def static(center, radius: float) -> "Obstacle":
         p0 = np.array(center, dtype=float)
         zero = np.zeros_like(p0)
-        return Obstacle(lambda t: p0, lambda t: zero, float(radius), STATIC)
+        return Obstacle(
+            lambda t: p0,
+            lambda t: zero,
+            float(radius),
+            STATIC,
+            centers_path=lambda ts: np.broadcast_to(p0, (len(ts),) + p0.shape),
+        )
 
     @staticmethod
     def linear(p0, velocity, radius: float) -> "Obstacle":
@@ -53,7 +64,13 @@ class Obstacle:
         v = np.array(velocity, dtype=float)
         if p0.shape != v.shape:
             raise ValueError("center and velocity dimensions disagree")
-        return Obstacle(lambda t: p0 + v * t, lambda t: v, float(radius), LINEAR)
+        return Obstacle(
+            lambda t: p0 + v * t,
+            lambda t: v,
+            float(radius),
+            LINEAR,
+            centers_path=lambda ts: p0 + v * ts[:, None],
+        )
 
     @staticmethod
     def custom(
@@ -61,16 +78,26 @@ class Obstacle:
         radius: float,
         fd_step: float = CUSTOM_VELOCITY_FD_STEP,
         path_source: tuple[str, ...] | None = None,
+        centers_path: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> "Obstacle":
         def velocity(t: float) -> np.ndarray:
             lo = np.asarray(path(t - fd_step), dtype=float)
             hi = np.asarray(path(t + fd_step), dtype=float)
             return (hi - lo) / (2.0 * fd_step)
 
-        return Obstacle(path, velocity, float(radius), CUSTOM, path_source)
+        return Obstacle(path, velocity, float(radius), CUSTOM, path_source, centers_path)
 
     def center(self, t: float) -> np.ndarray:
         return np.asarray(self.center_path(t), dtype=float)
+
+    def centers(self, ts) -> np.ndarray:
+        """Centres at every time in ts as a (len(ts), n) array; row k equals
+        center(ts[k]) bitwise. A path without centers_path is sampled one
+        time at a time."""
+        ts = np.asarray(ts, dtype=float)
+        if self.centers_path is None:
+            return np.array([self.center(t_k) for t_k in ts])
+        return np.asarray(self.centers_path(ts), dtype=float)
 
     def velocity(self, t: float) -> np.ndarray:
         return np.asarray(self.velocity_path(t), dtype=float)

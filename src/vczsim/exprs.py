@@ -6,12 +6,21 @@ or more arguments, ``-`` is unary negation or a left-folded difference, and
 ``sin``/``cos`` take exactly one argument. This covers every plant drift,
 input map, disturbance, and obstacle path the toolkit needs without an
 external parser.
+
+``eval_expr`` also takes a 1-D array for ``t`` when the expression uses no
+state variable. Each element of the result is bitwise equal to evaluating
+the expression at that element alone: ``+`` applies ``math.fsum`` and
+``sin``/``cos`` apply ``math.sin``/``math.cos`` element by element, and
+``-`` and ``*`` are already exact elementwise. A subexpression without ``t``
+stays a float, so the result may be a float for an array ``t``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+
+import numpy as np
 
 _NARY_OPS = ("+", "-", "*")
 _UNARY_FUNCS = ("sin", "cos")
@@ -133,8 +142,12 @@ def _split_rows(text: str) -> list[str]:
     return rows
 
 
-def eval_expr(expr, t: float, x=None) -> float:
-    """Evaluate an expression at time t and (optionally) state vector x."""
+def eval_expr(expr, t, x=None):
+    """Evaluate an expression at time t and (optionally) state vector x.
+
+    t is a float, or a 1-D array for expressions in t alone (see the module
+    docstring).
+    """
     tag = expr[0]
     if tag == "num":
         return expr[1]
@@ -148,22 +161,31 @@ def eval_expr(expr, t: float, x=None) -> float:
         return float(x[idx])
     args = [eval_expr(a, t, x) for a in expr[1]]
     if tag == "+":
-        return math.fsum(args)
+        try:
+            return math.fsum(args)
+        except TypeError:
+            return _elementwise(math.fsum, zip(*np.broadcast_arrays(*args)))
     if tag == "-":
         if len(args) == 1:
             return -args[0]
         acc = args[0]
         for a in args[1:]:
-            acc -= a
+            acc = acc - a  # not -=, which would write into an array t
         return acc
     if tag == "*":
         acc = 1.0
         for a in args:
             acc *= a
         return acc
-    if tag == "sin":
-        return math.sin(args[0])
-    return math.cos(args[0])
+    fn = math.sin if tag == "sin" else math.cos
+    try:
+        return fn(args[0])
+    except TypeError:
+        return _elementwise(fn, args[0])
+
+
+def _elementwise(fn, items) -> np.ndarray:
+    return np.fromiter(map(fn, items), dtype=float)
 
 
 def expr_variables(expr) -> frozenset[str]:

@@ -44,10 +44,10 @@ def _random_plant(rng: np.random.Generator) -> PlantModel:
 
 def _target_clear_throughout(obstacles, b_target, r_target, r_c, t_f, samples: int = 64) -> bool:
     need = r_target + r_c
+    ts = np.linspace(0.0, t_f, samples)
     for obs in obstacles:
-        for t in np.linspace(0.0, t_f, samples):
-            if float(np.linalg.norm(obs.center(t) - b_target)) < obs.radius + need:
-                return False
+        if np.any(np.linalg.norm(obs.centers(ts) - b_target, axis=1) < obs.radius + need):
+            return False
     return True
 
 

@@ -142,8 +142,7 @@ def workspace_box(scenario: Scenario, pad: float = 2.0) -> tuple[np.ndarray, np.
     """Axis-aligned box covering everything the run can touch."""
     pts = [scenario.x0, scenario.target.center]
     for obs in scenario.obstacles:
-        for t in np.linspace(0.0, scenario.t_f, 16):
-            pts.append(obs.center(t))
+        pts.extend(obs.centers(np.linspace(0.0, scenario.t_f, 16)))
     pts = np.array(pts)
     spread = max(
         pad,
@@ -166,7 +165,7 @@ def validate(scenario: Scenario, time_samples: int = 1001) -> ValidationReport:
         raise ValueError("time_samples must be >= 2")
     grid = np.linspace(0.0, scenario.t_f, time_samples)
     obstacles = scenario.obstacles
-    centers = [np.array([obs.center(t) for t in grid]) for obs in obstacles]
+    centers = [obs.centers(grid) for obs in obstacles]
     checks = []
 
     # V1: ||b_i(t) - b_j(t)|| >= 2 r_c + r_i + r_j for every pair, all t.

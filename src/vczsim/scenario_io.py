@@ -175,7 +175,15 @@ def _parse_obstacle(body: dict, n_state: int) -> Obstacle:
         def path(t, _exprs=exprs):
             return np.array([eval_expr(e, t) for e in _exprs])
 
-        return Obstacle.custom(path, radius, path_source=tuple(expr_to_str(e) for e in exprs))
+        def centers_path(ts, _exprs=exprs):
+            return np.stack([np.broadcast_to(eval_expr(e, ts), ts.shape) for e in _exprs], axis=1)
+
+        return Obstacle.custom(
+            path,
+            radius,
+            path_source=tuple(expr_to_str(e) for e in exprs),
+            centers_path=centers_path,
+        )
     center = _floats(_require(body, "center", "obstacle"), "center", n_state)
     if "velocity" in body:
         velocity = _floats(body["velocity"], "velocity", n_state)

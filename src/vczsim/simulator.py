@@ -4,7 +4,9 @@ Both controls are computed once per step and held constant (zero-order
 hold) while a classical fixed-step RK4 advances true state and center
 jointly. Every step is recorded; metrics and the reach-avoid verdict are
 computed from the full-resolution trace, and verify_trace re-derives all
-safety claims from raw states rather than trusting logged values.
+safety claims from raw states rather than trusting logged values. Both work
+on whole-trace arrays: obstacle centres come from Obstacle.centers for all
+recorded times at once, and verify_trace calls no controller barrier code.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .scenario import (
     ValidationReport,
     validate,
 )
-from .virtual import QpInfeasibleError, barrier_values, virtual_control
+from .virtual import QpInfeasibleError, virtual_control
 
 BREACH = "confinement_breach"
 QP_INFEASIBLE = "qp_infeasible"
@@ -226,21 +228,28 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
     return trace, compute_metrics(trace, scenario)
 
 
-def _clearances(trace: SimTrace, scenario: Scenario):
+def _obstacle_margins(trace: SimTrace, scenario: Scenario):
+    """Per-sample minima over obstacles, one obstacle at a time: true-state
+    clearance, centre clearance, and the avoidance barrier
+    ||c - b_j(t)||^2 - (r_j + r_c)^2."""
     n_rec = len(trace)
     true_clear = np.full(n_rec, math.inf)
     center_clear = np.full(n_rec, math.inf)
+    avoid = np.full(n_rec, math.inf)
     for obs in scenario.obstacles:
-        centers = np.array([obs.center(t) for t in trace.t])
+        centers = obs.centers(trace.t)
+        inflated = obs.radius + scenario.r_c
+        delta = trace.c - centers
         d_true = np.linalg.norm(trace.x - centers, axis=1) - obs.radius
-        d_center = np.linalg.norm(trace.c - centers, axis=1) - (obs.radius + scenario.r_c)
+        d_center = np.linalg.norm(delta, axis=1) - inflated
         true_clear = np.minimum(true_clear, d_true)
         center_clear = np.minimum(center_clear, d_center)
-    return true_clear, center_clear
+        avoid = np.minimum(avoid, np.einsum("ij,ij->i", delta, delta) - inflated * inflated)
+    return true_clear, center_clear, avoid
 
 
 def compute_metrics(trace: SimTrace, scenario: Scenario) -> RunMetrics:
-    true_clear, center_clear = _clearances(trace, scenario)
+    true_clear, center_clear, _ = _obstacle_margins(trace, scenario)
     terminal = float(np.linalg.norm(trace.x[-1] - scenario.target.center))
     max_u_c = float(np.max(np.linalg.norm(trace.u_c, axis=1)))
     max_u = float(np.max(np.linalg.norm(trace.u, axis=1)))
@@ -271,14 +280,18 @@ def verify_trace(trace: SimTrace, scenario: Scenario) -> ValidationReport:
     T1 center outside inflated obstacles, T2 center inside the shrinking
     ball, T3 true state outside true obstacles, T4 normalized error below
     one, T5 terminal target membership (not evaluable on truncated traces).
+    T1 and T2 are whole-trace geometry, ||c - b_j(t)||^2 - (r_j + r_c)^2 and
+    r(t)^2 - ||c - b_R||^2 with r(t) affine in t; no controller code runs.
     """
     checks = []
-    fresh_h = np.array([barrier_values(trace.c[k], trace.t[k], scenario) for k in range(len(trace))])
-    avoid = fresh_h[:, :-1] if scenario.obstacles else np.full((len(trace), 1), math.inf)
-    reach = fresh_h[:, -1]
     tol = scenario.invariance_tol
+    true_clear, _, avoid = _obstacle_margins(trace, scenario)
+    shrink = scenario.shrink
+    r = (shrink.r_end - shrink.r_start) * (trace.t / shrink.t_f) + shrink.r_start
+    to_target = trace.c - scenario.target.center
+    reach = r * r - np.einsum("ij,ij->i", to_target, to_target)
 
-    worst = int(np.argmin(avoid.min(axis=1)))
+    worst = int(np.argmin(avoid))
     checks.append(
         CheckResult(
             "T1",
@@ -295,7 +308,6 @@ def verify_trace(trace: SimTrace, scenario: Scenario) -> ValidationReport:
         )
     )
 
-    true_clear, _ = _clearances(trace, scenario)
     worst = int(np.argmin(true_clear))
     checks.append(
         CheckResult(

@@ -116,9 +116,9 @@ def _draw_workspace(canvas, trace, scenario, snapshot_times, px, py, pw, ph):
     hi = np.max([p.max(axis=0) for p in pts], axis=0)
     lo = np.minimum(lo, scenario.target.center - max(radii))
     hi = np.maximum(hi, scenario.target.center + max(radii))
-    for obs in scenario.obstacles:
-        for t in snapshot_times:
-            c = obs.center(t)
+    snapshots = [obs.centers(snapshot_times) for obs in scenario.obstacles]
+    for obs, centers in zip(scenario.obstacles, snapshots):
+        for c in centers:
             lo = np.minimum(lo, c - obs.radius)
             hi = np.maximum(hi, c + obs.radius)
     world = _WorldMap(lo - 0.5, hi + 0.5, px, py, pw, ph)
@@ -130,9 +130,9 @@ def _draw_workspace(canvas, trace, scenario, snapshot_times, px, py, pw, ph):
     cx, cy = world(scenario.target.center)
     canvas.circle(cx, cy, world.scale * scenario.target.radius, _TARGET, fill=_TARGET, opacity=0.15)
     canvas.text(cx, cy - 6, "target", size=10, color=_TARGET, anchor="middle")
-    for obs in scenario.obstacles:
-        for t in snapshot_times:
-            bx, by = world(obs.center(t))
+    for obs, centers in zip(scenario.obstacles, snapshots):
+        for t, c in zip(snapshot_times, centers):
+            bx, by = world(c)
             canvas.circle(bx, by, world.scale * obs.radius, _OBSTACLE, fill=_OBSTACLE, opacity=0.25)
             canvas.text(bx, by, f"t={t:g}", size=9, color="#404040", anchor="middle")
     canvas.polyline([world(p) for p in _decimate(trace.c)], _CENTER, dash="5,3")

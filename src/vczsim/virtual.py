@@ -70,10 +70,6 @@ def barrier_evals(c, t: float, scenario: "Scenario") -> list[BarrierEval]:
     return evals
 
 
-def barrier_values(c, t: float, scenario: "Scenario") -> np.ndarray:
-    return np.array([ev.value for ev in barrier_evals(c, t, scenario)])
-
-
 def assemble_rows(c, t: float, scenario: "Scenario") -> list[ConstraintRow]:
     """Stacked rows: obstacles in declaration order, reach row last."""
     c = np.asarray(c, dtype=float)

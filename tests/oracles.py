@@ -3,7 +3,9 @@
 Central finite differences check barrier gradients and time partials;
 seeded sphere sampling supports the containment checks. Everything here is
 deliberately dumb: the value of an oracle is that it shares no code with
-what it certifies.
+what it certifies. barrier_values is the exception: it is the controller's
+own per-sample barrier evaluation, kept as the reference that recorded h
+and the whole-trace checks of verify_trace are compared against.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from vczsim.virtual import barrier_evals
 
 
 @dataclass(frozen=True)
@@ -78,3 +82,9 @@ def difference_quotient_bound(
         quotient = float(np.linalg.norm(np.asarray(fn(x)) - np.asarray(fn(y)))) / gap
         worst = max(worst, quotient)
     return worst
+
+
+def barrier_values(c, t: float, scenario) -> np.ndarray:
+    """The controller's barrier values at (c, t): obstacles in declaration
+    order, then the reach barrier."""
+    return np.array([ev.value for ev in barrier_evals(c, t, scenario)])

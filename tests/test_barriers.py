@@ -1,5 +1,7 @@
 """Barrier evaluations against hand arithmetic and finite differences."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from vczsim.barriers import (
     eval_avoidance,
     eval_reach,
 )
+from vczsim.scenario_io import load_scenario, parse_scenario
 
 SCHEDULE = ShrinkSchedule(15.0, 0.5, 10.0)
 STATIC_OBS = Obstacle.static([1.5, 2.0], 0.5)
@@ -197,6 +200,87 @@ class TestObstaclePaths:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             Obstacle.static([0.0, 0.0], 0.0)
+
+
+CROWDED_3D = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / "crowded_3d.scn"
+CROWDED_PATHS = [obs for obs in load_scenario(CROWDED_3D).obstacles if obs.kind == "custom"]
+
+# A path with a constant component: (+ 5) is a float for any t.
+CONSTANT_COMPONENT_TEXT = """
+[plant]
+catalog = integrator
+
+[obstacle]
+path = (+ 5) (* 0.4 t)
+radius = 0.4
+
+[target]
+center = 10.0 0.0
+radius = 1.2
+
+[vcz]
+r_c = 0.3
+
+[horizon]
+t_f = 10.0
+dt = 0.01
+
+[shrink]
+r_start = 11.0
+r_end = 0.8
+
+[controller]
+gain = 10.0
+
+[initial_state]
+x0 = 0.0 0.0
+"""
+
+
+class TestObstacleCenters:
+    """centers(ts) is bitwise the per-sample center(t), stacked by row."""
+
+    TIMES = np.linspace(0.0, 10.0, 1001)
+
+    @staticmethod
+    def per_sample(obs, ts):
+        return np.array([obs.center(t) for t in ts])
+
+    @pytest.mark.parametrize(
+        "obs",
+        [STATIC_OBS, MOVING_OBS, *CROWDED_PATHS],
+        ids=["static", "linear", "crowded_path_1", "crowded_path_2"],
+    )
+    def test_matches_per_sample_center(self, obs):
+        centers = obs.centers(self.TIMES)
+        assert centers.shape == (len(self.TIMES), obs.center(0.0).size)
+        assert np.array_equal(centers, self.per_sample(obs, self.TIMES))
+
+    def test_crowded_scenario_has_two_path_obstacles(self):
+        assert len(CROWDED_PATHS) == 2
+        assert all(obs.centers_path is not None for obs in CROWDED_PATHS)
+
+    def test_constant_path_component_is_broadcast(self):
+        (obs,) = parse_scenario(CONSTANT_COMPONENT_TEXT).obstacles
+        centers = obs.centers(self.TIMES)
+        assert np.array_equal(centers, self.per_sample(obs, self.TIMES))
+        assert np.all(centers[:, 0] == 5.0)
+
+    def test_plain_callable_path_is_sampled(self):
+        obs = Obstacle.custom(lambda t: np.array([np.sin(t), np.cos(2 * t)]), 0.4)
+        assert obs.centers_path is None
+        assert np.array_equal(obs.centers(self.TIMES), self.per_sample(obs, self.TIMES))
+
+    @pytest.mark.parametrize("obs", [STATIC_OBS, MOVING_OBS, *CROWDED_PATHS])
+    def test_single_time(self, obs):
+        ts = np.array([3.7])
+        assert np.array_equal(obs.centers(ts), self.per_sample(obs, ts))
+
+    def test_does_not_write_into_times(self):
+        ts = self.TIMES.copy()
+        for obs in CROWDED_PATHS:
+            obs.centers(ts)
+        assert np.array_equal(ts, self.TIMES)
 
 
 def test_target_set_rejects_nonpositive_radius():

@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vczsim.exprs import (
     ExprError,
@@ -80,3 +82,44 @@ def test_parse_errors(text):
 def test_eval_missing_state_variable():
     with pytest.raises(ExprError):
         eval_expr(parse_expr("x3"), 0.0, [1.0, 2.0])
+
+
+# t-only trees. Leaves are bounded and trees small, so no product overflows
+# and fsum never meets inf - inf.
+_LEAVES = st.one_of(
+    st.just(("var", "t")),
+    st.floats(-10.0, 10.0, allow_nan=False).map(lambda v: ("num", v)),
+)
+
+
+def _extend(children):
+    nary = st.tuples(st.sampled_from(["+", "-", "*"]), st.lists(children, min_size=1, max_size=3))
+    unary = st.tuples(st.sampled_from(["-", "sin", "cos"]), st.lists(children, min_size=1, max_size=1))
+    return st.one_of(nary, unary).map(lambda op_args: (op_args[0], tuple(op_args[1])))
+
+
+T_ONLY_TREES = st.recursive(_LEAVES, _extend, max_leaves=12)
+TIMES = st.lists(st.floats(-100.0, 100.0, allow_nan=False), min_size=1, max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(T_ONLY_TREES, TIMES)
+def test_array_t_is_bitwise_per_element(expr, times):
+    ts = np.array(times)
+    before = ts.copy()
+    whole = np.broadcast_to(eval_expr(expr, ts), ts.shape)
+    per_element = np.array([eval_expr(expr, t) for t in ts], dtype=float)
+    assert whole.dtype == np.float64
+    assert whole.tobytes() == per_element.tobytes()
+    assert np.array_equal(ts, before)  # the array t is never written into
+
+
+def test_array_t_sum_is_fsum_per_element():
+    # A left fold of 1e16 + 1 - 1e16 gives 0; fsum gives 1 exactly.
+    e = parse_expr("(+ 1e16 t -1e16)")
+    np.testing.assert_array_equal(eval_expr(e, np.array([1.0, 2.0])), [1.0, 2.0])
+
+
+def test_array_t_with_state_variable_is_rejected():
+    with pytest.raises(ExprError):
+        eval_expr(parse_expr("(+ t x1)"), np.array([0.0, 1.0]))

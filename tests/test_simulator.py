@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
+from oracles import barrier_values
 from vczsim import virtual
 from vczsim.barriers import Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
@@ -20,7 +22,7 @@ from vczsim.simulator import (
     verify_trace,
     write_trace,
 )
-from vczsim.virtual import VirtualSystem, barrier_values, virtual_control
+from vczsim.virtual import VirtualSystem, virtual_control
 
 # Integrator reach task past an obstacle whose centre follows a path expression.
 PATH_OBSTACLE_TEXT = """
@@ -82,6 +84,13 @@ def quiet_scenario(**overrides):
         dt=1e-3,
     )
     return replace(base, **overrides) if overrides else base
+
+
+@pytest.fixture(scope="module")
+def path_run():
+    scenario = parse_scenario(PATH_OBSTACLE_TEXT)
+    trace, _ = run(scenario)
+    return scenario, trace
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +269,33 @@ class TestVerifyTrace:
         t3 = report.check("T3")
         assert not t3.passed
         assert t3.worst_time == pytest.approx(trace.t[k])
+
+    def test_runs_no_controller_barrier_code(self, path_run, monkeypatch):
+        scenario, trace = path_run
+        calls = []
+        for owner, name in ((virtual, "eval_avoidance"), (virtual, "eval_reach"), (oracles, "barrier_values")):
+            monkeypatch.setattr(owner, name, lambda *args, _name=name: calls.append(_name))
+        assert verify_trace(trace, scenario).all_passed
+        assert calls == []
+
+    def test_t1_t2_match_per_sample_barriers(self, path_run):
+        scenario, trace = path_run
+        fresh = np.array([barrier_values(trace.c[k], trace.t[k], scenario) for k in range(len(trace))])
+        report = verify_trace(trace, scenario)
+        for check_id, per_sample in (("T1", fresh[:, :-1].min(axis=1)), ("T2", fresh[:, -1])):
+            check = report.check(check_id)
+            assert abs(check.worst_margin - per_sample.min()) <= 1e-12
+            assert check.worst_time == trace.t[int(np.argmin(per_sample))]
+
+    def test_injected_center_on_path_obstacle_fails_t1(self, path_run):
+        scenario, trace = path_run
+        k = len(trace) // 2
+        c = trace.c.copy()
+        c[k] = scenario.obstacles[0].center(trace.t[k])
+        report = verify_trace(replace(trace, c=c), scenario)
+        t1 = report.check("T1")
+        assert not t1.passed
+        assert t1.worst_time == trace.t[k]
 
     def test_truncated_trace_fails_t5(self, benchmark_run):
         scenario, trace, _, _ = benchmark_run

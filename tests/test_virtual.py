@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import difference_quotient_bound
+from oracles import barrier_values, difference_quotient_bound
 from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
 from vczsim.plant import integrator_plant
@@ -15,7 +15,6 @@ from vczsim.virtual import (
     QpInfeasibleError,
     VirtualSystem,
     assemble_rows,
-    barrier_values,
     virtual_control,
 )
 
