@@ -21,6 +21,14 @@ NEGATIVE_DEFINITE = "negative_definite"
 CATALOG = ("benchmark", "integrator")
 
 
+class PlantSpecError(ValueError):
+    """Malformed expression plant; `field` names the part at fault: f, g or omega."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class PlantModel:
     """Control-affine plant xdot = f(x) + g(x) u + omega(t)."""
@@ -99,19 +107,21 @@ def expression_plant(f_sources, g_sources, omega_sources, sign_class: str) -> Pl
     f_exprs = [parse_expr(s) for s in f_sources]
     omega_exprs = [parse_expr(s) for s in omega_sources]
     if len(g_sources) != n or any(len(row) != n for row in g_sources):
-        raise ValueError(f"input map must be {n}x{n}")
+        raise PlantSpecError(f"input map must be {n}x{n}", "g")
     if len(omega_exprs) != n:
-        raise ValueError(f"disturbance must have {n} components")
+        raise PlantSpecError(f"disturbance must have {n} components", "omega")
     g_exprs = [[parse_expr(s) for s in row] for row in g_sources]
     state_vars = {f"x{i + 1}" for i in range(n)}
-    for e in f_exprs + [e for row in g_exprs for e in row]:
-        bad = expr_variables(e) - state_vars
-        if bad:
-            raise ValueError(f"plant f/g may only use x1..x{n}, found {sorted(bad)}")
+    for field, exprs in (("f", f_exprs), ("g", [e for row in g_exprs for e in row])):
+        for e in exprs:
+            bad = expr_variables(e) - state_vars
+            if bad:
+                message = f"plant {field} may only use x1..x{n}, found {sorted(bad)}"
+                raise PlantSpecError(message, field)
     for e in omega_exprs:
         bad = expr_variables(e) - {"t"}
         if bad:
-            raise ValueError(f"disturbance may only use t, found {sorted(bad)}")
+            raise PlantSpecError(f"disturbance may only use t, found {sorted(bad)}", "omega")
 
     def drift(x):
         return np.array([eval_expr(e, 0.0, x) for e in f_exprs])

@@ -1,26 +1,33 @@
 """Small dense strictly convex QPs with inequality constraints.
 
-Solves  min_u 1/2 u'Hu + F'u  subject to  A u >= b  by a primal active-set
-method (Cholesky-factored equality-constrained subproblems) and certifies
-every answer through an explicit KKT residual. Problems here have at most a
-handful of inputs and constraint rows, so dense cubic-cost steps and
-subset enumeration fallbacks are cheap.
+Solves  min_u 1/2 u'Hu + F'u  subject to  A u >= b  by enumerating candidate
+active sets, and certifies every answer through an explicit KKT residual.
 
-Infeasibility is certified by exhaustion: if the feasible polyhedron is
-nonempty, the projection of the origin onto it is the least-norm point tied
-to some linearly independent subset of tight rows, so checking the least-norm
-candidate of every such subset either produces a feasible point or proves
-the polyhedron empty.
+A feasible strictly convex QP has exactly one KKT point, its minimizer u*.
+There H u* + F = A_W' lam_W with lam_W >= 0 on the tight rows W, and by
+Caratheodory's theorem that conic combination can be carried by a linearly
+independent subset of W, of size at most min(m, d). So the solver takes the
+independent subsets smallest first (the empty set is the unconstrained
+minimum u0), solves the equality-constrained subproblem on each, and returns
+the first candidate that is primal and dual feasible and passes check_kkt.
+That is at most sum_{k <= min(m, d)} C(d, k) subproblems: 7 for m = 2, d = 3
+and 64 for m = 3, d = 7. Subsets holding no row that u0 violates are skipped,
+since on a support with lam_W > 0, lam_W'(b_W - A_W u0) = |u* - u0|_H^2 > 0.
+
+Only when no candidate certifies is the polyhedron checked for emptiness: if
+it is nonempty, the projection of the origin onto it is the least-norm point
+tied to some linearly independent subset of tight rows, so checking the
+least-norm candidate of every such subset either produces a feasible point
+or proves the polyhedron empty.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 KKT_TOL = 1e-9
 
@@ -43,12 +50,13 @@ class GridInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class QpProblem:
-    """min 1/2 u'Hu + F'u  s.t.  A u >= b elementwise; H symmetric PD."""
+    """min 1/2 u'Hu + F'u  s.t.  A u >= b; H symmetric PD, inverted via its Cholesky factor."""
 
     H: np.ndarray
     F: np.ndarray
     A: np.ndarray
     b: np.ndarray
+    H_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.atleast_2d(np.asarray(self.H, dtype=float))
@@ -61,7 +69,7 @@ class QpProblem:
         if not np.allclose(H, H.T, rtol=1e-10, atol=1e-12):
             raise QpInputError("H must be symmetric")
         try:
-            np.linalg.cholesky(H)
+            L_inv = np.linalg.inv(np.linalg.cholesky(H))
         except np.linalg.LinAlgError:
             raise QpInputError("H must be positive definite") from None
         if F.shape != (m,):
@@ -77,6 +85,7 @@ class QpProblem:
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "H_inv", L_inv.T @ L_inv)
 
     @property
     def m(self) -> int:
@@ -120,14 +129,12 @@ def check_kkt(problem: QpProblem, candidate, multipliers) -> float:
     return max(stationarity, primal, dual, complementarity)
 
 
-def _eqp(cho, F, A, b, working, v=None):
-    """Equality-constrained subproblem on the working set via Schur complement."""
-    if v is None:
-        v = cho_solve(cho, F)
+def _eqp(H_inv, v, A, b, working):
+    """Equality-constrained subproblem on the working set via Schur complement; v = H^-1 F."""
     if not working:
         return -v, np.zeros(0)
     Aw = A[working]
-    Y = cho_solve(cho, Aw.T)
+    Y = H_inv @ Aw.T
     S = Aw @ Y
     np.linalg.cholesky(S)  # raises LinAlgError on a rank-deficient working set
     lam = np.linalg.solve(S, b[working] + Aw @ v)
@@ -158,7 +165,10 @@ def _feasible_start(A, b, tol):
             cand = np.zeros(m)
         else:
             Aw = A[list(subset)]
-            mu = np.linalg.solve(G, b[list(subset)])
+            try:
+                mu = np.linalg.solve(G, b[list(subset)])
+            except np.linalg.LinAlgError:
+                continue  # dependent rows whose Gram matrix passed the Cholesky test
             cand = Aw.T @ mu
         if np.all(A @ cand >= b - tol):
             return cand
@@ -166,121 +176,49 @@ def _feasible_start(A, b, tol):
 
 
 def _exhaustive(problem: QpProblem, kkt_tol: float) -> QpSolution | None:
-    """Enumerate KKT candidates over independent constraint subsets."""
-    A, b, F = problem.A, problem.b, problem.F
-    cho = cho_factor(problem.H, lower=True)
-    v = cho_solve(cho, F)
-    best = None
-    for subset, _ in _full_rank_subsets(A, problem.m):
-        try:
-            u, lam_w = _eqp(cho, F, A, b, list(subset), v)
-        except np.linalg.LinAlgError:
-            continue
-        if subset and lam_w.min() < -0.5 * kkt_tol:
-            continue
-        if problem.d and np.min(A @ u - b) < -0.5 * kkt_tol:
-            continue
-        obj = problem.objective(u)
-        if best is None or obj < best[0]:
-            lam = np.zeros(problem.d)
-            lam[list(subset)] = lam_w
-            best = (obj, u, lam)
-    if best is None:
-        return None
-    return _certify(problem, best[1], best[2], kkt_tol, allow_fallback=False)
-
-
-def _certify(problem, u, lam, kkt_tol, allow_fallback=True) -> QpSolution:
-    residual = check_kkt(problem, u, lam)
-    if residual > kkt_tol:
-        if allow_fallback:
-            sol = _exhaustive(problem, kkt_tol)
-            if sol is not None:
-                return sol
-        raise QpCertificationError(
-            f"could not certify a KKT point (residual {residual:.3e} > {kkt_tol:.1e})"
-        )
-    if problem.d:
-        slack = problem.A @ u - problem.b
-        scale = np.maximum(1.0, np.abs(problem.b))
-        tight = tuple(int(i) for i in np.flatnonzero(slack <= 1e-7 * scale))
-    else:
-        tight = ()
-    status = OPTIMAL
-    if len(tight) > 1 and np.linalg.matrix_rank(problem.A[list(tight)]) < len(tight):
-        status = DEGENERATE
-    return QpSolution(u, tight, residual, status, lam)
+    """First certified KKT candidate over independent active sets, smallest first."""
+    A, b, d = problem.A, problem.b, problem.d
+    v = problem.H_inv @ problem.F
+    violated = A @ -v < b  # rows the unconstrained minimum breaks
+    for size in range(min(problem.m, d) + 1):
+        for working in map(list, itertools.combinations(range(d), size)):
+            if size and not violated[working].any():
+                continue
+            try:
+                u, lam_w = _eqp(problem.H_inv, v, A, b, working)
+            except np.linalg.LinAlgError:
+                continue
+            slack = A @ u - b
+            if not (np.all(lam_w >= -0.5 * kkt_tol) and np.all(slack >= -0.5 * kkt_tol)):
+                continue
+            lam = np.zeros(d)
+            lam[working] = lam_w
+            residual = check_kkt(problem, u, lam)
+            if not residual <= kkt_tol:  # also rejects NaN from an overflowed subproblem
+                continue
+            tight = np.flatnonzero(slack <= 1e-7 * np.maximum(1.0, np.abs(b)))
+            dependent = len(tight) > 1 and np.linalg.matrix_rank(A[tight]) < len(tight)
+            status = DEGENERATE if dependent else OPTIMAL
+            return QpSolution(u, tuple(int(i) for i in tight), residual, status, lam)
+    return None
 
 
 def solve_qp(problem: QpProblem, kkt_tol: float = KKT_TOL) -> QpSolution:
-    """Primal active-set solve with a KKT certificate.
+    """Certified minimizer: the first candidate active set that passes check_kkt.
 
     Returns status ``optimal`` (certified minimizer), ``degenerate``
     (certified minimizer with linearly dependent tight rows), or
-    ``infeasible`` (empty constraint polyhedron, by subset exhaustion).
+    ``infeasible`` (no candidate certifies and `_feasible_start` proves the
+    polyhedron empty). No certified candidate for a feasible polyhedron
+    raises QpCertificationError; see the module docstring for why the first
+    certified candidate of the enumeration is the minimizer.
     """
-    H, F, A, b = problem.H, problem.F, problem.A, problem.b
-    d = problem.d
-    cho = cho_factor(H, lower=True)
-    u_free = -cho_solve(cho, F)
-    if d == 0:
-        return _certify(problem, u_free, np.zeros(0), kkt_tol)
-    if np.all(A @ u_free >= b - kkt_tol):
-        return _certify(problem, u_free, np.zeros(d), kkt_tol)
-
-    # Cheap feasible start: project the unconstrained minimum onto its most
-    # violated halfspace; fall back to certified subset enumeration.
-    u = None
-    violation = b - A @ u_free
-    worst = int(np.argmax(violation))
-    gain = A[worst] @ A[worst]
-    if gain > 0:
-        cand = u_free + A[worst] * (violation[worst] / gain)
-        if np.all(A @ cand >= b - 0.5 * kkt_tol):
-            u = cand
-    if u is None:
-        u = _feasible_start(A, b, 0.5 * kkt_tol)
-    if u is None:
-        return QpSolution(None, (), math.inf, INFEASIBLE, None)
-
-    working: list[int] = []
-    row_norms = np.linalg.norm(A, axis=1)
-    v_free = -u_free
-    for _ in range(50 * (d + 2)):
-        try:
-            u_eq, lam_w = _eqp(cho, F, A, b, working, v_free)
-        except np.linalg.LinAlgError:
-            break  # numerically dependent working set: certified fallback below
-        p = u_eq - u
-        if np.linalg.norm(p) <= 1e-11 * max(1.0, np.linalg.norm(u_eq)):
-            if not working or lam_w.min() >= -kkt_tol:
-                lam = np.zeros(d)
-                lam[working] = lam_w
-                return _certify(problem, u_eq, lam, kkt_tol)
-            working.pop(int(np.argmin(lam_w)))
-            u = u_eq
-            continue
-        # Ratio test over rows outside the working set.
-        Ap = A @ p
-        slack = A @ u - b
-        alpha = 1.0
-        blocking = -1
-        for i in range(d):
-            if i in working or Ap[i] >= -1e-13 * max(1.0, row_norms[i]):
-                continue
-            ratio = max(0.0, slack[i] / -Ap[i])
-            if ratio < alpha:
-                alpha = ratio
-                blocking = i
-        u = u + alpha * p
-        if blocking >= 0 and alpha < 1.0:
-            working.append(blocking)
-        elif alpha >= 1.0:
-            u = u_eq  # full step: next pass checks multiplier signs
     sol = _exhaustive(problem, kkt_tol)
-    if sol is None:
-        raise QpCertificationError("active-set iteration limit with no certificate")
-    return sol
+    if sol is not None:
+        return sol
+    if _feasible_start(problem.A, problem.b, 0.5 * kkt_tol) is None:
+        return QpSolution(None, (), math.inf, INFEASIBLE, None)
+    raise QpCertificationError(f"feasible, but no candidate certifies at {kkt_tol:.1e}")
 
 
 def brute_force_qp(

@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads its random submodule on first use; import it here so that a
+# campaign's first draw does not also pay for the import.
+import numpy.random
 
 from .barriers import Obstacle, ShrinkSchedule, TargetSet
 from .confinement import ConfinementLaw

@@ -19,7 +19,7 @@ import numpy as np
 from .barriers import CUSTOM, LINEAR, STATIC, ClassKappa, Obstacle, ShrinkSchedule, TargetSet
 from .confinement import DEFAULT_EPSILON_SAT, ConfinementLaw
 from .exprs import ExprError, eval_expr, expr_to_str, expr_variables, parse_expr_rows, parse_expr_sequence
-from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, catalog_plant, expression_plant
+from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantSpecError, catalog_plant, expression_plant
 from .scenario import Scenario
 from .virtual import VirtualSystem
 
@@ -136,23 +136,24 @@ def _parse_plant(body: dict, n_state: int):
             body["sign_class"].line,
             "sign_class",
         )
-    try:
-        f_exprs = parse_expr_sequence(body["f"].value)
-        g_rows = parse_expr_rows(body["g"].value)
-        omega_exprs = parse_expr_sequence(body["omega"].value)
-    except ExprError as exc:
-        raise ScenarioParseError(str(exc), body["f"].line, "plant expressions") from None
-    if len(f_exprs) != n_state:
+    parsed = {}
+    parsers = (("f", parse_expr_sequence), ("g", parse_expr_rows), ("omega", parse_expr_sequence))
+    for key, parse in parsers:
+        try:
+            parsed[key] = parse(body[key].value)
+        except ExprError as exc:
+            raise ScenarioParseError(str(exc), body[key].line, key) from None
+    if len(parsed["f"]) != n_state:
         raise ScenarioParseError(f"f must have {n_state} components", body["f"].line, "f")
     try:
         return expression_plant(
-            [expr_to_str(e) for e in f_exprs],
-            [[expr_to_str(e) for e in row] for row in g_rows],
-            [expr_to_str(e) for e in omega_exprs],
+            [expr_to_str(e) for e in parsed["f"]],
+            [[expr_to_str(e) for e in row] for row in parsed["g"]],
+            [expr_to_str(e) for e in parsed["omega"]],
             sign,
         )
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc), body["f"].line, "plant expressions") from None
+    except PlantSpecError as exc:
+        raise ScenarioParseError(str(exc), body[exc.field].line, exc.field) from None
 
 
 def _parse_obstacle(body: dict, n_state: int) -> Obstacle:

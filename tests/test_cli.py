@@ -159,3 +159,14 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == EXIT_PASS
     assert "all checks passed" in proc.stdout
+
+
+def test_runtime_imports_numpy_only():
+    # scipy is a benchmark-only extra; the package and the CLI must not load it.
+    code = (
+        "import sys, vczsim, vczsim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

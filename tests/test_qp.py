@@ -1,7 +1,9 @@
-"""Active-set QP solver: worked cases, certificates, and randomized properties."""
+"""Candidate-enumeration QP solver: worked cases, certificates, and randomized properties."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import minimizer_box_bound, random_qp_problem
 from vczsim.qp import (
@@ -128,11 +130,27 @@ class TestBruteForce:
             brute_force_qp(problem, 1.0, 11)
 
 
+def unit_arrays(*shape):
+    return hnp.arrays(float, shape, elements=st.floats(-1.0, 1.0))
+
+
+@st.composite
+def planar_qps(draw):
+    """Strictly convex 2-input QP with 1-5 rows and a strictly feasible point."""
+    d = draw(st.integers(1, 5))
+    L, F, p = draw(unit_arrays(2, 2)), draw(unit_arrays(2)), draw(unit_arrays(2))
+    A = draw(unit_arrays(d, 2))
+    margin = draw(hnp.arrays(float, d, elements=st.floats(0.1, 2.0)))
+    return QpProblem(L.T @ L + 0.1 * np.eye(2), F, A, A @ p - margin), p
+
+
 class TestRandomizedProperties:
-    def test_thousand_random_problems_certified(self):
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_thousand_random_problems_certified(self, m):
+        # m = 3 with up to 7 rows is the shape of a 3-D scenario with six obstacles.
         rng = np.random.default_rng(123)
         for _ in range(1000):
-            problem, _ = random_qp_problem(rng)
+            problem, _ = random_qp_problem(rng, m, int(rng.integers(1, 8)))
             sol = solve_qp(problem)
             assert sol.status in (OPTIMAL, DEGENERATE)
             assert sol.kkt_residual <= 1e-8
@@ -159,6 +177,46 @@ class TestRandomizedProperties:
             cost_band = step * np.linalg.norm(problem.H @ grid + problem.F) + 0.5 * lam_max * step**2
             assert gap <= 2.0 * cost_band
             assert np.linalg.norm(grid - sol.u_star) <= 6.0 * step
+
+    @pytest.mark.parametrize("kind", ["plain", "degenerate", "infeasible"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        draw=planar_qps(),
+        row=st.integers(0, 4),
+        scale=st.floats(0.1, 10.0),
+        beta=st.floats(-2.0, 2.0),
+        excess=st.floats(0.1, 2.0),
+        a=unit_arrays(2),
+    )
+    def test_agrees_with_grid_oracle(self, kind, draw, row, scale, beta, excess, a):
+        problem, feasible = draw
+        H, F, A, b = problem.H, problem.F, problem.A, problem.b
+        if kind == "infeasible":
+            # a.u >= beta and -a.u >= gamma with beta + gamma = excess > 0 admit no u.
+            problem = QpProblem(H, F, np.vstack([A, a, -a]), np.append(b, [beta, excess - beta]))
+            sol = solve_qp(problem)
+            assert sol.status == INFEASIBLE and sol.u_star is None
+            with pytest.raises(GridInfeasibleError):
+                brute_force_qp(problem, 5.0, 41)
+            return
+        sol = solve_qp(problem)
+        if kind == "degenerate":
+            # A positively scaled copy of a row changes neither the feasible set nor the minimizer.
+            i = row % problem.d
+            problem = QpProblem(H, F, np.vstack([A, scale * A[i]]), np.append(b, scale * b[i]))
+            twin = solve_qp(problem)
+            np.testing.assert_allclose(twin.u_star, sol.u_star, rtol=0, atol=1e-9)
+            sol = twin
+        assert sol.status in (OPTIMAL, DEGENERATE)
+        assert sol.kkt_residual <= KKT_TOL
+        # No feasible grid point beats the certified minimizer, and by strong
+        # convexity every feasible point g costs at least 1/2 |g - u*|_H^2 more.
+        # A band in grid cells is not asserted: a thin wedge of feasible
+        # points can hold no grid point near u_star.
+        grid = brute_force_qp(problem, minimizer_box_bound(problem, feasible), 161)
+        gap = problem.objective(grid) - problem.objective(sol.u_star)
+        assert gap >= -1e-9
+        assert 0.5 * (grid - sol.u_star) @ problem.H @ (grid - sol.u_star) <= gap + 1e-9
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(99)

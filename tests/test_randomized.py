@@ -1,9 +1,12 @@
 """Randomized scenario generator: reproducibility and validity."""
 
 import numpy as np
+import pytest
 
 from vczsim import simulator
 from vczsim.randomized import WORKSPACE, random_scenario, run_campaign
+from vczsim.simulator import QP_INFEASIBLE, SimulationAbort, run
+from vczsim.virtual import QpInfeasibleError
 from vczsim.scenario import validate
 from vczsim.scenario_io import scenario_hash
 
@@ -49,3 +52,17 @@ def test_campaign_validates_only_inside_random_scenario(monkeypatch):
     summary = run_campaign(count=2, base_seed=2024, dt=1e-2)
     assert len(summary.runs) == 2
     assert calls == []
+
+
+def test_seed_2026_aborts_on_the_same_rows():
+    # Regression fixture: the one campaign seed of 2024-2043 whose CBF-QP
+    # becomes infeasible. Any controller or solver change that moves the abort
+    # time or the conflicting barrier rows shows up here.
+    with pytest.raises(SimulationAbort) as exc_info:
+        run(random_scenario(2026), check=False)
+    abort = exc_info.value
+    assert abort.reason == QP_INFEASIBLE
+    assert abort.t == pytest.approx(2.8, abs=1e-9)
+    assert len(abort.trace) == 1120
+    assert isinstance(abort.__cause__, QpInfeasibleError)
+    assert abort.__cause__.conflicting == (0, 2, 3)

@@ -123,6 +123,27 @@ class TestParseErrors:
         with pytest.raises(ScenarioParseError):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("(* 2 (sin x2))", "(* 2 (sin x2)", "f"),
+            ("g = 1.0 0.0 ; 0.0 1.0", "g = (+ 1.0 0.0 ; 0.0 1.0", "g"),
+            ("(* 0.1 (cos t))", "(* 0.1 (cos t)", "omega"),
+            ("g = 1.0 0.0 ; 0.0 1.0", "g = 1.0 0.0 ; 0.0", "g"),
+            ("g = 1.0 0.0 ; 0.0 1.0", "g = 1.0 t ; 0.0 1.0", "g"),
+            ("(* 0.1 (cos t)) 0.0", "(* 0.1 (cos t))", "omega"),
+            ("(* 0.1 (cos t))", "(* 0.1 (cos x1))", "omega"),
+        ],
+        ids=["f-paren", "g-paren", "omega-paren", "g-shape", "g-variable"]
+        + ["omega-length", "omega-variable"],
+    )
+    def test_plant_error_names_failing_field_and_line(self, old, new, key):
+        lines = CUSTOM_TEXT.splitlines()
+        line = next(i for i, text in enumerate(lines, 1) if text.startswith(f"{key} ="))
+        with pytest.raises(ScenarioParseError) as exc_info:
+            parse_scenario(CUSTOM_TEXT.replace(old, new))
+        assert (exc_info.value.key, exc_info.value.line) == (key, line)
+
 
 class TestHash:
     def test_hash_ignores_integration_step(self):
