@@ -21,16 +21,13 @@ from .confinement import (
     ConfinementBreachError,
     ConfinementLaw,
     confinement_control,
-    small_error_slope,
     zeta,
 )
 from .plant import PlantModel, benchmark_plant, integrator_plant, plant_derivative
 from .qp import (
-    GridInfeasibleError,
     QpInputError,
     QpProblem,
     QpSolution,
-    brute_force_qp,
     check_kkt,
     solve_qp,
 )

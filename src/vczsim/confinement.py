@@ -68,8 +68,3 @@ def confinement_control(x, c, law: ConfinementLaw) -> np.ndarray:
         return np.zeros_like(e)
     magnitude = law.gain * zeta(norm / law.r_c, law.epsilon_sat)
     return -magnitude / norm * e
-
-
-def small_error_slope(law: ConfinementLaw) -> float:
-    """Local slope 2|gain|/r_c of ||u|| in ||e|| near the origin."""
-    return 2.0 * abs(law.gain) / law.r_c

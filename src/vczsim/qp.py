@@ -19,10 +19,16 @@ it is nonempty, the projection of the origin onto it is the least-norm point
 tied to some linearly independent subset of tight rows, so checking the
 least-norm candidate of every such subset either produces a feasible point
 or proves the polyhedron empty.
+
+A sequence of nearby problems passes the previous solution's `support` as
+a hint, tried first. Certification is kept: there is one KKT point, and the
+hint passes the same gates as any candidate or falls through to the
+unchanged enumeration. H is checked and inverted once per distinct matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -37,15 +43,28 @@ DEGENERATE = "degenerate"
 
 
 class QpInputError(ValueError):
-    """Rejected problem data: non-PD Hessian or mismatched dimensions."""
+    """Rejected problem data: non-PD Hessian, non-finite data or mismatched dimensions."""
 
 
 class QpCertificationError(RuntimeError):
     """Solver could not certify a KKT point (should not occur for valid data)."""
 
 
-class GridInfeasibleError(RuntimeError):
-    """No grid point satisfies the constraints (brute-force oracle)."""
+@functools.lru_cache(maxsize=32)
+def _inverse(shape: tuple[int, int], data: bytes) -> np.ndarray:
+    """Read-only H^-1 of a symmetric PD H, via its Cholesky factor; memoized per matrix."""
+    H = np.frombuffer(data).reshape(shape)
+    if not np.isfinite(H).all():
+        raise QpInputError("H must be finite")
+    if not np.allclose(H, H.T, rtol=1e-10, atol=1e-12):
+        raise QpInputError("H must be symmetric")
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(H))
+    except np.linalg.LinAlgError:
+        raise QpInputError("H must be positive definite") from None
+    H_inv = L_inv.T @ L_inv
+    H_inv.setflags(write=False)
+    return H_inv
 
 
 @dataclass(frozen=True)
@@ -66,12 +85,7 @@ class QpProblem:
         if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 1:
             raise QpInputError(f"H must be square, got shape {H.shape}")
         m = H.shape[0]
-        if not np.allclose(H, H.T, rtol=1e-10, atol=1e-12):
-            raise QpInputError("H must be symmetric")
-        try:
-            L_inv = np.linalg.inv(np.linalg.cholesky(H))
-        except np.linalg.LinAlgError:
-            raise QpInputError("H must be positive definite") from None
+        H_inv = _inverse(H.shape, H.tobytes())
         if F.shape != (m,):
             raise QpInputError(f"F must have length {m}, got {F.shape}")
         if A.size == 0:
@@ -81,11 +95,14 @@ class QpProblem:
             raise QpInputError(f"A must have {m} columns, got shape {A.shape}")
         if b.shape != (A.shape[0],):
             raise QpInputError(f"b must have length {A.shape[0]}, got {b.shape}")
+        # Per step, on a few dozen numbers, lists beat np.isfinite(...).all() about 4x.
+        if not all(map(math.isfinite, F.tolist() + A.ravel().tolist() + b.tolist())):
+            raise QpInputError("F, A and b must be finite")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "H_inv", L_inv.T @ L_inv)
+        object.__setattr__(self, "H_inv", H_inv)
 
     @property
     def m(self) -> int:
@@ -95,24 +112,25 @@ class QpProblem:
     def d(self) -> int:
         return self.A.shape[0]
 
-    def objective(self, u: np.ndarray) -> float:
-        u = np.asarray(u, dtype=float)
-        return float(0.5 * u @ self.H @ u + self.F @ u)
-
 
 @dataclass(frozen=True)
 class QpSolution:
-    """Certified minimizer; u_star/multipliers are None when infeasible."""
+    """Certified minimizer; u_star/multipliers are None when infeasible.
+
+    active_set holds the tight rows; support is the working set whose
+    candidate certified, the hint for the next, nearby problem.
+    """
 
     u_star: np.ndarray | None
     active_set: tuple[int, ...]
     kkt_residual: float
     status: str
     multipliers: np.ndarray | None
+    support: tuple[int, ...] = ()
 
 
 def check_kkt(problem: QpProblem, candidate, multipliers) -> float:
-    """Max violation over stationarity, primal/dual feasibility, slackness."""
+    """Max violation over stationarity, primal/dual feasibility, slackness; NaN if any term is."""
     u = np.asarray(candidate, dtype=float).ravel()
     lam = np.asarray(multipliers, dtype=float).ravel()
     if u.shape != (problem.m,):
@@ -123,10 +141,8 @@ def check_kkt(problem: QpProblem, candidate, multipliers) -> float:
     if problem.d == 0:
         return stationarity
     slack = problem.A @ u - problem.b
-    primal = float(max(0.0, np.max(-slack)))
-    dual = float(max(0.0, np.max(-lam)))
-    complementarity = float(np.max(np.abs(lam * slack)))
-    return max(stationarity, primal, dual, complementarity)
+    terms = (stationarity, float(np.max(-slack)), float(np.max(-lam)), float(np.max(np.abs(lam * slack))))
+    return math.nan if any(map(math.isnan, terms)) else max(0.0, *terms)
 
 
 def _eqp(H_inv, v, A, b, working):
@@ -175,36 +191,42 @@ def _feasible_start(A, b, tol):
     return None
 
 
-def _exhaustive(problem: QpProblem, kkt_tol: float) -> QpSolution | None:
-    """First certified KKT candidate over independent active sets, smallest first."""
+def _exhaustive(problem: QpProblem, kkt_tol: float, hint=()) -> QpSolution | None:
+    """First certified KKT candidate: a valid hint, then independent active sets, smallest first."""
     A, b, d = problem.A, problem.b, problem.d
     v = problem.H_inv @ problem.F
     violated = A @ -v < b  # rows the unconstrained minimum breaks
-    for size in range(min(problem.m, d) + 1):
-        for working in map(list, itertools.combinations(range(d), size)):
-            if size and not violated[working].any():
-                continue
-            try:
-                u, lam_w = _eqp(problem.H_inv, v, A, b, working)
-            except np.linalg.LinAlgError:
-                continue
-            slack = A @ u - b
-            if not (np.all(lam_w >= -0.5 * kkt_tol) and np.all(slack >= -0.5 * kkt_tol)):
-                continue
-            lam = np.zeros(d)
-            lam[working] = lam_w
-            residual = check_kkt(problem, u, lam)
-            if not residual <= kkt_tol:  # also rejects NaN from an overflowed subproblem
-                continue
-            tight = np.flatnonzero(slack <= 1e-7 * np.maximum(1.0, np.abs(b)))
-            dependent = len(tight) > 1 and np.linalg.matrix_rank(A[tight]) < len(tight)
-            status = DEGENERATE if dependent else OPTIMAL
-            return QpSolution(u, tuple(int(i) for i in tight), residual, status, lam)
+    max_size = min(problem.m, d)
+    hint = sorted(set(hint))
+    first = [hint] if 0 < len(hint) <= max_size and hint[0] >= 0 and hint[-1] < d else []
+    sets = (list(w) for k in range(max_size + 1) for w in itertools.combinations(range(d), k))
+    for working in itertools.chain(first, sets):
+        if working and not violated[working].any():
+            continue  # not a support: it holds no row that u0 violates
+        try:
+            u, lam_w = _eqp(problem.H_inv, v, A, b, working)
+        except np.linalg.LinAlgError:
+            continue
+        slack = A @ u - b
+        if not (np.all(lam_w >= -0.5 * kkt_tol) and np.all(slack >= -0.5 * kkt_tol)):
+            continue
+        lam = np.zeros(d)
+        lam[working] = lam_w
+        residual = check_kkt(problem, u, lam)
+        if not residual <= kkt_tol:  # also rejects NaN from an overflowed subproblem
+            continue
+        tight = np.flatnonzero(slack <= 1e-7 * np.maximum(1.0, np.abs(b)))
+        dependent = len(tight) > 1 and np.linalg.matrix_rank(A[tight]) < len(tight)
+        status = DEGENERATE if dependent else OPTIMAL
+        return QpSolution(u, tuple(int(i) for i in tight), residual, status, lam, tuple(working))
     return None
 
 
-def solve_qp(problem: QpProblem, kkt_tol: float = KKT_TOL) -> QpSolution:
+def solve_qp(problem: QpProblem, kkt_tol: float = KKT_TOL, hint=()) -> QpSolution:
     """Certified minimizer: the first candidate active set that passes check_kkt.
+
+    `hint`, typically the previous solution's `support`, is tried before the
+    enumeration: the QP has one KKT point and the hint passes the same gates.
 
     Returns status ``optimal`` (certified minimizer), ``degenerate``
     (certified minimizer with linearly dependent tight rows), or
@@ -213,34 +235,9 @@ def solve_qp(problem: QpProblem, kkt_tol: float = KKT_TOL) -> QpSolution:
     raises QpCertificationError; see the module docstring for why the first
     certified candidate of the enumeration is the minimizer.
     """
-    sol = _exhaustive(problem, kkt_tol)
+    sol = _exhaustive(problem, kkt_tol, hint)
     if sol is not None:
         return sol
     if _feasible_start(problem.A, problem.b, 0.5 * kkt_tol) is None:
         return QpSolution(None, (), math.inf, INFEASIBLE, None)
     raise QpCertificationError(f"feasible, but no candidate certifies at {kkt_tol:.1e}")
-
-
-def brute_force_qp(
-    problem: QpProblem, box_half_width: float, grid_points_per_axis: int
-) -> np.ndarray:
-    """Grid-search oracle: best feasible point of a uniform grid on [-w, w]^m.
-
-    Only sensible for m <= 3; the box must contain the analytic minimizer.
-    """
-    m = problem.m
-    if m > 3:
-        raise QpInputError(f"brute_force_qp supports m <= 3, got m = {m}")
-    if box_half_width <= 0 or grid_points_per_axis < 2:
-        raise QpInputError("need box_half_width > 0 and grid_points_per_axis >= 2")
-    axis = np.linspace(-box_half_width, box_half_width, grid_points_per_axis)
-    grids = np.meshgrid(*([axis] * m), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    if problem.d:
-        slack = 1e-12 * np.maximum(1.0, np.abs(problem.b))
-        feasible = np.all(pts @ problem.A.T >= problem.b - slack, axis=1)
-        if not np.any(feasible):
-            raise GridInfeasibleError("no feasible point on the grid")
-        pts = pts[feasible]
-    cost = 0.5 * np.einsum("ni,ij,nj->n", pts, problem.H, pts) + pts @ problem.F
-    return pts[int(np.argmin(cost))].copy()

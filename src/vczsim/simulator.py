@@ -136,8 +136,8 @@ def _rk4(scenario: Scenario, x, c, u, u_c, t: float, dt: float):
     return x_next, c_next
 
 
-def _controls(state: SimState, scenario: Scenario):
-    u_c, solution, h = virtual_control(state.c, state.t, scenario)
+def _controls(state: SimState, scenario: Scenario, hint=()):
+    u_c, solution, h = virtual_control(state.c, state.t, scenario, hint)
     u = confinement_control(state.x, state.c, scenario.confinement)
     return u, u_c, solution, h
 
@@ -205,14 +205,16 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
     schedule = _step_schedule(scenario.t_f, scenario.dt)
     recorder = _Recorder(scenario, scenario_hash(scenario), len(schedule) + 1)
     x, c = scenario.x0.copy(), scenario.x0.copy()
+    hint = ()  # each QP first tries the previous step's certified working set
     # The last pass records the controls at t_f and takes no step.
     for t_k, dt_k in schedule + [(scenario.t_f, None)]:
         state = SimState(t_k, x, c)  # pin recorded time to the grid
         try:
-            u, u_c, solution, h = _controls(state, scenario)
+            u, u_c, solution, h = _controls(state, scenario, hint)
         except QpInfeasibleError as exc:
             raise SimulationAbort(QP_INFEASIBLE, t_k, recorder.trace(), str(exc)) from exc
         recorder.add(state, u, u_c, solution, h)
+        hint = solution.support
         if dt_k is None:
             break
         x, c = _rk4(scenario, x, c, u, u_c, t_k, dt_k)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .barriers import BarrierEval, eval_avoidance, eval_reach
-from .qp import INFEASIBLE, QpProblem, QpSolution, solve_qp
+from .qp import INFEASIBLE, KKT_TOL, QpProblem, QpSolution, _feasible_start, solve_qp
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -91,27 +91,31 @@ def _stack(scenario: "Scenario", rows) -> QpProblem:
     return QpProblem(scenario.qp_h, scenario.qp_f, A, b)
 
 
-def _conflicting_rows(scenario: "Scenario", rows) -> tuple[int, ...]:
-    # Greedy deletion: drop rows whose removal keeps the set infeasible,
-    # leaving an irreducible infeasible subset.
+def _conflicting_rows(problem: QpProblem, rows) -> tuple[int, ...]:
+    # Greedy deletion: drop rows whose removal keeps the set empty, leaving an
+    # irreducible infeasible subset. _feasible_start is the emptiness test.
     keep = list(range(len(rows)))
     for i in list(keep):
-        trial = [rows[j] for j in keep if j != i]
+        trial = [j for j in keep if j != i]
         if not trial:
             break
-        if solve_qp(_stack(scenario, trial)).status == INFEASIBLE:
+        if _feasible_start(problem.A[trial], problem.b[trial], 0.5 * KKT_TOL) is None:
             keep.remove(i)
     return tuple(rows[j].source for j in keep)
 
 
-def virtual_control(c, t: float, scenario: "Scenario") -> tuple[np.ndarray, QpSolution, np.ndarray]:
+def virtual_control(
+    c, t: float, scenario: "Scenario", hint=()
+) -> tuple[np.ndarray, QpSolution, np.ndarray]:
     """Solve the stacked CBF-QP at (c, t); raises QpInfeasibleError if empty.
 
+    `hint` is passed to solve_qp: the previous step's `solution.support`.
     Returns u_c, the QP solution and the barrier values of the solved rows,
     in row order, so callers need not evaluate the barriers again.
     """
     rows = assemble_rows(c, t, scenario)
-    solution = solve_qp(_stack(scenario, rows))
+    problem = _stack(scenario, rows)
+    solution = solve_qp(problem, hint=hint)
     if solution.status == INFEASIBLE:
-        raise QpInfeasibleError(c, t, rows, _conflicting_rows(scenario, rows))
+        raise QpInfeasibleError(c, t, rows, _conflicting_rows(problem, rows))
     return solution.u_star, solution, np.array([row.h for row in rows])

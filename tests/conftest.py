@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import objective
 from vczsim import run
 from vczsim.qp import QpProblem
 from vczsim.scenario_io import parse_scenario
@@ -33,7 +34,7 @@ def minimizer_box_bound(problem: QpProblem, feasible_point: np.ndarray) -> float
     H-distance from the unconstrained minimum.
     """
     u_free = np.linalg.solve(problem.H, -problem.F)
-    gap = problem.objective(feasible_point) - problem.objective(u_free)
+    gap = objective(problem, feasible_point) - objective(problem, u_free)
     lam_min = float(np.linalg.eigvalsh(problem.H).min())
     radius = np.linalg.norm(u_free) + np.sqrt(2.0 * max(0.0, gap) / lam_min)
     return float(radius) + 0.5

@@ -1,7 +1,8 @@
 """Independent numerical oracles for certifying the analytic code paths.
 
 Central finite differences check barrier gradients and time partials;
-seeded sphere sampling supports the containment checks. Everything here is
+seeded sphere sampling supports the containment checks; a grid search
+checks the QP solver. Everything here is
 deliberately dumb: the value of an oracle is that it shares no code with
 what it certifies. barrier_values is the exception: it is the controller's
 own per-sample barrier evaluation, kept as the reference that recorded h
@@ -15,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from vczsim.confinement import ConfinementLaw
+from vczsim.qp import QpInputError, QpProblem
 from vczsim.virtual import barrier_evals
 
 
@@ -88,3 +91,43 @@ def barrier_values(c, t: float, scenario) -> np.ndarray:
     """The controller's barrier values at (c, t): obstacles in declaration
     order, then the reach barrier."""
     return np.array([ev.value for ev in barrier_evals(c, t, scenario)])
+
+
+class GridInfeasibleError(RuntimeError):
+    """No grid point satisfies the constraints (brute-force oracle)."""
+
+
+def objective(problem: QpProblem, u) -> float:
+    """QP cost 1/2 u'Hu + F'u."""
+    u = np.asarray(u, dtype=float)
+    return float(0.5 * u @ problem.H @ u + problem.F @ u)
+
+
+def brute_force_qp(
+    problem: QpProblem, box_half_width: float, grid_points_per_axis: int
+) -> np.ndarray:
+    """Grid-search oracle: best feasible point of a uniform grid on [-w, w]^m.
+
+    Only sensible for m <= 3; the box must contain the analytic minimizer.
+    """
+    m = problem.m
+    if m > 3:
+        raise QpInputError(f"brute_force_qp supports m <= 3, got m = {m}")
+    if box_half_width <= 0 or grid_points_per_axis < 2:
+        raise QpInputError("need box_half_width > 0 and grid_points_per_axis >= 2")
+    axis = np.linspace(-box_half_width, box_half_width, grid_points_per_axis)
+    grids = np.meshgrid(*([axis] * m), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    if problem.d:
+        slack = 1e-12 * np.maximum(1.0, np.abs(problem.b))
+        feasible = np.all(pts @ problem.A.T >= problem.b - slack, axis=1)
+        if not np.any(feasible):
+            raise GridInfeasibleError("no feasible point on the grid")
+        pts = pts[feasible]
+    cost = 0.5 * np.einsum("ni,ij,nj->n", pts, problem.H, pts) + pts @ problem.F
+    return pts[int(np.argmin(cost))].copy()
+
+
+def small_error_slope(law: ConfinementLaw) -> float:
+    """Local slope 2|gain|/r_c of ||u|| in ||e|| near the origin."""
+    return 2.0 * abs(law.gain) / law.r_c

@@ -11,10 +11,10 @@ import time
 import numpy as np
 
 from conftest import minimizer_box_bound, random_qp_problem
-from oracles import fd_gradient, sphere_sample
+from oracles import brute_force_qp, fd_gradient, objective, small_error_slope, sphere_sample
 from vczsim.barriers import eval_avoidance, eval_reach
-from vczsim.confinement import ConfinementLaw, confinement_control, small_error_slope
-from vczsim.qp import brute_force_qp, solve_qp
+from vczsim.confinement import ConfinementLaw, confinement_control
+from vczsim.qp import solve_qp
 from vczsim.randomized import run_campaign
 from vczsim.scenario import benchmark_scenario
 
@@ -76,7 +76,7 @@ def test_qp_certification():
         box = minimizer_box_bound(problem, feasible)
         grid = brute_force_qp(problem, box, points)
         step = 2.0 * box / (points - 1) * math.sqrt(2)
-        gap = problem.objective(grid) - problem.objective(sol.u_star)
+        gap = objective(problem, grid) - objective(problem, sol.u_star)
         assert gap >= -1e-9  # the solver never loses to a feasible grid point
         # objective agreement at the cost resolution of one grid cell; the
         # Euclidean argmin drifts along the active-constraint slack band, so

@@ -106,7 +106,7 @@ class TestRunCommand:
     def test_infeasible_first_qp_exits_three_with_header_only_trace(
         self, tmp_path, monkeypatch, capsys
     ):
-        def infeasible(c, t, scenario):
+        def infeasible(c, t, scenario, hint):
             raise QpInfeasibleError(c, t, [], (0, 2))
 
         monkeypatch.setattr(simulator, "virtual_control", infeasible)

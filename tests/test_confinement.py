@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import small_error_slope
 from vczsim.confinement import (
     ConfinementBreachError,
     ConfinementLaw,
     confinement_control,
-    small_error_slope,
     zeta,
 )
 

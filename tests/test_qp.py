@@ -1,20 +1,21 @@
 """Candidate-enumeration QP solver: worked cases, certificates, and randomized properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import minimizer_box_bound, random_qp_problem
+from oracles import GridInfeasibleError, brute_force_qp, objective
 from vczsim.qp import (
     DEGENERATE,
     INFEASIBLE,
     KKT_TOL,
     OPTIMAL,
-    GridInfeasibleError,
     QpInputError,
     QpProblem,
-    brute_force_qp,
     check_kkt,
     solve_qp,
 )
@@ -64,6 +65,22 @@ class TestSolveQp:
         with pytest.raises(QpInputError):
             QpProblem([[1.0, 0.5], [0.0, 1.0]], np.zeros(2), np.zeros((0, 2)), [])
 
+    @pytest.mark.parametrize(
+        "H, F, A, b",
+        [
+            (np.eye(2), [0.0, 0.0], np.eye(2), [math.nan, -1.0]),
+            (np.eye(2), [math.nan, 0.0], np.eye(2), [-1.0, -1.0]),
+            (np.eye(2), [0.0, 0.0], [[1.0, math.inf]], [0.0]),
+            ([[math.inf, 0.0], [0.0, 1.0]], [0.0, 0.0], np.eye(2), [-1.0, -1.0]),
+        ],
+        ids=["nan_b", "nan_F", "inf_A", "inf_H"],
+    )
+    def test_rejects_non_finite_data(self, H, F, A, b):
+        # Unchecked, b = [nan, -1] solved as infeasible and F = [nan, 0] raised
+        # QpCertificationError.
+        with pytest.raises(QpInputError, match="finite"):
+            QpProblem(H, F, A, b)
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(QpInputError):
             QpProblem(np.eye(2), np.zeros(3), np.zeros((0, 2)), [])
@@ -97,6 +114,81 @@ class TestCheckKkt:
         # stationarity 0, slack 3 with multiplier 2 -> slackness 6 dominates
         problem = halfspace_problem(-1.0)
         assert check_kkt(problem, [2.0, 0.0], [2.0]) == pytest.approx(6.0)
+
+    def test_nan_term_gives_nan(self):
+        # The certificate must not lean on QpProblem's input checks: a NaN
+        # slack once read as 0.0 and certified u = 0 for b = [nan, -1].
+        problem = QpProblem(np.eye(2), np.zeros(2), np.eye(2), [-1.0, -1.0])
+        object.__setattr__(problem, "b", np.array([math.nan, -1.0]))
+        assert math.isnan(check_kkt(problem, [0.0, 0.0], [0.0, 0.0]))
+        assert math.isnan(check_kkt(halfspace_problem(1.0), [1.0, 0.0], [math.nan]))
+
+
+class TestCostFactor:
+    """H is validated and inverted once per matrix and shared read-only."""
+
+    @pytest.mark.parametrize("H", [[[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]])
+    def test_bad_hessian_raises_on_every_construction(self, H):
+        for _ in range(3):
+            with pytest.raises(QpInputError):
+                QpProblem(H, np.zeros(2), np.zeros((0, 2)), [])
+
+    def test_later_edit_of_callers_matrix_is_seen(self):
+        H = np.eye(2)
+        first = QpProblem(H, np.zeros(2), np.zeros((0, 2)), [])
+        H[0, 0] = 4.0
+        second = QpProblem(H, np.zeros(2), np.zeros((0, 2)), [])
+        np.testing.assert_array_equal(first.H_inv, np.eye(2))
+        np.testing.assert_allclose(second.H_inv, np.diag([0.25, 1.0]), rtol=1e-15)
+
+    def test_inverse_is_read_only(self):
+        problem = halfspace_problem(1.0)
+        with pytest.raises(ValueError):
+            problem.H_inv[0, 0] = 2.0
+        assert QpProblem(np.eye(2), np.zeros(2), np.zeros((0, 2)), []).H_inv is problem.H_inv
+
+
+class TestWarmStart:
+    def test_empty_hint_keeps_unconstrained_answer(self):
+        # An empty hint once made the size-0 candidate look already tried.
+        sol = solve_qp(halfspace_problem(-1.0), hint=())
+        assert sol.status == OPTIMAL and sol.support == () and sol.active_set == ()
+        np.testing.assert_array_equal(sol.u_star, [0.0, 0.0])
+
+    def test_support_differs_from_tight_rows(self):
+        # Row 1 is tight at u* but carries no multiplier.
+        problem = QpProblem(np.eye(2), np.zeros(2), [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
+        sol = solve_qp(problem)
+        assert sol.support == (0,)
+        assert sol.active_set == (0, 1)
+        assert solve_qp(problem, hint=sol.support).support == (0,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.sampled_from([2, 3]),
+        d=st.integers(1, 7),
+        hint=st.lists(st.integers(-2, 9), max_size=5),
+    )
+    def test_any_hint_gives_the_enumeration_answer(self, seed, m, d, hint):
+        problem, _ = random_qp_problem(np.random.default_rng(seed), m, d)
+        cold = solve_qp(problem)
+        warm = solve_qp(problem, hint=tuple(hint))
+        assert warm.status == cold.status
+        np.testing.assert_allclose(warm.u_star, cold.u_star, rtol=0, atol=1e-12)
+        own = solve_qp(problem, hint=cold.support)
+        assert own.support == cold.support
+        assert np.array_equal(own.u_star, cold.u_star)
+        assert np.array_equal(own.multipliers, cold.multipliers)
+
+    def test_dependent_hint_rows_fall_through(self):
+        # Rows 0 and 1 are the same constraint, so the hint (0, 1) has a
+        # singular Schur complement; the enumeration still certifies.
+        problem = QpProblem(np.eye(2), np.zeros(2), [[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+        sol = solve_qp(problem, hint=(0, 1))
+        assert sol.status == DEGENERATE
+        np.testing.assert_allclose(sol.u_star, [1.0, 0.0], atol=1e-10)
+        assert sol.kkt_residual <= KKT_TOL
 
 
 class TestBruteForce:
@@ -170,7 +262,7 @@ class TestRandomizedProperties:
             points = 161
             grid = brute_force_qp(problem, box, points)
             step = 2.0 * box / (points - 1) * np.sqrt(2)
-            gap = problem.objective(grid) - problem.objective(sol.u_star)
+            gap = objective(problem, grid) - objective(problem, sol.u_star)
             # The certified minimizer can never cost more than a feasible grid point.
             assert gap >= -1e-9
             lam_max = float(np.linalg.eigvalsh(problem.H).max())
@@ -214,7 +306,7 @@ class TestRandomizedProperties:
         # A band in grid cells is not asserted: a thin wedge of feasible
         # points can hold no grid point near u_star.
         grid = brute_force_qp(problem, minimizer_box_bound(problem, feasible), 161)
-        gap = problem.objective(grid) - problem.objective(sol.u_star)
+        gap = objective(problem, grid) - objective(problem, sol.u_star)
         assert gap >= -1e-9
         assert 0.5 * (grid - sol.u_star) @ problem.H @ (grid - sol.u_star) <= gap + 1e-9
 

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from oracles import barrier_values
-from vczsim import virtual
+from vczsim import qp, virtual
 from vczsim.barriers import Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
 from vczsim.plant import benchmark_plant, integrator_plant
@@ -251,6 +251,34 @@ class TestBarrierPass:
         scenario, trace, _, _ = benchmark_run
         for k in range(len(trace)):
             assert np.array_equal(trace.h[k], barrier_values(trace.c[k], trace.t[k], scenario))
+
+
+class TestWarmStart:
+    """run() hands each QP the previous step's support; that changes no output."""
+
+    def test_eqp_calls_per_solve(self, monkeypatch):
+        # A count, not a timing: without the hint the benchmark needs 2.4
+        # subproblems per solve, with it about one.
+        calls = []
+        real = qp._eqp
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(qp, "_eqp", counted)
+        trace, _ = run(benchmark_scenario().with_overrides(dt=1e-2))
+        assert len(calls) <= 1.1 * len(trace)
+
+    def test_trace_is_bitwise_the_cold_start_trace(self, monkeypatch):
+        scenario = benchmark_scenario().with_overrides(dt=1e-2)
+        warm, _ = run(scenario)
+        real = virtual.solve_qp
+        monkeypatch.setattr(virtual, "solve_qp", lambda problem, hint: real(problem))
+        cold, _ = run(scenario)
+        for name in ("x", "c", "u", "u_c", "h", "qp_kkt"):
+            assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
+        assert warm.qp_status == cold.qp_status
 
 
 class TestVerifyTrace:

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import barrier_values, difference_quotient_bound
+from oracles import barrier_values, brute_force_qp, difference_quotient_bound
 from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
 from vczsim.plant import integrator_plant
-from vczsim.qp import brute_force_qp, QpProblem
+from vczsim.qp import QpProblem
 from vczsim.scenario import Scenario, benchmark_scenario, uniform_alphas
 from vczsim.virtual import (
     QpInfeasibleError,
