@@ -49,7 +49,6 @@ from .scenario_io import (
 )
 from .simulator import (
     RunMetrics,
-    SimState,
     SimTrace,
     SimulationAbort,
     compute_metrics,
@@ -59,9 +58,7 @@ from .simulator import (
     write_trace,
 )
 from .virtual import (
-    ConstraintRow,
     QpInfeasibleError,
-    VirtualSystem,
     assemble_rows,
     virtual_control,
 )

@@ -25,6 +25,21 @@ EXIT_PARSE = 2
 EXIT_ABORT = 3
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, so a bad count fails before any work."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _load(path: str) -> Scenario:
     if path == "benchmark":
         text = resources.files("vczsim.data").joinpath("benchmark.scn").read_text()
@@ -48,7 +63,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 def cmd_validate(args) -> int:
     try:
         scenario = _apply_overrides(_load(args.scenario), args)
-    except (ScenarioParseError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     report = validate(scenario, args.samples)
@@ -59,7 +74,7 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     try:
         scenario = _apply_overrides(_load(args.scenario), args)
-    except (ScenarioParseError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out = Path(args.out)
@@ -132,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check scenario preconditions")
     p.add_argument("scenario", help="scenario file path, or 'benchmark'")
-    p.add_argument("--samples", type=int, default=1001, help="time grid size")
+    p.add_argument("--samples", type=_int_at_least(2), default=1001, help="time grid size")
     p.add_argument("--dt", type=float)
     p.add_argument("--tf", type=float)
     p.add_argument("--seed", type=int)
@@ -144,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float)
     p.add_argument("--tf", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--decimate", type=int, default=1, help="write every k-th record")
+    p.add_argument("--decimate", type=_int_at_least(1), default=1, help="write every k-th record")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("plot", help="render an SVG figure from a trace")
@@ -155,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_plot)
 
     p = sub.add_parser("suite", help="randomized invariance campaign")
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=2024, help="base seed")
     p.set_defaults(fn=cmd_suite)
     return parser

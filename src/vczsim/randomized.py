@@ -21,7 +21,6 @@ from .confinement import ConfinementLaw
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel
 from .scenario import Scenario, uniform_alphas, validate
 from .simulator import BREACH, QP_INFEASIBLE, SimulationAbort, run
-from .virtual import VirtualSystem
 
 WORKSPACE = (0.0, 12.0)
 
@@ -102,7 +101,6 @@ def random_scenario(
             t_f=horizon,
             x0=x0,
             shrink=ShrinkSchedule(span + float(rng.uniform(0.3, 1.0)), 0.9 * (r_target - r_c), horizon),
-            virtual_system=VirtualSystem.single_integrator(2),
             alphas=uniform_alphas(len(obstacles) + 1),
             qp_h=np.eye(2),
             qp_f=np.zeros(2),

@@ -16,7 +16,7 @@ import numpy as np
 from .barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet
 from .confinement import ConfinementLaw
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, benchmark_plant, sign_class_margin
-from .virtual import VirtualSystem
+from .qp import _inverse
 
 DEFAULT_INVARIANCE_TOL = 1e-3
 DEFAULT_CLEARANCE_TOL = 1e-6
@@ -46,7 +46,6 @@ class Scenario:
     t_f: float
     x0: np.ndarray
     shrink: ShrinkSchedule
-    virtual_system: VirtualSystem
     alphas: tuple[ClassKappa, ...]
     qp_h: np.ndarray
     qp_f: np.ndarray
@@ -66,12 +65,16 @@ class Scenario:
         object.__setattr__(self, "qp_f", np.asarray(self.qp_f, dtype=float))
         if self.r_c <= 0:
             raise ValueError(f"r_c must be > 0, got {self.r_c}")
-        if self.t_f <= 0 or self.dt <= 0:
-            raise ValueError("t_f and dt must be > 0")
-        if self.x0.shape != (self.plant.n,):
+        if not (0 < self.t_f < math.inf and 0 < self.dt < math.inf):
+            raise ValueError(f"t_f and dt must be finite and > 0, got {self.t_f} and {self.dt}")
+        n = self.plant.n
+        if self.x0.shape != (n,):
             raise ValueError("initial state dimension disagrees with the plant")
-        if self.virtual_system.n != self.plant.n:
-            raise ValueError("virtual system dimension disagrees with the plant")
+        if self.qp_h.shape != (n, n):
+            raise ValueError(f"qp_h must be {n}x{n}, got shape {self.qp_h.shape}")
+        _inverse(self.qp_h.shape, self.qp_h.tobytes())  # QpInputError unless finite, symmetric, PD
+        if self.qp_f.shape != (n,) or not np.isfinite(self.qp_f).all():
+            raise ValueError(f"qp_f must be {n} finite values, got {self.qp_f.tolist()}")
         if len(self.alphas) != self.barrier_count:
             raise ValueError(
                 f"need {self.barrier_count} class-K slopes, got {len(self.alphas)}"
@@ -233,7 +236,6 @@ def benchmark_scenario(dt: float = 1e-3) -> Scenario:
         t_f=10.0,
         x0=np.zeros(2),
         shrink=ShrinkSchedule(15.0, 0.5, 10.0),
-        virtual_system=VirtualSystem.single_integrator(2),
         alphas=uniform_alphas(3),
         qp_h=np.eye(2),
         qp_f=np.zeros(2),

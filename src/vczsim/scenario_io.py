@@ -21,7 +21,6 @@ from .confinement import DEFAULT_EPSILON_SAT, ConfinementLaw
 from .exprs import ExprError, eval_expr, expr_to_str, expr_variables, parse_expr_rows, parse_expr_sequence
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantSpecError, catalog_plant, expression_plant
 from .scenario import Scenario
-from .virtual import VirtualSystem
 
 _SECTIONS = (
     "plant",
@@ -273,7 +272,6 @@ def parse_scenario(text: str) -> Scenario:
             t_f=t_f,
             x0=x0,
             shrink=shrink,
-            virtual_system=VirtualSystem.single_integrator(n),
             alphas=alphas,
             qp_h=qp_h,
             qp_f=qp_f,

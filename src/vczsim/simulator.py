@@ -36,13 +36,6 @@ VERDICT_FAIL = "fail"
 
 
 @dataclass(frozen=True)
-class SimState:
-    t: float
-    x: np.ndarray
-    c: np.ndarray
-
-
-@dataclass(frozen=True)
 class SimTrace:
     """Columnar per-step record of the closed loop."""
 
@@ -50,7 +43,7 @@ class SimTrace:
     x: np.ndarray          # (N, n)
     c: np.ndarray          # (N, n)
     u: np.ndarray          # (N, n)
-    u_c: np.ndarray        # (N, m)
+    u_c: np.ndarray        # (N, n)
     h: np.ndarray          # (N, d)
     e_hat: np.ndarray      # (N,)
     qp_status: tuple[str, ...]
@@ -119,26 +112,19 @@ def _step_schedule(t_f: float, dt: float) -> list[tuple[float, float]]:
 
 def _rk4(scenario: Scenario, x, c, u, u_c, t: float, dt: float):
     model = scenario.plant
-    vs = scenario.virtual_system
-
-    def deriv(xk, ck, tk):
-        return (
-            plant_derivative(model, xk, u, tk),
-            np.asarray(vs.drift(ck), dtype=float) + np.asarray(vs.input_map(ck), dtype=float) @ u_c,
-        )
-
-    k1x, k1c = deriv(x, c, t)
-    k2x, k2c = deriv(x + 0.5 * dt * k1x, c + 0.5 * dt * k1c, t + 0.5 * dt)
-    k3x, k3c = deriv(x + 0.5 * dt * k2x, c + 0.5 * dt * k2c, t + 0.5 * dt)
-    k4x, k4c = deriv(x + dt * k3x, c + dt * k3c, t + dt)
+    k1x = plant_derivative(model, x, u, t)
+    k2x = plant_derivative(model, x + 0.5 * dt * k1x, u, t + 0.5 * dt)
+    k3x = plant_derivative(model, x + 0.5 * dt * k2x, u, t + 0.5 * dt)
+    k4x = plant_derivative(model, x + dt * k3x, u, t + dt)
     x_next = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    c_next = c + dt / 6.0 * (k1c + 2 * k2c + 2 * k3c + k4c)
+    # The centre is a single integrator: every stage derivative is the held u_c.
+    c_next = c + dt / 6.0 * (u_c + 2 * u_c + 2 * u_c + u_c)
     return x_next, c_next
 
 
-def _controls(state: SimState, scenario: Scenario, hint=()):
-    u_c, solution, h = virtual_control(state.c, state.t, scenario, hint)
-    u = confinement_control(state.x, state.c, scenario.confinement)
+def _controls(t: float, x, c, scenario: Scenario, hint=()):
+    u_c, solution, h = virtual_control(c, t, scenario, hint)
+    u = confinement_control(x, c, scenario.confinement)
     return u, u_c, solution, h
 
 
@@ -146,7 +132,7 @@ class _Recorder:
     """Trace columns preallocated for `rows` records, filled in step order."""
 
     def __init__(self, scenario: Scenario, scenario_hash: str, rows: int):
-        n, m, d = scenario.n, scenario.virtual_system.m, scenario.barrier_count
+        n, d = scenario.n, scenario.barrier_count
         self.scenario = scenario
         self.hash = scenario_hash
         self.k = 0
@@ -154,21 +140,21 @@ class _Recorder:
         self.x = np.zeros((rows, n))
         self.c = np.zeros((rows, n))
         self.u = np.zeros((rows, n))
-        self.u_c = np.zeros((rows, m))
+        self.u_c = np.zeros((rows, n))
         self.h = np.zeros((rows, d))
         self.e_hat = np.zeros(rows)
         self.status = [""] * rows
         self.kkt = np.zeros(rows)
 
-    def add(self, state: SimState, u, u_c, solution, h):
+    def add(self, t: float, x, c, u, u_c, solution, h):
         k = self.k
-        self.t[k] = state.t
-        self.x[k] = state.x
-        self.c[k] = state.c
+        self.t[k] = t
+        self.x[k] = x
+        self.c[k] = c
         self.u[k] = u
         self.u_c[k] = u_c
         self.h[k] = h
-        self.e_hat[k] = float(np.linalg.norm(state.x - state.c)) / self.scenario.r_c
+        self.e_hat[k] = float(np.linalg.norm(x - c)) / self.scenario.r_c
         self.status[k] = solution.status
         self.kkt[k] = solution.kkt_residual
         self.k = k + 1
@@ -208,12 +194,11 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
     hint = ()  # each QP first tries the previous step's certified working set
     # The last pass records the controls at t_f and takes no step.
     for t_k, dt_k in schedule + [(scenario.t_f, None)]:
-        state = SimState(t_k, x, c)  # pin recorded time to the grid
         try:
-            u, u_c, solution, h = _controls(state, scenario, hint)
+            u, u_c, solution, h = _controls(t_k, x, c, scenario, hint)
         except QpInfeasibleError as exc:
             raise SimulationAbort(QP_INFEASIBLE, t_k, recorder.trace(), str(exc)) from exc
-        recorder.add(state, u, u_c, solution, h)
+        recorder.add(t_k, x, c, u, u_c, solution, h)
         hint = solution.support
         if dt_k is None:
             break

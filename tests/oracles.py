@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
+from vczsim.barriers import eval_avoidance, eval_reach
 from vczsim.confinement import ConfinementLaw
 from vczsim.qp import QpInputError, QpProblem
-from vczsim.virtual import barrier_evals
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,9 @@ def difference_quotient_bound(
 def barrier_values(c, t: float, scenario) -> np.ndarray:
     """The controller's barrier values at (c, t): obstacles in declaration
     order, then the reach barrier."""
-    return np.array([ev.value for ev in barrier_evals(c, t, scenario)])
+    evals = [eval_avoidance(c, t, obs, scenario.r_c) for obs in scenario.obstacles]
+    evals.append(eval_reach(c, t, scenario.target.center, scenario.shrink))
+    return np.array([ev.value for ev in evals])
 
 
 class GridInfeasibleError(RuntimeError):

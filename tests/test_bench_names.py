@@ -1,28 +1,31 @@
-"""The names the benchmark's per-layer tracer wraps exist in the package.
+"""The names the benchmark reads from the package exist in it.
 
 bench/layers.py replaces module attributes of vczsim by name, and its
 `Tracer.install` fails on the first name that no longer exists, so a rename
 under src/ would break `bench/run.py --trace 1` without any test noticing.
-The benchmark's file is read from disk, never changed.
+bench/child.py reads scenario, obstacle and abort fields when it writes the
+`campaign` workload's outputs. The benchmark's files are read from disk,
+never changed.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-CALL_SITES = _load_layers().CALL_SITES
+CALL_SITES = _load("layers").CALL_SITES
 
 
 @pytest.mark.parametrize(
@@ -37,3 +40,27 @@ def test_recorder_add_resolves():
     from vczsim import simulator
 
     assert callable(getattr(simulator._Recorder, "add", None))
+
+
+def test_campaign_dump_reads_abort_fields(tmp_path, monkeypatch):
+    from vczsim import randomized, simulator
+
+    child = _load("child")
+    kept = []  # (scenario, trace, abort), as child.py's timed_run keeps them
+    real_run = randomized.run
+
+    def keeping_run(scenario, check=True):
+        try:
+            trace, metrics = real_run(scenario, check)
+        except simulator.SimulationAbort as abort:
+            kept.append((scenario, abort.trace, abort))
+            raise
+        kept.append((scenario, trace, None))
+        return trace, metrics
+
+    monkeypatch.setattr(randomized, "run", keeping_run)
+    summary = randomized.run_campaign(count=1, base_seed=2026)
+    child._dump_campaign(str(tmp_path), summary, kept)
+    (row,) = json.loads((tmp_path / "campaign.json").read_text())
+    assert row["status"] == simulator.QP_INFEASIBLE
+    assert row["conflicting"] == [0, 2, 3]

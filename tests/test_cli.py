@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bundled_benchmark_text
 from vczsim import simulator
-from vczsim.cli import EXIT_ABORT, EXIT_FAIL, EXIT_PARSE, EXIT_PASS, main
+from vczsim.cli import EXIT_ABORT, EXIT_FAIL, EXIT_PARSE, EXIT_PASS, build_parser, main
 from vczsim.simulator import read_trace
 from vczsim.virtual import QpInfeasibleError
 
@@ -70,6 +70,57 @@ class TestValidateCommand:
     def test_missing_file_is_parse_error(self, capsys):
         assert main(["validate", "/nonexistent/path.scn"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "old, new",
+        [("epsilon_sat", "qp_h = 1 0 ; 0 -1\nepsilon_sat"), ("t_f = 10.0", "t_f = inf"), ("dt = 0.001", "dt = nan")],
+        ids=["qp_h-indefinite", "t_f-inf", "dt-nan"],
+    )
+    def test_bad_horizon_or_cost_is_parse_error(self, tmp_path, capsys, command, old, new):
+        path = tmp_path / "bad.scn"
+        path.write_text(bundled_benchmark_text().replace(old, new, 1))
+        out_args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path)] + out_args) == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--dt", "nan"), ("--tf", "inf")])
+    def test_bad_override_is_parse_error(self, tmp_path, capsys, command, flag, value):
+        out_args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, "benchmark", flag, value] + out_args) == EXIT_PARSE
+        assert "t_f and dt must be finite" in capsys.readouterr().err
+
+class TestCountArguments:
+    """Out-of-range counts are argument errors (exit 2) before any work starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "benchmark", "--out", "unused", "--decimate", "0"],
+            ["suite", "--count", "0"],
+            ["validate", "benchmark", "--samples", "1"],
+            ["suite", "--count", "two"],
+        ],
+        ids=["decimate-0", "count-0", "samples-1", "count-word"],
+    )
+    def test_rejected_while_parsing(self, argv, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("run", "run_campaign", "validate"):
+            monkeypatch.setattr(f"vczsim.cli.{name}", no_work)
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == EXIT_PARSE
+        assert "expected an integer >=" in capsys.readouterr().err
+
+    def test_smallest_values_accepted(self):
+        parser = build_parser()
+        assert parser.parse_args(["run", "benchmark", "--out", "d", "--decimate", "1"]).decimate == 1
+        assert parser.parse_args(["suite", "--count", "1"]).count == 1
+        assert parser.parse_args(["validate", "benchmark", "--samples", "2"]).samples == 2
+
 
 class TestRunCommand:
     def test_benchmark_run_writes_artifacts(self, tmp_path, benchmark_file, capsys):
@@ -107,7 +158,7 @@ class TestRunCommand:
         self, tmp_path, monkeypatch, capsys
     ):
         def infeasible(c, t, scenario, hint):
-            raise QpInfeasibleError(c, t, [], (0, 2))
+            raise QpInfeasibleError(c, t, (0, 2))
 
         monkeypatch.setattr(simulator, "virtual_control", infeasible)
         out_dir = tmp_path / "out"

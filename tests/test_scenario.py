@@ -16,7 +16,6 @@ from vczsim.scenario import (
     uniform_alphas,
     validate,
 )
-from vczsim.virtual import VirtualSystem
 
 BENCH = benchmark_scenario()
 
@@ -64,7 +63,6 @@ def simple_scenario(obstacles, x0=(0.0, 0.0), r_c=0.5, target=None, shrink=None)
         t_f=shrink.t_f,
         x0=np.asarray(x0, dtype=float),
         shrink=shrink,
-        virtual_system=VirtualSystem.single_integrator(2),
         alphas=uniform_alphas(len(obstacles) + 1),
         qp_h=np.eye(2),
         qp_f=np.zeros(2),
@@ -167,6 +165,15 @@ class TestScenarioConstruction:
     def test_rejects_shrink_horizon_mismatch(self):
         with pytest.raises(ValueError):
             replace(BENCH, shrink=ShrinkSchedule(15.0, 0.5, 9.0))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("qp_h", np.eye(3)), ("qp_h", np.ones(2)), ("qp_f", np.zeros(3)), ("dt", math.inf)],
+        ids=["qp_h-3x3", "qp_h-vector", "qp_f-length", "dt-inf"],
+    )
+    def test_rejects_cost_or_step_of_wrong_shape_or_range(self, field, value):
+        with pytest.raises(ValueError):
+            replace(BENCH, **{field: value})
 
     def test_with_overrides_keeps_shrink_consistent(self):
         shorter = BENCH.with_overrides(t_f=5.0)

@@ -145,6 +145,23 @@ class TestParseErrors:
         assert (exc_info.value.key, exc_info.value.line) == (key, line)
 
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("epsilon_sat", "qp_h = 1 0 ; 0 -1\nepsilon_sat", "positive definite"),
+            ("epsilon_sat", "qp_h = 1 0.5 ; 0 1\nepsilon_sat", "symmetric"),
+            ("epsilon_sat", "qp_h = 1 0 ; 0 nan\nepsilon_sat", "finite"),
+            ("epsilon_sat", "qp_f = 0 inf\nepsilon_sat", "qp_f"),
+            ("t_f = 10.0", "t_f = inf", "t_f and dt"),
+            ("dt = 0.001", "dt = nan", "t_f and dt"),
+        ],
+        ids=["qp_h-indefinite", "qp_h-asymmetric", "qp_h-nan", "qp_f-inf", "t_f-inf", "dt-nan"],
+    )
+    def test_bad_horizon_or_cost_is_parse_error(self, old, new, message):
+        with pytest.raises(ScenarioParseError, match=message):
+            parse_scenario(bundled_benchmark_text().replace(old, new, 1))
+
+
 class TestHash:
     def test_hash_ignores_integration_step(self):
         a = parse_scenario(bundled_benchmark_text())

@@ -22,7 +22,7 @@ from vczsim.simulator import (
     verify_trace,
     write_trace,
 )
-from vczsim.virtual import VirtualSystem, virtual_control
+from vczsim.virtual import virtual_control
 
 # Integrator reach task past an obstacle whose centre follows a path expression.
 PATH_OBSTACLE_TEXT = """
@@ -76,7 +76,6 @@ def quiet_scenario(**overrides):
         t_f=10.0,
         x0=np.zeros(2),
         shrink=ShrinkSchedule(5.0, 1.0, 10.0),
-        virtual_system=VirtualSystem.single_integrator(2),
         alphas=uniform_alphas(1),
         qp_h=np.eye(2),
         qp_f=np.zeros(2),
@@ -211,7 +210,6 @@ class TestRun:
             t_f=4.0,
             x0=np.zeros(2),
             shrink=ShrinkSchedule(10.5, 0.8, 4.0),
-            virtual_system=VirtualSystem.single_integrator(2),
             alphas=uniform_alphas(2),
             qp_h=np.eye(2),
             qp_f=np.zeros(2),

@@ -5,21 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from oracles import barrier_values, brute_force_qp, difference_quotient_bound
-from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet
+from oracles import barrier_values, brute_force_qp
+from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, eval_avoidance, eval_reach
 from vczsim.confinement import ConfinementLaw
 from vczsim.plant import integrator_plant
 from vczsim.qp import QpProblem
 from vczsim.scenario import Scenario, benchmark_scenario, uniform_alphas
 from vczsim.virtual import (
     QpInfeasibleError,
-    VirtualSystem,
     assemble_rows,
     virtual_control,
 )
 
 
-def make_scenario(obstacles, shrink, target=None, r_c=0.5, virtual_system=None, alphas=None):
+def make_scenario(obstacles, shrink, target=None, r_c=0.5, alphas=None):
     target = target or TargetSet([10.0, 10.0], 1.1)
     d = len(obstacles) + 1
     return Scenario(
@@ -30,7 +29,6 @@ def make_scenario(obstacles, shrink, target=None, r_c=0.5, virtual_system=None, 
         t_f=shrink.t_f,
         x0=np.zeros(2),
         shrink=shrink,
-        virtual_system=virtual_system or VirtualSystem.single_integrator(2),
         alphas=alphas or uniform_alphas(d),
         qp_h=np.eye(2),
         qp_f=np.zeros(2),
@@ -49,62 +47,63 @@ def regularity_margin(c, t: float, scenario: Scenario) -> float:
     row is in the band.
     """
     margin = math.inf
-    for row in assemble_rows(c, t, scenario):
-        if abs(row.h) < scenario.regularity_band:
-            margin = min(margin, float(np.linalg.norm(row.a)))
+    A, _, h = assemble_rows(c, t, scenario)
+    for a_j, h_j in zip(A, h):
+        if abs(h_j) < scenario.regularity_band:
+            margin = min(margin, float(np.linalg.norm(a_j)))
     return margin
 
 
 class TestAssembleRows:
     def test_static_obstacle_row(self):
         scenario = make_scenario([Obstacle.static([1.5, 2.0], 0.5)], ShrinkSchedule(15.0, 0.5, 10.0))
-        row = assemble_rows([0.0, 0.0], 0.0, scenario)[0]
-        np.testing.assert_allclose(row.a, [-3.0, -4.0])
-        assert row.rho == pytest.approx(-5.25)
-        assert row.source == 0
+        A, b, h = assemble_rows([0.0, 0.0], 0.0, scenario)
+        np.testing.assert_allclose(A[0], [-3.0, -4.0])
+        assert b[0] == pytest.approx(-5.25)
+        assert h[0] == pytest.approx(5.25)
 
     def test_reach_row(self):
         scenario = make_scenario([], ShrinkSchedule(15.0, 0.5, 10.0))
-        row = assemble_rows([0.0, 0.0], 0.0, scenario)[-1]
-        np.testing.assert_allclose(row.a, [20.0, 20.0])
-        assert row.rho == pytest.approx(18.5)
-        assert row.source == 0  # only row in an obstacle-free scenario
+        A, b, h = assemble_rows([0.0, 0.0], 0.0, scenario)
+        assert A.shape == (1, 2)  # only row in an obstacle-free scenario
+        np.testing.assert_allclose(A[0], [20.0, 20.0])
+        assert b[0] == pytest.approx(18.5)
 
     def test_boundary_row_has_zero_rhs(self):
         scenario = make_scenario([Obstacle.static([1.5, 2.0], 0.5)], ShrinkSchedule(15.0, 0.5, 10.0))
-        row = assemble_rows([2.5, 2.0], 0.0, scenario)[0]
-        assert row.rho == pytest.approx(0.0, abs=1e-12)
+        _, b, _ = assemble_rows([2.5, 2.0], 0.0, scenario)
+        assert b[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_row_order_obstacles_then_reach(self):
-        rows = assemble_rows([0.0, 0.0], 0.0, BENCH)
-        assert [r.source for r in rows] == [0, 1, 2]
-        np.testing.assert_allclose(rows[1].a, [-10.0, -10.0])
-        assert rows[1].rho == pytest.approx(-46.0)
+        A, b, h = assemble_rows([0.0, 0.0], 0.0, BENCH)
+        assert A.shape == (3, 2) and b.shape == (3,)
+        np.testing.assert_allclose(h, [5.25, 46.0, 25.0])
+        np.testing.assert_allclose(A[1], [-10.0, -10.0])
+        assert b[1] == pytest.approx(-46.0)
 
     def test_row_equivalence_with_direct_substitution(self):
-        # a'u - rho must equal grad_h'(f_c + g_c u) + dh/dt + gamma(h) identically.
-        drift_map = np.array([[0.1, -0.05], [0.02, 0.08]])
-        g_c = np.array([[1.0, 0.2], [0.0, 0.8]])
-        vs = VirtualSystem(lambda c: drift_map @ c, lambda c: g_c, 2, 2)
+        # A[j]'u - b[j] must equal grad_h'u + dh/dt + gamma(h) identically for cdot = u.
+        obstacle = Obstacle.linear([5.0, 5.0], [0.4, -0.4], 1.5)
         scenario = make_scenario(
-            [Obstacle.linear([5.0, 5.0], [0.4, -0.4], 1.5)],
+            [obstacle],
             ShrinkSchedule(15.0, 0.5, 10.0),
-            virtual_system=vs,
             alphas=(ClassKappa(1.3), ClassKappa(0.7)),
         )
-        from vczsim.virtual import barrier_evals
-
         rng = np.random.default_rng(12)
         for _ in range(100):
             c = rng.uniform(-2.0, 12.0, size=2)
             t = float(rng.uniform(0.0, 10.0))
-            rows = assemble_rows(c, t, scenario)
-            evals = barrier_evals(c, t, scenario)
-            for row, ev, alpha in zip(rows, evals, scenario.alphas):
+            A, b, h = assemble_rows(c, t, scenario)
+            evals = [
+                eval_avoidance(c, t, obstacle, scenario.r_c),
+                eval_reach(c, t, scenario.target.center, scenario.shrink),
+            ]
+            for j, (ev, alpha) in enumerate(zip(evals, scenario.alphas)):
+                assert h[j] == ev.value
                 for _ in range(20):
                     u = rng.normal(size=2)
-                    lhs = row.a @ u - row.rho
-                    hdot = ev.grad_c @ (drift_map @ c + g_c @ u) + ev.dt
+                    lhs = A[j] @ u - b[j]
+                    hdot = ev.grad_c @ u + ev.dt
                     assert abs(lhs - (hdot + alpha(ev.value))) <= 1e-10
 
 
@@ -122,10 +121,8 @@ class TestVirtualControl:
         np.testing.assert_allclose(u_c, [0.0, 0.0], atol=1e-12)
 
     def test_benchmark_start_matches_grid_oracle(self):
-        rows = assemble_rows([0.0, 0.0], 0.0, BENCH)
-        problem = QpProblem(
-            BENCH.qp_h, BENCH.qp_f, np.array([r.a for r in rows]), np.array([r.rho for r in rows])
-        )
+        A, b, _ = assemble_rows([0.0, 0.0], 0.0, BENCH)
+        problem = QpProblem(BENCH.qp_h, BENCH.qp_f, A, b)
         grid = brute_force_qp(problem, 5.0, 501)
         u_c, _, _ = virtual_control([0.0, 0.0], 0.0, BENCH)
         assert np.linalg.norm(grid - u_c) <= (10.0 / 500) * math.sqrt(2) + 1e-12
@@ -176,9 +173,3 @@ def test_barrier_values_order_and_content():
     values = barrier_values([0.0, 0.0], 0.0, BENCH)
     np.testing.assert_allclose(values, [5.25, 46.0, 25.0])
 
-
-def test_virtual_system_lipschitz_spot_check():
-    drift_map = np.array([[0.1, -0.05], [0.02, 0.08]])
-    vs = VirtualSystem(lambda c: drift_map @ c, lambda c: np.eye(2), 2, 2)
-    bound = difference_quotient_bound(vs.drift, [-5.0, -5.0], [25.0, 25.0], 500, 3)
-    assert bound <= np.linalg.norm(drift_map, 2) + 1e-9
