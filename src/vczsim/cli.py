@@ -9,6 +9,7 @@ validation failure, 2 parse error, 3 runtime abort.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -38,6 +39,17 @@ def _int_at_least(low: int):
         return value
 
     return parse
+
+
+def _finite_times(text: str) -> list[float]:
+    """argparse type: comma-separated finite times."""
+    try:
+        times = [float(v) for v in text.split(",")]
+    except ValueError:
+        times = [math.nan]
+    if not all(map(math.isfinite, times)):
+        raise argparse.ArgumentTypeError(f"expected comma-separated finite times, got {text!r}")
+    return times
 
 
 def _load(path: str) -> Scenario:
@@ -123,10 +135,7 @@ def cmd_plot(args) -> int:
             file=sys.stderr,
         )
         return EXIT_FAIL
-    snapshots = None
-    if args.snapshots:
-        snapshots = [float(v) for v in args.snapshots.split(",")]
-    render_figure(trace, scenario, args.out, snapshots)
+    render_figure(trace, scenario, args.out, args.snapshots)
     print(f"wrote {args.out}")
     return EXIT_PASS
 
@@ -166,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace", help="trace csv path")
     p.add_argument("scenario", help="scenario file path, or 'benchmark'")
     p.add_argument("--out", required=True, help="output svg path")
-    p.add_argument("--snapshots", help="comma-separated obstacle snapshot times")
+    p.add_argument("--snapshots", type=_finite_times, help="comma-separated obstacle snapshot times")
     p.set_defaults(fn=cmd_plot)
 
     p = sub.add_parser("suite", help="randomized invariance campaign")

@@ -5,14 +5,18 @@ parenthesized application ``(op arg ...)``. Operators ``+`` and ``*`` take one
 or more arguments, ``-`` is unary negation or a left-folded difference, and
 ``sin``/``cos`` take exactly one argument. This covers every plant drift,
 input map, disturbance, and obstacle path the toolkit needs without an
-external parser.
+external parser. Nesting deeper than MAX_DEPTH parentheses is a parse error.
 
-``eval_expr`` also takes a 1-D array for ``t`` when the expression uses no
-state variable. Each element of the result is bitwise equal to evaluating
-the expression at that element alone: ``+`` applies ``math.fsum`` and
-``sin``/``cos`` apply ``math.sin``/``math.cos`` element by element, and
-``-`` and ``*`` are already exact elementwise. A subexpression without ``t``
-stays a float, so the result may be a float for an array ``t``.
+``compile_exprs`` turns the trees of one field into one Python function,
+once per scenario; the step loop calls only these. It emits one assignment
+per node with the operations of ``eval_expr``, so the values are bitwise
+equal. ``eval_expr`` is the reference interpreter, and it also takes a 1-D
+array for ``t`` when the expression uses no state variable. Each element of
+the result is bitwise equal to evaluating the expression at that element
+alone: ``+`` applies ``math.fsum`` and ``sin``/``cos`` apply
+``math.sin``/``math.cos`` element by element, and ``-`` and ``*`` are
+already exact elementwise. A subexpression without ``t`` stays a float, so
+the result may be a float for an array ``t``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ import numpy as np
 _NARY_OPS = ("+", "-", "*")
 _UNARY_FUNCS = ("sin", "cos")
 _VAR_RE = re.compile(r"^(t|x[1-9][0-9]*)$")
+# Parenthesis levels. Walks take at most two frames per level, so 100 levels
+# stay far below the default recursion limit of 1000.
+MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -62,7 +69,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _parse_one(tokens, pos):
+def _parse_one(tokens, pos, depth=0):
     if pos >= len(tokens):
         raise ExprError("unexpected end of expression")
     kind, value, col = tokens[pos]
@@ -75,6 +82,8 @@ def _parse_one(tokens, pos):
             return ("var", value), pos + 1
         raise ExprError(f"unknown symbol '{value}'", col)
     if kind == "lparen":
+        if depth >= MAX_DEPTH:
+            raise ExprError(f"expression nested deeper than {MAX_DEPTH} levels", col)
         if pos + 1 >= len(tokens) or tokens[pos + 1][0] != "atom":
             raise ExprError("expected operator after '('", col)
         op = tokens[pos + 1][1]
@@ -85,7 +94,7 @@ def _parse_one(tokens, pos):
         while pos < len(tokens) and tokens[pos][0] != "rparen":
             if tokens[pos][0] == "semi":
                 raise ExprError("';' not allowed inside an expression", tokens[pos][2])
-            arg, pos = _parse_one(tokens, pos)
+            arg, pos = _parse_one(tokens, pos, depth + 1)
             args.append(arg)
         if pos >= len(tokens):
             raise ExprError("missing closing ')'", col)
@@ -188,17 +197,47 @@ def _elementwise(fn, items) -> np.ndarray:
     return np.fromiter(map(fn, items), dtype=float)
 
 
-def expr_variables(expr) -> frozenset[str]:
-    """All variable names referenced by an expression."""
-    tag = expr[0]
-    if tag == "num":
-        return frozenset()
-    if tag == "var":
-        return frozenset((expr[1],))
-    out: set[str] = set()
-    for a in expr[1]:
-        out |= expr_variables(a)
-    return frozenset(out)
+def compile_exprs(exprs, params):
+    """A function of the scalar arguments `params` giving the values of `exprs`,
+    a tree or nested lists of trees, as tuples of the same nesting. Only
+    `_VAR_RE` names and fixed operator text reach `compile()`; literals are
+    closure constants."""
+    if not all(_VAR_RE.fullmatch(p) for p in params):
+        raise ExprError(f"bad argument names {list(params)}")
+    consts, lines = [], []
+
+    def node(e):
+        tag, arg = e
+        if tag == "num":
+            consts.append(float(arg))
+            return f"k{len(consts) - 1}"
+        if tag == "var":
+            if arg not in params:
+                raise ExprError(f"may only use {', '.join(params)}, found '{arg}'")
+            return arg
+        if tag not in _NARY_OPS and tag not in _UNARY_FUNCS:
+            raise ExprError(f"unknown operator {tag!r}")
+        args = [node(a) for a in arg]
+        if tag == "+":
+            rhs = f"fsum(({', '.join(args)},))"
+        elif tag == "-" and len(args) == 1:
+            rhs = f"-{args[0]}"
+        elif tag in _NARY_OPS:  # left folds, the product from 1.0
+            rhs = f" {tag} ".join(["1.0"] * (tag == "*") + args)
+        else:
+            rhs = f"{tag}({args[0]})"
+        lines.append(f"  v{len(lines)} = {rhs}\n")
+        return f"v{len(lines) - 1}"
+
+    def out(item):
+        return node(item) if isinstance(item, tuple) else f"({''.join(out(i) + ', ' for i in item)})"
+
+    result = out(exprs)
+    source = (f"def make({', '.join(f'k{i}' for i in range(len(consts)))}):\n"
+              f" def fn({', '.join(params)}):\n{''.join(lines)}  return {result}\n return fn\n")
+    namespace = {"__builtins__": {}, "fsum": math.fsum, "sin": math.sin, "cos": math.cos}
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["make"](*consts)
 
 
 def expr_to_str(expr) -> str:

@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exprs import eval_expr, expr_to_str, expr_variables, parse_expr
+from .exprs import ExprError, compile_exprs, expr_to_str, parse_expr
+from .exprs import eval_expr  # noqa: F401  (bench/layers.py traces plant.eval_expr)
 
 POSITIVE_DEFINITE = "positive_definite"
 NEGATIVE_DEFINITE = "negative_definite"
@@ -111,34 +112,26 @@ def expression_plant(f_sources, g_sources, omega_sources, sign_class: str) -> Pl
     if len(omega_exprs) != n:
         raise PlantSpecError(f"disturbance must have {n} components", "omega")
     g_exprs = [[parse_expr(s) for s in row] for row in g_sources]
-    state_vars = {f"x{i + 1}" for i in range(n)}
-    for field, exprs in (("f", f_exprs), ("g", [e for row in g_exprs for e in row])):
-        for e in exprs:
-            bad = expr_variables(e) - state_vars
-            if bad:
-                message = f"plant {field} may only use x1..x{n}, found {sorted(bad)}"
-                raise PlantSpecError(message, field)
-    for e in omega_exprs:
-        bad = expr_variables(e) - {"t"}
-        if bad:
-            raise PlantSpecError(f"disturbance may only use t, found {sorted(bad)}", "omega")
-
-    def drift(x):
-        return np.array([eval_expr(e, 0.0, x) for e in f_exprs])
-
-    def input_map(x):
-        return np.array([[eval_expr(e, 0.0, x) for e in row] for row in g_exprs])
-
-    def disturbance(t):
-        return np.array([eval_expr(e, t) for e in omega_exprs])
-
+    xs = tuple(f"x{i + 1}" for i in range(n))
+    fns = []
+    for field, exprs, params in (("f", f_exprs, xs), ("g", g_exprs, xs), ("omega", omega_exprs, ("t",))):
+        try:
+            fns.append(compile_exprs(exprs, params))
+        except ExprError as exc:
+            raise PlantSpecError(f"plant {field} {exc}", field) from None
+    f_fn, g_fn, omega_fn = fns
     descriptor = (
         "exprs",
         tuple(expr_to_str(e) for e in f_exprs),
         tuple(tuple(expr_to_str(e) for e in row) for row in g_exprs),
         tuple(expr_to_str(e) for e in omega_exprs),
     )
-    return PlantModel(drift, input_map, disturbance, sign_class, n, descriptor)
+    return PlantModel(
+        lambda x: np.array(f_fn(*x.tolist())),
+        lambda x: np.array(g_fn(*x.tolist())),
+        lambda t: np.array(omega_fn(t)),
+        sign_class, n, descriptor,
+    )
 
 
 def sign_class_margin(model: PlantModel, box_lo, box_hi, samples: int, seed: int) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .barriers import CUSTOM, LINEAR, STATIC, ClassKappa, Obstacle, ShrinkSchedule, TargetSet
 from .confinement import DEFAULT_EPSILON_SAT, ConfinementLaw
-from .exprs import ExprError, eval_expr, expr_to_str, expr_variables, parse_expr_rows, parse_expr_sequence
+from .exprs import ExprError, compile_exprs, eval_expr, expr_to_str, parse_expr_rows, parse_expr_sequence
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantSpecError, catalog_plant, expression_plant
 from .scenario import Scenario
 
@@ -165,21 +165,16 @@ def _parse_obstacle(body: dict, n_state: int) -> Obstacle:
             raise ScenarioParseError(str(exc), entry.line, "path") from None
         if len(exprs) != n_state:
             raise ScenarioParseError(f"path must have {n_state} components", entry.line, "path")
-        for e in exprs:
-            bad = expr_variables(e) - {"t"}
-            if bad:
-                raise ScenarioParseError(
-                    f"obstacle paths may only use t, found {sorted(bad)}", entry.line, "path"
-                )
-
-        def path(t, _exprs=exprs):
-            return np.array([eval_expr(e, t) for e in _exprs])
+        try:
+            path_fn = compile_exprs(exprs, ("t",))
+        except ExprError as exc:
+            raise ScenarioParseError(f"obstacle path {exc}", entry.line, "path") from None
 
         def centers_path(ts, _exprs=exprs):
             return np.stack([np.broadcast_to(eval_expr(e, ts), ts.shape) for e in _exprs], axis=1)
 
         return Obstacle.custom(
-            path,
+            lambda t: np.array(path_fn(t)),
             radius,
             path_source=tuple(expr_to_str(e) for e in exprs),
             centers_path=centers_path,

@@ -7,17 +7,20 @@ deliberately dumb: the value of an oracle is that it shares no code with
 what it certifies. barrier_values is the exception: it is the controller's
 own per-sample barrier evaluation, kept as the reference that recorded h
 and the whole-trace checks of verify_trace are compared against.
+interpreted_scenario rebuilds a scenario's expression fields on the
+reference interpreter, which the compiled fields must match bitwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from vczsim.barriers import eval_avoidance, eval_reach
+from vczsim.barriers import Obstacle, eval_avoidance, eval_reach
 from vczsim.confinement import ConfinementLaw
+from vczsim.exprs import eval_expr, parse_expr
 from vczsim.qp import QpInputError, QpProblem
 
 
@@ -93,6 +96,35 @@ def barrier_values(c, t: float, scenario) -> np.ndarray:
     evals = [eval_avoidance(c, t, obs, scenario.r_c) for obs in scenario.obstacles]
     evals.append(eval_reach(c, t, scenario.target.center, scenario.shrink))
     return np.array([ev.value for ev in evals])
+
+
+def interpreted_scenario(scenario):
+    """The scenario with its expression plant and its path obstacles built
+    from eval_expr closures: the reference for the compiled fields."""
+    plant = scenario.plant
+    if plant.descriptor is not None and plant.descriptor[0] == "exprs":
+        _, f_src, g_src, omega_src = plant.descriptor
+        f = [parse_expr(s) for s in f_src]
+        g = [[parse_expr(s) for s in row] for row in g_src]
+        omega = [parse_expr(s) for s in omega_src]
+        plant = replace(
+            plant,
+            drift=lambda x: np.array([eval_expr(e, 0.0, x) for e in f]),
+            input_map=lambda x: np.array([[eval_expr(e, 0.0, x) for e in row] for row in g]),
+            disturbance=lambda t: np.array([eval_expr(e, t) for e in omega]),
+        )
+
+    def interpreted(obs):
+        if obs.path_source is None:
+            return obs
+        exprs = [parse_expr(s) for s in obs.path_source]
+
+        def path(t):
+            return np.array([eval_expr(e, t) for e in exprs])
+
+        return Obstacle.custom(path, obs.radius, path_source=obs.path_source, centers_path=obs.centers_path)
+
+    return replace(scenario, plant=plant, obstacles=tuple(map(interpreted, scenario.obstacles)))
 
 
 class GridInfeasibleError(RuntimeError):

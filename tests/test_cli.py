@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, artifacts, and the exit-code contract."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vczsim
 from conftest import bundled_benchmark_text
 from vczsim import simulator
 from vczsim.cli import EXIT_ABORT, EXIT_FAIL, EXIT_PARSE, EXIT_PASS, build_parser, main
@@ -182,6 +185,22 @@ class TestPlotCommand:
         assert code == EXIT_PASS
         assert fig.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("times", ["0,abc", "0,inf", "nan", ""])
+    def test_bad_snapshot_times_rejected_while_parsing(self, times, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr("vczsim.cli.read_trace", no_work)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["plot", "unused.csv", "benchmark", "--out", "f.svg", "--snapshots", times])
+        assert exc_info.value.code == EXIT_PARSE
+        assert "expected comma-separated finite times" in capsys.readouterr().err
+
+    def test_snapshot_times_parse_to_floats(self):
+        args = build_parser().parse_args(["plot", "t.csv", "benchmark", "--out", "f.svg",
+                                          "--snapshots", "0,2.5,-1e-3"])
+        assert args.snapshots == [0.0, 2.5, -0.001]
+
     def test_hash_mismatch_exits_one(self, tmp_path, benchmark_file, capsys):
         out_dir = tmp_path / "out"
         main(["run", str(benchmark_file), "--out", str(out_dir), "--dt", "0.01"])
@@ -202,11 +221,19 @@ class TestSuiteCommand:
         assert "forward invariance" in out
 
 
+def _child_env():
+    """This environment with the tested package's directory first on
+    PYTHONPATH, so a child interpreter imports the same vczsim."""
+    path = [str(Path(vczsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "vczsim.cli", "validate", "benchmark"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == EXIT_PASS
     assert "all checks passed" in proc.stdout
@@ -218,6 +245,6 @@ def test_runtime_imports_numpy_only():
         "import sys, vczsim, vczsim.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

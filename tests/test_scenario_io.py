@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bundled_benchmark_text
+from vczsim.exprs import MAX_DEPTH
 from vczsim.plant import PlantModel
 from vczsim.scenario import benchmark_scenario, validate
 from vczsim.scenario_io import (
@@ -144,6 +145,22 @@ class TestParseErrors:
             parse_scenario(CUSTOM_TEXT.replace(old, new))
         assert (exc_info.value.key, exc_info.value.line) == (key, line)
 
+
+    @pytest.mark.parametrize("key, old", [("omega", "(* 0.1 (cos t))"), ("path", "(- 5 (* 0.4 t))")])
+    def test_nesting_too_deep_names_key_line_and_column(self, key, old):
+        deep = "(cos " * (MAX_DEPTH + 1) + "t" + ")" * (MAX_DEPTH + 1)
+        text = CUSTOM_TEXT.replace(old, deep)
+        line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith(f"{key} ="))
+        with pytest.raises(ScenarioParseError) as exc_info:
+            parse_scenario(text)
+        assert (exc_info.value.key, exc_info.value.line) == (key, line)
+        value = text.splitlines()[line - 1].partition("=")[2].strip()
+        assert f"column {value.index(deep) + 5 * MAX_DEPTH + 1}" in str(exc_info.value)
+
+    def test_nesting_at_the_limit_is_accepted(self):
+        deep = "(+ " * MAX_DEPTH + "0.0" + ")" * MAX_DEPTH
+        scenario = parse_scenario(CUSTOM_TEXT.replace("(* 0.1 (cos t))", deep))
+        assert scenario.plant.disturbance(1.0)[0] == 0.0
 
     @pytest.mark.parametrize(
         "old, new, message",

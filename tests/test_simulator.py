@@ -1,18 +1,19 @@
 """Closed-loop stepping, trace recording, metrics, and independent re-verification."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from oracles import barrier_values
-from vczsim import qp, virtual
+from vczsim import exprs, plant, qp, scenario_io, virtual
 from vczsim.barriers import Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
 from vczsim.plant import benchmark_plant, integrator_plant
 from vczsim.scenario import Scenario, ScenarioInvalidError, benchmark_scenario, uniform_alphas
-from vczsim.scenario_io import parse_scenario
+from vczsim.scenario_io import load_scenario, parse_scenario
 from vczsim.simulator import (
     BREACH,
     QP_INFEASIBLE,
@@ -277,6 +278,44 @@ class TestWarmStart:
         for name in ("x", "c", "u", "u_c", "h", "qp_kkt"):
             assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
         assert warm.qp_status == cold.qp_status
+
+
+CROWDED_3D = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / "crowded_3d.scn"
+
+
+class TestCompiledExpressions:
+    """The step loop runs compiled plant and path fields, never the interpreter."""
+
+    @pytest.fixture(scope="class")
+    def crowded(self):
+        scenario = load_scenario(CROWDED_3D).with_overrides(dt=1e-2)
+        assert scenario.plant.descriptor[0] == "exprs"
+        assert sum(obs.path_source is not None for obs in scenario.obstacles) == 2
+        return scenario
+
+    def test_step_loop_calls_no_interpreter(self, crowded, monkeypatch):
+        # A count, not a timing: the interpreter may only see array t, i.e.
+        # whole-trace geometry after the run.
+        times = []
+        real = exprs.eval_expr
+
+        def counted(expr, t, x=None):
+            times.append(t)
+            return real(expr, t, x)
+
+        for module in (exprs, plant, scenario_io):
+            monkeypatch.setattr(module, "eval_expr", counted)
+        trace, _ = run(crowded)
+        assert len(trace) == 1001
+        assert times, "the patched interpreter was never reached"
+        assert not [t for t in times if np.ndim(t) == 0]
+
+    def test_trace_is_bitwise_the_interpreted_trace(self, crowded):
+        compiled, _ = run(crowded)
+        interpreted, _ = run(oracles.interpreted_scenario(crowded))
+        for name in ("x", "c", "u", "u_c", "h", "qp_kkt"):
+            assert np.array_equal(getattr(compiled, name), getattr(interpreted, name)), name
+        assert compiled.qp_status == interpreted.qp_status
 
 
 class TestVerifyTrace:
