@@ -56,12 +56,12 @@ def zeta(e_hat: float, epsilon_sat: float = DEFAULT_EPSILON_SAT) -> float:
     return math.log((1.0 + e) / (1.0 - e))
 
 
-def confinement_control(x, c, law: ConfinementLaw) -> np.ndarray:
-    """u = -gain * zeta(||e||/r_c) * e/||e||, with u = 0 at e = 0."""
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
-    e = x - c
-    norm = float(np.linalg.norm(e))
+def confinement_control(e, norm: float, law: ConfinementLaw) -> np.ndarray:
+    """u = -gain * zeta(||e||/r_c) * e/||e|| for the error e = x - c, with u = 0 at e = 0.
+
+    `norm` is ||e||, which the simulator has already taken for its breach check.
+    """
+    e = np.asarray(e, dtype=float)
     if norm >= law.r_c:
         raise ConfinementBreachError(norm, law.r_c)
     if norm <= 1e-12 * law.r_c:

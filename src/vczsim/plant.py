@@ -99,19 +99,18 @@ def catalog_plant(name: str, n: int = 2) -> PlantModel:
 
 
 def expression_plant(f_sources, g_sources, omega_sources, sign_class: str) -> PlantModel:
-    """Plant from prefix-expression strings.
+    """Plant from prefix-expression strings, parsed and passed to tree_plant."""
+    f, omega = [parse_expr(s) for s in f_sources], [parse_expr(s) for s in omega_sources]
+    return tree_plant(f, [[parse_expr(s) for s in row] for row in g_sources], omega, sign_class)
 
-    f_sources: n expressions in x1..xn; g_sources: n rows of n expressions in
-    x1..xn; omega_sources: n expressions in t.
-    """
-    n = len(f_sources)
-    f_exprs = [parse_expr(s) for s in f_sources]
-    omega_exprs = [parse_expr(s) for s in omega_sources]
-    if len(g_sources) != n or any(len(row) != n for row in g_sources):
+
+def tree_plant(f_exprs, g_exprs, omega_exprs, sign_class: str) -> PlantModel:
+    """Plant from parsed trees: n in x1..xn (f), n rows of n in x1..xn (g), n in t (omega)."""
+    n = len(f_exprs)
+    if len(g_exprs) != n or any(len(row) != n for row in g_exprs):
         raise PlantSpecError(f"input map must be {n}x{n}", "g")
     if len(omega_exprs) != n:
         raise PlantSpecError(f"disturbance must have {n} components", "omega")
-    g_exprs = [[parse_expr(s) for s in row] for row in g_sources]
     xs = tuple(f"x{i + 1}" for i in range(n))
     fns = []
     for field, exprs, params in (("f", f_exprs, xs), ("g", g_exprs, xs), ("omega", omega_exprs, ("t",))):

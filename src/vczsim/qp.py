@@ -24,6 +24,11 @@ A sequence of nearby problems passes the previous solution's `support` as
 a hint, tried first. Certification is kept: there is one KKT point, and the
 hint passes the same gates as any candidate or falls through to the
 unchanged enumeration. H is checked and inverted once per distinct matrix.
+
+On 2- and 3-vectors a numpy call costs more than its arithmetic, so the
+gates, the certificate's terms and the tight set read Python floats from
+numpy residuals, and the tight rows get a rank test only when they differ
+from the working set, which the subproblem's Cholesky has shown independent.
 """
 
 from __future__ import annotations
@@ -137,12 +142,16 @@ def check_kkt(problem: QpProblem, candidate, multipliers) -> float:
         raise QpInputError(f"candidate must have length {problem.m}")
     if lam.shape != (problem.d,):
         raise QpInputError(f"multipliers must have length {problem.d}")
-    stationarity = float(np.linalg.norm(problem.H @ u + problem.F - problem.A.T @ lam))
+    r = problem.H @ u + problem.F - problem.A.T @ lam
+    stationarity = math.sqrt(float(r @ r))  # bitwise np.linalg.norm(r)
     if problem.d == 0:
         return stationarity
-    slack = problem.A @ u - problem.b
-    terms = (stationarity, float(np.max(-slack)), float(np.max(-lam)), float(np.max(np.abs(lam * slack))))
-    return math.nan if any(map(math.isnan, terms)) else max(0.0, *terms)
+    slack, lam = (problem.A @ u - problem.b).tolist(), lam.tolist()
+    products = [abs(x * s) for x, s in zip(lam, slack)]
+    # min and max skip a NaN that is not first, so every entry is tested.
+    if any(map(math.isnan, [stationarity, *slack, *lam, *products])):
+        return math.nan
+    return max(0.0, stationarity, -min(slack), -min(lam), max(products))
 
 
 def _eqp(H_inv, v, A, b, working):
@@ -173,6 +182,7 @@ def _full_rank_subsets(A, max_size):
             yield subset, G
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed candidate fails its gates
 def _feasible_start(A, b, tol):
     """Least-norm candidate per independent tight subset; None iff empty polyhedron."""
     m = A.shape[1]
@@ -191,34 +201,37 @@ def _feasible_start(A, b, tol):
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed candidate fails its gates
 def _exhaustive(problem: QpProblem, kkt_tol: float, hint=()) -> QpSolution | None:
     """First certified KKT candidate: a valid hint, then independent active sets, smallest first."""
     A, b, d = problem.A, problem.b, problem.d
     v = problem.H_inv @ problem.F
-    violated = A @ -v < b  # rows the unconstrained minimum breaks
+    violated = (A @ -v < b).tolist()  # rows the unconstrained minimum breaks
+    gate = -0.5 * kkt_tol
     max_size = min(problem.m, d)
     hint = sorted(set(hint))
     first = [hint] if 0 < len(hint) <= max_size and hint[0] >= 0 and hint[-1] < d else []
     sets = (list(w) for k in range(max_size + 1) for w in itertools.combinations(range(d), k))
     for working in itertools.chain(first, sets):
-        if working and not violated[working].any():
+        if working and not any(violated[i] for i in working):
             continue  # not a support: it holds no row that u0 violates
         try:
             u, lam_w = _eqp(problem.H_inv, v, A, b, working)
         except np.linalg.LinAlgError:
             continue
-        slack = A @ u - b
-        if not (np.all(lam_w >= -0.5 * kkt_tol) and np.all(slack >= -0.5 * kkt_tol)):
+        slack = (A @ u - b).tolist()
+        if not (all(x >= gate for x in lam_w.tolist()) and all(s >= gate for s in slack)):
             continue
         lam = np.zeros(d)
         lam[working] = lam_w
         residual = check_kkt(problem, u, lam)
         if not residual <= kkt_tol:  # also rejects NaN from an overflowed subproblem
             continue
-        tight = np.flatnonzero(slack <= 1e-7 * np.maximum(1.0, np.abs(b)))
-        dependent = len(tight) > 1 and np.linalg.matrix_rank(A[tight]) < len(tight)
+        tight = [i for i, (s, bi) in enumerate(zip(slack, b.tolist())) if s <= 1e-7 * max(1.0, abs(bi))]
+        # Tight rows equal to the working set passed _eqp's Cholesky: independent.
+        dependent = len(tight) > 1 and tight != working and np.linalg.matrix_rank(A[tight]) < len(tight)
         status = DEGENERATE if dependent else OPTIMAL
-        return QpSolution(u, tuple(int(i) for i in tight), residual, status, lam, tuple(working))
+        return QpSolution(u, tuple(tight), residual, status, lam, tuple(working))
     return None
 
 

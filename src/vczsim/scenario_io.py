@@ -19,7 +19,7 @@ import numpy as np
 from .barriers import CUSTOM, LINEAR, STATIC, ClassKappa, Obstacle, ShrinkSchedule, TargetSet
 from .confinement import DEFAULT_EPSILON_SAT, ConfinementLaw
 from .exprs import ExprError, compile_exprs, eval_expr, expr_to_str, parse_expr_rows, parse_expr_sequence
-from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantSpecError, catalog_plant, expression_plant
+from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantSpecError, catalog_plant, tree_plant
 from .scenario import Scenario
 
 _SECTIONS = (
@@ -145,12 +145,7 @@ def _parse_plant(body: dict, n_state: int):
     if len(parsed["f"]) != n_state:
         raise ScenarioParseError(f"f must have {n_state} components", body["f"].line, "f")
     try:
-        return expression_plant(
-            [expr_to_str(e) for e in parsed["f"]],
-            [[expr_to_str(e) for e in row] for row in parsed["g"]],
-            [expr_to_str(e) for e in parsed["omega"]],
-            sign,
-        )
+        return tree_plant(parsed["f"], parsed["g"], parsed["omega"], sign)
     except PlantSpecError as exc:
         raise ScenarioParseError(str(exc), body[exc.field].line, exc.field) from None
 

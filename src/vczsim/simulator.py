@@ -122,9 +122,9 @@ def _rk4(scenario: Scenario, x, c, u, u_c, t: float, dt: float):
     return x_next, c_next
 
 
-def _controls(t: float, x, c, scenario: Scenario, hint=()):
+def _controls(t: float, c, e, gap: float, scenario: Scenario, hint=()):
     u_c, solution, h = virtual_control(c, t, scenario, hint)
-    u = confinement_control(x, c, scenario.confinement)
+    u = confinement_control(e, gap, scenario.confinement)
     return u, u_c, solution, h
 
 
@@ -146,7 +146,7 @@ class _Recorder:
         self.status = [""] * rows
         self.kkt = np.zeros(rows)
 
-    def add(self, t: float, x, c, u, u_c, solution, h):
+    def add(self, t: float, x, c, gap: float, u, u_c, solution, h):
         k = self.k
         self.t[k] = t
         self.x[k] = x
@@ -154,7 +154,7 @@ class _Recorder:
         self.u[k] = u
         self.u_c[k] = u_c
         self.h[k] = h
-        self.e_hat[k] = float(np.linalg.norm(x - c)) / self.scenario.r_c
+        self.e_hat[k] = gap / self.scenario.r_c
         self.status[k] = solution.status
         self.kkt[k] = solution.kkt_residual
         self.k = k + 1
@@ -191,19 +191,22 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
     schedule = _step_schedule(scenario.t_f, scenario.dt)
     recorder = _Recorder(scenario, scenario_hash(scenario), len(schedule) + 1)
     x, c = scenario.x0.copy(), scenario.x0.copy()
+    e = x - c
+    gap = float(np.linalg.norm(e))  # ||x - c||, taken once per step
     hint = ()  # each QP first tries the previous step's certified working set
     # The last pass records the controls at t_f and takes no step.
     for t_k, dt_k in schedule + [(scenario.t_f, None)]:
         try:
-            u, u_c, solution, h = _controls(t_k, x, c, scenario, hint)
+            u, u_c, solution, h = _controls(t_k, c, e, gap, scenario, hint)
         except QpInfeasibleError as exc:
             raise SimulationAbort(QP_INFEASIBLE, t_k, recorder.trace(), str(exc)) from exc
-        recorder.add(t_k, x, c, u, u_c, solution, h)
+        recorder.add(t_k, x, c, gap, u, u_c, solution, h)
         hint = solution.support
         if dt_k is None:
             break
         x, c = _rk4(scenario, x, c, u, u_c, t_k, dt_k)
-        gap = float(np.linalg.norm(x - c))
+        e = x - c
+        gap = float(np.linalg.norm(e))
         if gap >= scenario.r_c:
             raise SimulationAbort(
                 BREACH,

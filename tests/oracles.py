@@ -2,7 +2,8 @@
 
 Central finite differences check barrier gradients and time partials;
 seeded sphere sampling supports the containment checks; a grid search
-checks the QP solver. Everything here is
+checks the QP solver, and numpy_check_kkt is the all-numpy form of its
+certificate. Everything here is
 deliberately dumb: the value of an oracle is that it shares no code with
 what it certifies. barrier_values is the exception: it is the controller's
 own per-sample barrier evaluation, kept as the reference that recorded h
@@ -13,6 +14,7 @@ reference interpreter, which the compiled fields must match bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -135,6 +137,24 @@ def objective(problem: QpProblem, u) -> float:
     """QP cost 1/2 u'Hu + F'u."""
     u = np.asarray(u, dtype=float)
     return float(0.5 * u @ problem.H @ u + problem.F @ u)
+
+
+def numpy_check_kkt(problem, candidate, multipliers) -> float:
+    """The KKT certificate with every term a numpy reduction: the reference
+    that qp.check_kkt, which takes its terms on Python floats, must match
+    bitwise, NaN for NaN."""
+    u = np.asarray(candidate, dtype=float).ravel()
+    lam = np.asarray(multipliers, dtype=float).ravel()
+    if u.shape != (problem.m,):
+        raise QpInputError(f"candidate must have length {problem.m}")
+    if lam.shape != (problem.d,):
+        raise QpInputError(f"multipliers must have length {problem.d}")
+    stationarity = float(np.linalg.norm(problem.H @ u + problem.F - problem.A.T @ lam))
+    if problem.d == 0:
+        return stationarity
+    slack = problem.A @ u - problem.b
+    terms = (stationarity, float(np.max(-slack)), float(np.max(-lam)), float(np.max(np.abs(lam * slack))))
+    return math.nan if any(map(math.isnan, terms)) else max(0.0, *terms)
 
 
 def brute_force_qp(

@@ -134,10 +134,10 @@ def test_confinement_continuity():
         direction /= np.linalg.norm(direction)
         for scale in (1e-2, 1e-4, 1e-6, 1e-8):
             e = direction * scale * law.r_c
-            ratio = np.linalg.norm(confinement_control(e, np.zeros(2), law)) / np.linalg.norm(e)
+            ratio = np.linalg.norm(confinement_control(e, float(np.linalg.norm(e)), law)) / np.linalg.norm(e)
             if scale == 1e-8:
                 worst = max(worst, abs(ratio - slope) / slope)
-    zero = confinement_control(np.zeros(2), np.zeros(2), law)
+    zero = confinement_control(np.zeros(2), 0.0, law)
     ok = worst <= 0.01 and np.array_equal(zero, np.zeros(2))
     report(
         "confinement continuity",

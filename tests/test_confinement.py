@@ -17,6 +17,12 @@ from vczsim.confinement import (
 LAW = ConfinementLaw(gain=1.0, r_c=0.5)
 
 
+def control(x, c, law):
+    """The law at state x and centre c: error x - c and its norm, as the simulator passes them."""
+    e = np.asarray(x, dtype=float) - np.asarray(c, dtype=float)
+    return confinement_control(e, float(np.linalg.norm(e)), law)
+
+
 class TestZeta:
     def test_anchored_at_zero(self):
         assert zeta(0.0) == 0.0
@@ -44,16 +50,16 @@ class TestZeta:
 
 class TestConfinementControl:
     def test_zero_error_branch(self):
-        u = confinement_control([1.0, 2.0], [1.0, 2.0], LAW)
+        u = control([1.0, 2.0], [1.0, 2.0], LAW)
         np.testing.assert_array_equal(u, [0.0, 0.0])
 
     def test_quarter_radius_error(self):
-        u = confinement_control([0.25, 0.0], [0.0, 0.0], LAW)
+        u = control([0.25, 0.0], [0.0, 0.0], LAW)
         np.testing.assert_allclose(u, [-math.log(3.0), 0.0], rtol=1e-12)
 
     def test_negative_gain_flips_direction(self):
         law = ConfinementLaw(gain=-2.0, r_c=0.5)
-        u = confinement_control([0.0, -0.25], [0.0, 0.0], law)
+        u = control([0.0, -0.25], [0.0, 0.0], law)
         np.testing.assert_allclose(u, [0.0, -2.0 * math.log(3.0)], rtol=1e-12)
 
     def test_magnitude_identity(self):
@@ -61,16 +67,16 @@ class TestConfinementControl:
         for _ in range(50):
             e = rng.standard_normal(2)
             e *= rng.uniform(0.01, 0.45) / np.linalg.norm(e)
-            u = confinement_control(e, [0.0, 0.0], LAW)
+            u = control(e, [0.0, 0.0], LAW)
             assert np.linalg.norm(u) == pytest.approx(
                 abs(LAW.gain) * zeta(np.linalg.norm(e) / LAW.r_c), rel=1e-12
             )
 
     def test_breach_raises(self):
         with pytest.raises(ConfinementBreachError):
-            confinement_control([0.5, 0.0], [0.0, 0.0], LAW)
+            control([0.5, 0.0], [0.0, 0.0], LAW)
         with pytest.raises(ConfinementBreachError):
-            confinement_control([0.7, 0.0], [0.0, 0.0], LAW)
+            control([0.7, 0.0], [0.0, 0.0], LAW)
 
     def test_direction_property(self):
         rng = np.random.default_rng(4)
@@ -79,7 +85,7 @@ class TestConfinementControl:
             for _ in range(30):
                 e = rng.standard_normal(2)
                 e *= rng.uniform(0.05, 0.45) / np.linalg.norm(e)
-                u = confinement_control(e, np.zeros(2), law)
+                u = control(e, np.zeros(2), law)
                 inner = float(u @ e)
                 expected = -gain * zeta(np.linalg.norm(e) / 0.5) * np.linalg.norm(e)
                 assert inner == pytest.approx(expected, rel=1e-12)
@@ -93,7 +99,7 @@ class TestSmallErrorSlope:
 
     def test_series_bound_near_origin(self):
         law = ConfinementLaw(gain=10.0, r_c=0.5)
-        u = confinement_control([1e-5, 0.0], [0.0, 0.0], law)
+        u = control([1e-5, 0.0], [0.0, 0.0], law)
         assert np.linalg.norm(u) == pytest.approx(4e-4, rel=1e-6)
         assert np.linalg.norm(u) <= 1.01 * small_error_slope(law) * 1e-5
 
@@ -103,7 +109,7 @@ class TestSmallErrorSlope:
         for _ in range(50):
             e = rng.standard_normal(2)
             e *= rng.uniform(0.0, 1e-3 * law.r_c) / np.linalg.norm(e)
-            u = confinement_control(e, np.zeros(2), law)
+            u = control(e, np.zeros(2), law)
             assert np.linalg.norm(u) <= 1.01 * small_error_slope(law) * np.linalg.norm(e) + 1e-15
 
     def test_continuity_ratio_converges(self):
@@ -115,7 +121,7 @@ class TestSmallErrorSlope:
         ratios = []
         for scale in (1e-2, 1e-4, 1e-6, 1e-8):
             e = direction * scale * law.r_c
-            ratios.append(np.linalg.norm(confinement_control(e, np.zeros(2), law)) / np.linalg.norm(e))
+            ratios.append(np.linalg.norm(control(e, np.zeros(2), law)) / np.linalg.norm(e))
         errors = [abs(r - slope) / slope for r in ratios]
         assert errors[0] > errors[-1]  # later samples hit the roundoff floor
         assert errors[-1] <= 0.01

@@ -1,6 +1,9 @@
 """Candidate-enumeration QP solver: worked cases, certificates, and randomized properties."""
 
 import math
+import struct
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import minimizer_box_bound, random_qp_problem
-from oracles import GridInfeasibleError, brute_force_qp, objective
+from oracles import GridInfeasibleError, brute_force_qp, numpy_check_kkt, objective
 from vczsim.qp import (
     DEGENERATE,
     INFEASIBLE,
@@ -56,6 +59,18 @@ class TestSolveQp:
         assert sol.status == DEGENERATE
         np.testing.assert_allclose(sol.u_star, [1.0, 0.0], atol=1e-10)
         assert sol.kkt_residual <= KKT_TOL
+
+    @pytest.mark.parametrize("first", [[0.0, 0.0], [1.38129483e-161, 1.38129483e-161]])
+    def test_overflowing_candidates_do_not_warn(self, first):
+        # Examples drawn by test_agrees_with_grid_oracle[infeasible]. Rows of
+        # norm 1e-158 give a subnormal Schur complement, so a candidate's
+        # multipliers overflow and its gates reject it; numpy warned about
+        # that arithmetic, which failed the test under filterwarnings = error.
+        a = 3.96444894e-159
+        problem = QpProblem(0.1 * np.eye(2), np.zeros(2), [first, [a, a], [-a, -a]], [-1.0, 0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve_qp(problem).status == INFEASIBLE
 
     def test_rejects_non_pd_hessian(self):
         with pytest.raises(QpInputError):
@@ -124,6 +139,70 @@ class TestCheckKkt:
         assert math.isnan(check_kkt(halfspace_problem(1.0), [1.0, 0.0], [math.nan]))
 
 
+# Finite values of every magnitude, signed zeros, infinities and values whose
+# squares, sums and products overflow.
+KKT_ENTRIES = st.floats(allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+
+
+def raw_problem(H, F, A, b):
+    """QP data without QpProblem's checks, so NaN and inf reach the certificate."""
+    H, F, A, b = (np.asarray(a, dtype=float) for a in (H, F, A, b))
+    return SimpleNamespace(H=H, F=F, A=A.reshape(len(b), len(F)), b=b, m=len(F), d=len(b))
+
+
+class TestCheckKktMatchesNumpy:
+    """check_kkt on Python floats is bitwise the all-numpy certificate."""
+
+    @staticmethod
+    def assert_same(problem, u, lam):
+        with np.errstate(all="ignore"):  # overflow is the point here; the values must agree
+            expected = numpy_check_kkt(problem, u, lam)
+            got = check_kkt(problem, u, lam)
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", expected), (got, expected)
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 3),
+        d=st.integers(0, 7),
+        nan_in=st.sampled_from([None, "H", "F", "A", "b", "u", "lam"]),
+    )
+    def test_bitwise_the_numpy_certificate(self, data, m, d, nan_in):
+        shapes = {"H": (m, m), "F": (m,), "A": (d, m), "b": (d,), "u": (m,), "lam": (d,)}
+        arrays = {k: data.draw(hnp.arrays(float, shape, elements=KKT_ENTRIES), label=k) for k, shape in shapes.items()}
+        if nan_in is not None and arrays[nan_in].size:
+            i = data.draw(st.integers(0, arrays[nan_in].size - 1), label="nan position")
+            arrays[nan_in].flat[i] = math.nan
+        problem = raw_problem(arrays["H"], arrays["F"], arrays["A"], arrays["b"])
+        self.assert_same(problem, arrays["u"], arrays["lam"])
+
+    @pytest.mark.parametrize("d", range(8))
+    def test_nan_at_every_position(self, d):
+        # Python's max keeps an earlier finite value over a later NaN; a NaN in
+        # any row of b, A, u or lambda must still give NaN.
+        rng = np.random.default_rng(d)
+        base = {"A": rng.normal(size=(d, 2)), "b": rng.normal(size=d), "u": rng.normal(size=2),
+                "lam": rng.uniform(0.0, 1.0, size=d)}
+        for name, values in base.items():
+            for i in range(values.size):
+                data = {k: v.copy() for k, v in base.items()}
+                data[name].flat[i] = math.nan
+                problem = raw_problem(np.eye(2), [0.5, -0.5], data["A"], data["b"])
+                assert math.isnan(numpy_check_kkt(problem, data["u"], data["lam"]))
+                assert math.isnan(check_kkt(problem, data["u"], data["lam"])), (name, i)
+
+    def test_overflow_gives_inf_not_an_exception(self):
+        problem = raw_problem(np.eye(2), [0.0, 0.0], [[1e308, 1e308], [1.0, 0.0]], [-1.0, -1.0])
+        with np.errstate(all="ignore"):
+            assert check_kkt(problem, [1e308, 1e308], [1e308, 0.0]) == math.inf
+        self.assert_same(problem, [1e308, 1e308], [1e308, 0.0])
+
+
 class TestCostFactor:
     """H is validated and inverted once per matrix and shared read-only."""
 
@@ -189,6 +268,73 @@ class TestWarmStart:
         assert sol.status == DEGENERATE
         np.testing.assert_allclose(sol.u_star, [1.0, 0.0], atol=1e-10)
         assert sol.kkt_residual <= KKT_TOL
+
+
+def near_parallel(kind, k):
+    """Two rows at angle about 10^-k, both violated at the origin (3-D: plus a third row)."""
+    eps = 10.0 ** -k
+    if kind == "sym":
+        return QpProblem(np.eye(2), np.zeros(2), [[1.0, eps], [1.0, -eps]], [1.0, 1.0])
+    if kind == "tilt":
+        return QpProblem(np.eye(2), np.zeros(2), [[1.0, 0.0], [1.0, eps]], [1.0, 1.0])
+    if kind == "wedge":
+        return QpProblem(np.eye(2), np.zeros(2), [[1.0, eps], [1.0, -eps]], [1.0, 1.0 + eps])
+    if kind == "rot":
+        rows = [[math.cos(a), math.sin(a)] for a in (0.7, 0.7 + eps)]
+        return QpProblem(np.eye(2), np.zeros(2), rows, [1.0, 1.0])
+    rows = [[1.0, eps, 0.0], [1.0, -eps, 0.0], [0.0, 0.0, 1.0]]
+    return QpProblem(np.diag([1.0, 2.0, 3.0]), np.zeros(3), rows, [1.0, 1.0, 0.5])
+
+
+# (kind, k, active_set, support cold, support with hint (0, 1)), all optimal:
+# the values solve_qp gave while it still ran matrix_rank on every tight set
+# of two or more rows.
+NEAR_PARALLEL = [
+    (kind, k, (0, 1, 2) if kind == "3d" else (0, 1), cold, warm)
+    for kind, k, cold, warm in [
+        ("sym", 8, (0,), (0, 1)),
+        ("tilt", 8, (0,), (0,)),
+        ("wedge", 8, (1,), (1,)),
+        ("wedge", 9, (1,), (1,)),
+        ("rot", 8, (0,), (0,)),
+        ("3d", 8, (0, 2), (0, 2)),
+    ]
+    + [(kind, k, (0,), (0,)) for k in range(9, 15) for kind in ("sym", "tilt", "rot")]
+    + [("wedge", k, (0,), (0,)) for k in range(10, 15)]
+    + [("3d", k, (0, 2), (0, 2)) for k in range(9, 15)]
+]
+
+
+class TestRankTest:
+    """matrix_rank runs only when the tight rows differ from the certified working set."""
+
+    @staticmethod
+    def count_rank_calls(monkeypatch):
+        calls = []
+        real = np.linalg.matrix_rank
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind, k, active_set, cold, warm", NEAR_PARALLEL)
+    def test_near_parallel_rows_keep_their_answer(self, kind, k, active_set, cold, warm):
+        problem = near_parallel(kind, k)
+        for hint, support in (((), cold), ((0, 1), warm)):
+            sol = solve_qp(problem, hint=hint)
+            assert (sol.status, sol.active_set, sol.support) == (OPTIMAL, active_set, support)
+
+    def test_skipped_when_tight_rows_are_the_support(self, monkeypatch):
+        calls = self.count_rank_calls(monkeypatch)
+        sol = solve_qp(near_parallel("sym", 8), hint=(0, 1))
+        assert sol.active_set == sol.support == (0, 1) and sol.status == OPTIMAL
+        assert calls == []
+        sol = solve_qp(QpProblem(np.eye(2), np.zeros(2), [[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0]))
+        assert sol.active_set == (0, 1) and sol.support == (0,) and sol.status == DEGENERATE
+        assert len(calls) == 1
 
 
 class TestBruteForce:

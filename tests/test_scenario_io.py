@@ -1,15 +1,19 @@
 """Scenario text format: parsing, canonical serialization, error reporting."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import bundled_benchmark_text
+from vczsim import plant
 from vczsim.exprs import MAX_DEPTH
-from vczsim.plant import PlantModel
+from vczsim.plant import POSITIVE_DEFINITE, PlantModel, expression_plant
 from vczsim.scenario import benchmark_scenario, validate
 from vczsim.scenario_io import (
     ScenarioParseError,
     SerializationError,
+    load_scenario,
     parse_scenario,
     scenario_hash,
     serialize_scenario,
@@ -55,6 +59,29 @@ class TestParse:
         parsed = parse_scenario(bundled_benchmark_text())
         assert serialize_scenario(parsed) == serialize_scenario(benchmark_scenario())
         assert scenario_hash(parsed) == scenario_hash(benchmark_scenario())
+
+    @pytest.mark.parametrize(
+        "source, digest",
+        [("custom", "04260f1273506838"), ("crowded_3d", "039e4164cec26af4")],
+    )
+    def test_plant_fields_are_parsed_once(self, monkeypatch, source, digest):
+        # _parse_plant hands its trees to tree_plant; only the strings-in
+        # expression_plant calls plant.parse_expr. The hashes are those of
+        # the files when each field was printed and parsed a second time.
+        calls = []
+        real = plant.parse_expr
+        monkeypatch.setattr(plant, "parse_expr", lambda text: calls.append(text) or real(text))
+        if source == "custom":
+            scenario = parse_scenario(CUSTOM_TEXT)
+        else:
+            scenario = load_scenario(Path(__file__).resolve().parents[1] / "bench" / "scenarios" / "crowded_3d.scn")
+        assert calls == []
+        assert scenario_hash(scenario) == digest
+        from_strings = expression_plant(*scenario.plant.descriptor[1:], POSITIVE_DEFINITE)
+        assert from_strings.descriptor == scenario.plant.descriptor
+        x = np.linspace(0.3, 1.1, scenario.n)
+        for name, arg in (("drift", x), ("input_map", x), ("disturbance", 0.7)):
+            assert np.array_equal(getattr(from_strings, name)(arg), getattr(scenario.plant, name)(arg)), name
 
     def test_round_trip_is_fixed_point(self):
         parsed = parse_scenario(bundled_benchmark_text())

@@ -201,6 +201,28 @@ class TestRun:
         assert len(abort.trace) >= 1
         assert abort.trace.t[-1] < weak.t_f
 
+    @pytest.mark.parametrize(
+        "dt, t, detail, rows",
+        [
+            (1e-2, 0.12, "||x - c|| = 0.52728 >= r_c = 0.5", 12),
+            (1e-3, 0.114, "||x - c|| = 0.500624 >= r_c = 0.5", 114),
+        ],
+    )
+    def test_breach_time_and_detail(self, dt, t, detail, rows):
+        # Pinned before the step took ||x - c|| once for the breach check,
+        # the confinement law and e_hat.
+        weak = replace(benchmark_scenario(dt=dt), confinement=ConfinementLaw(0.2, 0.5))
+        with pytest.raises(SimulationAbort) as exc_info:
+            run(weak)
+        abort = exc_info.value
+        assert (abort.reason, abort.t, abort.detail, len(abort.trace)) == (BREACH, t, detail, rows)
+
+    def test_e_hat_is_the_recomputed_gap(self, benchmark_run):
+        scenario, trace, _, _ = benchmark_run
+        for k in range(len(trace)):
+            expected = float(np.linalg.norm(trace.x[k] - trace.c[k])) / scenario.r_c
+            assert trace.e_hat[k] == expected
+
     def test_qp_infeasible_aborts_with_partial_trace(self):
         # an obstacle dead ahead of a fast-shrinking ball pinches the center
         squeeze = Scenario(
@@ -268,6 +290,20 @@ class TestWarmStart:
         monkeypatch.setattr(qp, "_eqp", counted)
         trace, _ = run(benchmark_scenario().with_overrides(dt=1e-2))
         assert len(calls) <= 1.1 * len(trace)
+
+    def test_no_rank_test_on_the_benchmark(self, monkeypatch):
+        # A count, not a timing: every tight set here is the certified
+        # support, whose independence _eqp's Cholesky has shown.
+        calls = []
+        real = np.linalg.matrix_rank
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        trace, _ = run(benchmark_scenario().with_overrides(dt=1e-2))
+        assert len(trace) == 1001 and calls == []
 
     def test_trace_is_bitwise_the_cold_start_trace(self, monkeypatch):
         scenario = benchmark_scenario().with_overrides(dt=1e-2)
