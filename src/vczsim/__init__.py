@@ -52,11 +52,10 @@ from .simulator import (
     SimTrace,
     SimulationAbort,
     compute_metrics,
-    read_trace,
     run,
     verify_trace,
-    write_trace,
 )
+from .trace_io import read_trace, write_trace
 from .virtual import (
     QpInfeasibleError,
     assemble_rows,

@@ -17,8 +17,9 @@ from pathlib import Path
 from .randomized import run_campaign
 from .scenario import Scenario, validate
 from .scenario_io import ScenarioParseError, load_scenario, scenario_hash
-from .simulator import SimulationAbort, read_trace, run, verify_trace, write_trace
+from .simulator import SimulationAbort, run, verify_trace
 from .svgplot import render_figure
+from .trace_io import read_trace, write_trace
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

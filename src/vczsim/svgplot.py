@@ -41,8 +41,9 @@ class SvgCanvas:
             f'stroke="{color}" stroke-width="{width}"{d}/>'
         )
 
-    def polyline(self, pts, color, width=1.5, dash=""):
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+    def polyline(self, xs, ys, color, width=1.5, dash=""):
+        """xs, ys: pixel coordinate arrays, formatted as _fmt does."""
+        coords = " ".join(["%.3f,%.3f"] * len(xs)) % tuple(np.column_stack([xs, ys]).ravel().tolist())
         d = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="{width}"{d}/>'
@@ -73,7 +74,8 @@ class SvgCanvas:
 
 
 class _WorldMap:
-    """World -> pixel transform preserving aspect ratio (y flipped)."""
+    """World -> pixel transform preserving aspect ratio (y flipped); maps one
+    point, or every row of an array of points at once."""
 
     def __init__(self, lo, hi, px0, py0, pw, ph):
         span = np.maximum(hi - lo, 1e-9)
@@ -84,6 +86,7 @@ class _WorldMap:
         self.py1 = py0 + ph - 0.5 * (ph - scale * span[1])
 
     def __call__(self, p):
+        p = p.T
         return (
             self.px0 + self.scale * (p[0] - self.lo[0]),
             self.py1 - self.scale * (p[1] - self.lo[1]),
@@ -135,8 +138,8 @@ def _draw_workspace(canvas, trace, scenario, snapshot_times, px, py, pw, ph):
             bx, by = world(c)
             canvas.circle(bx, by, world.scale * obs.radius, _OBSTACLE, fill=_OBSTACLE, opacity=0.25)
             canvas.text(bx, by, f"t={t:g}", size=9, color="#404040", anchor="middle")
-    canvas.polyline([world(p) for p in _decimate(trace.c)], _CENTER, dash="5,3")
-    canvas.polyline([world(p) for p in _decimate(trace.x)], _TRAJ)
+    canvas.polyline(*world(_decimate(trace.c)), _CENTER, dash="5,3")
+    canvas.polyline(*world(_decimate(trace.x)), _TRAJ)
     sx, sy = world(trace.x[0])
     canvas.circle(sx, sy, 3.0, _TRAJ, fill=_TRAJ)
     canvas.text(sx + 5, sy, "start", size=10, color=_TRAJ)
@@ -172,14 +175,8 @@ def _draw_timeseries(canvas, trace, scenario, px, py, pw, ph):
     canvas.text(px + pw / 2, py + ph + 30, "time (s)", size=10, anchor="middle")
     shades = ["", "4,3"]
     for i in range(n):
-        upper = [to_px(tk, trace.c[k, i] + scenario.r_c) for tk, k in zip(t, keep)]
-        lower = [to_px(tk, trace.c[k, i] - scenario.r_c) for tk, k in zip(t, keep)]
-        canvas.polyline(upper, _BAND, width=1.0)
-        canvas.polyline(lower, _BAND, width=1.0)
-        canvas.polyline(
-            [to_px(tk, trace.x[k, i]) for tk, k in zip(t, keep)],
-            _TRAJ if i == 0 else _CENTER,
-            dash=shades[i % 2],
-        )
+        canvas.polyline(*to_px(t, trace.c[keep, i] + scenario.r_c), _BAND, width=1.0)
+        canvas.polyline(*to_px(t, trace.c[keep, i] - scenario.r_c), _BAND, width=1.0)
+        canvas.polyline(*to_px(t, trace.x[keep, i]), _TRAJ if i == 0 else _CENTER, dash=shades[i % 2])
         fx, fy = to_px(trace.t[-1], trace.x[-1, i])
         canvas.text(fx + 4, fy, f"x{i + 1}", size=10, color=_TRAJ if i == 0 else _CENTER)

@@ -10,6 +10,8 @@ own per-sample barrier evaluation, kept as the reference that recorded h
 and the whole-trace checks of verify_trace are compared against.
 interpreted_scenario rebuilds a scenario's expression fields on the
 reference interpreter, which the compiled fields must match bitwise.
+reference_write_trace is the row-at-a-time trace writer, one `%` per float,
+whose bytes the chunked template writer must reproduce.
 """
 
 from __future__ import annotations
@@ -185,3 +187,40 @@ def brute_force_qp(
 def small_error_slope(law: ConfinementLaw) -> float:
     """Local slope 2|gain|/r_c of ||u|| in ||e|| near the origin."""
     return 2.0 * abs(law.gain) / law.r_c
+
+
+def reference_write_trace(trace, path, decimate: int = 1) -> None:
+    """The trace file format written one row and one float at a time."""
+    if decimate < 1:
+        raise ValueError("decimate must be >= 1")
+    n, m, d = trace.x.shape[1], trace.u_c.shape[1], trace.h.shape[1]
+    header = (
+        ["t"]
+        + [f"x{i+1}" for i in range(n)]
+        + [f"c{i+1}" for i in range(n)]
+        + [f"u{i+1}" for i in range(n)]
+        + [f"uc{i+1}" for i in range(m)]
+        + [f"h{i+1}" for i in range(d)]
+        + ["e_hat", "qp_status", "qp_kkt"]
+    )
+    keep = list(range(0, len(trace), decimate))
+    if keep and keep[-1] != len(trace) - 1:
+        keep.append(len(trace) - 1)
+    fmt = "%.17g"
+    with open(path, "w") as fh:
+        fh.write(f"# scenario_hash = {trace.scenario_hash}\n")
+        fh.write(f"# dt = {fmt % trace.dt}\n")
+        fh.write(f"# version = {trace.version}\n")
+        fh.write(",".join(header) + "\n")
+        for k in keep:
+            nums = (
+                [trace.t[k]]
+                + list(trace.x[k])
+                + list(trace.c[k])
+                + list(trace.u[k])
+                + list(trace.u_c[k])
+                + list(trace.h[k])
+                + [trace.e_hat[k]]
+            )
+            row = [fmt % v for v in nums] + [trace.qp_status[k], fmt % trace.qp_kkt[k]]
+            fh.write(",".join(row) + "\n")

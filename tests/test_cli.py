@@ -11,7 +11,7 @@ import vczsim
 from conftest import bundled_benchmark_text
 from vczsim import simulator
 from vczsim.cli import EXIT_ABORT, EXIT_FAIL, EXIT_PARSE, EXIT_PASS, build_parser, main
-from vczsim.simulator import read_trace
+from vczsim.trace_io import read_trace
 from vczsim.virtual import QpInfeasibleError
 
 SQUEEZE_TEXT = """
@@ -211,6 +211,29 @@ class TestPlotCommand:
         )
         assert code == EXIT_FAIL
         assert "hash mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: rows[:1],  # header only
+            lambda rows: rows[:5] + [rows[5] + ",0"] + rows[6:],  # one cell too many
+            lambda rows: rows[:5] + [rows[5].split(",", 1)[1]] + rows[6:],  # one cell short
+            lambda rows: rows[:5] + ["abc" + rows[5][rows[5].index(","):]] + rows[6:],  # not a number
+        ],
+        ids=["header_only", "extra_cell", "missing_cell", "non_numeric"],
+    )
+    def test_malformed_trace_exits_two(self, tmp_path, edit, capsys):
+        out_dir = tmp_path / "out"
+        main(["run", "benchmark", "--out", str(out_dir), "--dt", "0.01"])
+        lines = (out_dir / "trace.csv").read_text().splitlines()
+        meta, rows = lines[:3], lines[3:]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(meta + edit(rows)) + "\n")
+        capsys.readouterr()
+        code = main(["plot", str(bad), "benchmark", "--out", str(tmp_path / "f.svg")])
+        assert code == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
+        assert not (tmp_path / "f.svg").exists()
 
 
 class TestSuiteCommand:

@@ -1,5 +1,7 @@
 """Closed-loop stepping, trace recording, metrics, and independent re-verification."""
 
+import gc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,17 +14,22 @@ from vczsim import exprs, plant, qp, scenario_io, virtual
 from vczsim.barriers import Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
 from vczsim.plant import benchmark_plant, integrator_plant
-from vczsim.scenario import Scenario, ScenarioInvalidError, benchmark_scenario, uniform_alphas
+from vczsim.scenario import (
+    Scenario,
+    ScenarioInvalidError,
+    benchmark_scenario,
+    uniform_alphas,
+    validate,
+)
 from vczsim.scenario_io import load_scenario, parse_scenario
 from vczsim.simulator import (
     BREACH,
     QP_INFEASIBLE,
     SimulationAbort,
-    read_trace,
     run,
     verify_trace,
-    write_trace,
 )
+from vczsim.trace_io import read_trace, write_trace
 from vczsim.virtual import virtual_control
 
 # Integrator reach task past an obstacle whose centre follows a path expression.
@@ -398,6 +405,33 @@ class TestVerifyTrace:
         assert not t1.passed
         assert t1.worst_time == trace.t[k]
 
+    def test_margins_are_taken_once_per_run(self, monkeypatch):
+        scenario = benchmark_scenario(dt=0.01)
+        assert validate(scenario).all_passed  # validation samples centres too
+        calls = []
+        real = Obstacle.centers
+
+        def counting(obs, ts):
+            calls.append(obs)
+            return real(obs, ts)
+
+        monkeypatch.setattr(Obstacle, "centers", counting)
+        trace, _ = run(scenario, check=False)
+        assert verify_trace(trace, scenario).all_passed
+        assert calls == list(scenario.obstacles)
+        # A new trace object is re-checked from its own arrays.
+        verify_trace(replace(trace, c=trace.c.copy()), scenario)
+        assert calls == 2 * list(scenario.obstacles)
+
+    def test_margin_memo_keeps_at_most_one_trace(self):
+        scenario = benchmark_scenario(dt=0.01)
+        first, _ = run(scenario, check=False)
+        gone = weakref.ref(first)
+        del first
+        run(scenario, check=False)
+        gc.collect()
+        assert gone() is None
+
     def test_truncated_trace_fails_t5(self, benchmark_run):
         scenario, trace, _, _ = benchmark_run
         report = verify_trace(head(trace, len(trace) // 2), scenario)
@@ -431,6 +465,7 @@ class TestTraceIo:
         np.testing.assert_array_equal(loaded.u, trace.u)
         np.testing.assert_array_equal(loaded.u_c, trace.u_c)
         np.testing.assert_array_equal(loaded.h, trace.h)
+        np.testing.assert_array_equal(loaded.e_hat, trace.e_hat)
         np.testing.assert_array_equal(loaded.qp_kkt, trace.qp_kkt)
         assert loaded.qp_status == trace.qp_status
         assert loaded.scenario_hash == trace.scenario_hash

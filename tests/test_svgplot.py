@@ -1,9 +1,13 @@
 """SVG figure emitter: structure, determinism, snapshot content."""
 
+import hashlib
 import xml.dom.minidom
 
+import numpy as np
+import pytest
+
 from vczsim.scenario import benchmark_scenario
-from vczsim.simulator import run
+from vczsim.simulator import SimTrace, run
 from vczsim.svgplot import render_figure
 
 
@@ -47,3 +51,41 @@ def test_obstacle_free_scenario_has_no_obstacle_circles(tmp_path):
     out = tmp_path / "fig.svg"
     render_figure(trace, scenario, out)
     assert out.read_text().count("<circle") == 1 + 2 + 1  # target + shrink pair + start
+
+
+def hand_built_trace(scenario, samples=2501):
+    """Polynomial state and centre paths: only + and *, so the pixels do not
+    depend on any solver or math library."""
+    t = np.linspace(0.0, scenario.t_f, samples)
+    s = t / scenario.t_f
+    x = np.column_stack([8.0 * s * s, 8.0 * s - 6.0 * s * s * s])
+    c = x + np.column_stack([0.1 * (1.0 - s), -0.05 * s * s])
+    zeros = np.zeros_like(x)
+    return SimTrace(
+        t=t,
+        x=x,
+        c=c,
+        u=zeros,
+        u_c=zeros,
+        h=np.zeros((samples, len(scenario.obstacles) + 1)),
+        e_hat=np.zeros(samples),
+        qp_status=("optimal",) * samples,
+        qp_kkt=np.zeros(samples),
+        scenario_hash="",
+        dt=scenario.t_f / (samples - 1),
+    )
+
+
+@pytest.mark.parametrize(
+    "snapshots, digest",
+    [
+        (None, "5e5bc1256c322c27bd22d77c25574f4a5420580f4b57776805dfc340dbbf771c"),
+        ([0.0, 2.5, 7.5], "eacb9cea002c46c32798245771a6fef9c85809e254f42073e34c2046fd863c3d"),
+    ],
+)
+def test_figure_bytes_are_pinned(tmp_path, snapshots, digest):
+    """The digests are those of the point-at-a-time polyline mapping."""
+    scenario = benchmark_scenario()
+    out = tmp_path / "fig.svg"
+    render_figure(hand_built_trace(scenario), scenario, out, snapshots)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
