@@ -5,12 +5,18 @@ obstacle center against the obstacle radius inflated by the confinement
 radius; the reach barrier measures containment in a ball whose radius
 shrinks affinely to force arrival at the horizon. Both report value,
 spatial gradient, and time partial so a QP row can be assembled from them.
+
+A step evaluates them on Python floats: obstacle paths return float
+sequences and the barriers take 2- and 3-vectors as sequences, where a numpy
+call costs more than its arithmetic. Obstacle.center, Obstacle.velocity and
+Obstacle.centers give numpy arrays for whole-trace work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from operator import mul, sub
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,12 +35,13 @@ class TimeDomainError(ValueError):
 class Obstacle:
     """Open-ball obstacle with a known center path and velocity.
 
-    centers_path, when given, maps a 1-D array of times to the (len, n)
-    array of centres, row k bitwise equal to center_path(ts[k]).
+    center_path and velocity_path map a time to n floats. centers_path, when
+    given, maps a 1-D array of times to the (len, n) array of centres, row k
+    bitwise equal to center_path(ts[k]).
     """
 
-    center_path: Callable[[float], np.ndarray]
-    velocity_path: Callable[[float], np.ndarray]
+    center_path: Callable[[float], Sequence[float]]
+    velocity_path: Callable[[float], Sequence[float]]
     radius: float
     kind: str
     path_source: tuple[str, ...] | None = None
@@ -49,9 +56,9 @@ class Obstacle:
     @staticmethod
     def static(center, radius: float) -> "Obstacle":
         p0 = np.array(center, dtype=float)
-        zero = np.zeros_like(p0)
+        point, zero = tuple(p0.tolist()), (0.0,) * p0.size
         return Obstacle(
-            lambda t: p0,
+            lambda t: point,
             lambda t: zero,
             float(radius),
             STATIC,
@@ -64,9 +71,10 @@ class Obstacle:
         v = np.array(velocity, dtype=float)
         if p0.shape != v.shape:
             raise ValueError("center and velocity dimensions disagree")
+        start, rate = tuple(p0.tolist()), tuple(v.tolist())
         return Obstacle(
-            lambda t: p0 + v * t,
-            lambda t: v,
+            lambda t: [p + w * t for p, w in zip(start, rate)],  # bitwise p0 + v * t
+            lambda t: rate,
             float(radius),
             LINEAR,
             centers_path=lambda ts: p0 + v * ts[:, None],
@@ -74,16 +82,17 @@ class Obstacle:
 
     @staticmethod
     def custom(
-        path: Callable[[float], np.ndarray],
+        path: Callable[[float], Sequence[float]],
         radius: float,
         fd_step: float = CUSTOM_VELOCITY_FD_STEP,
         path_source: tuple[str, ...] | None = None,
         centers_path: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> "Obstacle":
-        def velocity(t: float) -> np.ndarray:
-            lo = np.asarray(path(t - fd_step), dtype=float)
-            hi = np.asarray(path(t + fd_step), dtype=float)
-            return (hi - lo) / (2.0 * fd_step)
+        width = 2.0 * fd_step
+
+        def velocity(t: float) -> list[float]:
+            # Central difference, elementwise (hi - lo) / (2 fd_step).
+            return [d / width for d in map(sub, path(t + fd_step), path(t - fd_step))]
 
         return Obstacle(path, velocity, float(radius), CUSTOM, path_source, centers_path)
 
@@ -105,13 +114,15 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class TargetSet:
-    """Closed-ball target region."""
+    """Closed-ball target region; `point` is the center as floats."""
 
     center: np.ndarray
     radius: float
+    point: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        object.__setattr__(self, "point", tuple(self.center.tolist()))
         if self.radius <= 0:
             raise ValueError(f"target radius must be > 0, got {self.radius}")
 
@@ -144,12 +155,11 @@ class ShrinkSchedule:
         return (self.r_end - self.r_start) / self.t_f
 
 
-@dataclass(frozen=True)
-class BarrierEval:
+class BarrierEval(NamedTuple):
     """Barrier value with its spatial gradient and time partial."""
 
     value: float
-    grad_c: np.ndarray
+    grad_c: list[float]
     dt: float
 
 
@@ -171,17 +181,14 @@ def eval_avoidance(c, t: float, obstacle: Obstacle, r_c: float) -> BarrierEval:
     """h = ||c - b_u(t)||^2 - (r_u + r_c)^2 for the r_c-inflated obstacle."""
     if r_c <= 0:
         raise ValueError(f"confinement radius must be > 0, got {r_c}")
-    c = np.asarray(c, dtype=float)
-    delta = c - obstacle.center(t)
+    delta = list(map(sub, c, obstacle.center_path(t)))
     inflated = obstacle.radius + r_c
-    value = float(delta @ delta) - inflated * inflated
-    return BarrierEval(value, 2.0 * delta, float(-2.0 * (delta @ obstacle.velocity(t))))
+    value = sum(map(mul, delta, delta)) - inflated * inflated
+    return BarrierEval(value, [2.0 * d for d in delta], -2.0 * sum(map(mul, delta, obstacle.velocity_path(t))))
 
 
 def eval_reach(c, t: float, target_center, schedule: ShrinkSchedule) -> BarrierEval:
     """h = r_r(t)^2 - ||c - b_R||^2 for the shrinking containment ball."""
-    c = np.asarray(c, dtype=float)
-    delta = c - np.asarray(target_center, dtype=float)
+    delta = list(map(sub, c, target_center))
     r = schedule.radius_at(t)
-    value = r * r - float(delta @ delta)
-    return BarrierEval(value, -2.0 * delta, 2.0 * r * schedule.rate_of())
+    return BarrierEval(r * r - sum(map(mul, delta, delta)), [-2.0 * d for d in delta], 2.0 * r * schedule.rate_of())

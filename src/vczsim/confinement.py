@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 DEFAULT_EPSILON_SAT = 1e-9
 
 
@@ -56,15 +54,15 @@ def zeta(e_hat: float, epsilon_sat: float = DEFAULT_EPSILON_SAT) -> float:
     return math.log((1.0 + e) / (1.0 - e))
 
 
-def confinement_control(e, norm: float, law: ConfinementLaw) -> np.ndarray:
+def confinement_control(e, norm: float, law: ConfinementLaw) -> list[float]:
     """u = -gain * zeta(||e||/r_c) * e/||e|| for the error e = x - c, with u = 0 at e = 0.
 
-    `norm` is ||e||, which the simulator has already taken for its breach check.
+    `e` is a float sequence and u comes back as floats. `norm` is ||e||,
+    which the simulator has already taken for its breach check.
     """
-    e = np.asarray(e, dtype=float)
     if norm >= law.r_c:
         raise ConfinementBreachError(norm, law.r_c)
     if norm <= 1e-12 * law.r_c:
-        return np.zeros_like(e)
-    magnitude = law.gain * zeta(norm / law.r_c, law.epsilon_sat)
-    return -magnitude / norm * e
+        return [0.0] * len(e)
+    scale = -(law.gain * zeta(norm / law.r_c, law.epsilon_sat)) / norm
+    return [scale * e_i for e_i in e]

@@ -2,14 +2,17 @@
 
 The controllers never see these maps; only the simulator evaluates them.
 Plants come from a small catalog or from expression trees in a scenario
-file, so custom instances run without code changes.
+file, so custom instances run without code changes. The maps take and
+return Python floats (g as rows), which is what a step integrates on;
+whole-sample checks wrap them with numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from operator import mul
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,11 +35,12 @@ class PlantSpecError(ValueError):
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Control-affine plant xdot = f(x) + g(x) u + omega(t)."""
+    """Control-affine plant xdot = f(x) + g(x) u + omega(t); f and omega give
+    n floats, g gives n rows of n floats."""
 
-    drift: Callable[[np.ndarray], np.ndarray]
-    input_map: Callable[[np.ndarray], np.ndarray]
-    disturbance: Callable[[float], np.ndarray]
+    drift: Callable[[Sequence[float]], Sequence[float]]
+    input_map: Callable[[Sequence[float]], Sequence[Sequence[float]]]
+    disturbance: Callable[[float], Sequence[float]]
     sign_class: str
     n: int
     descriptor: tuple | None = None
@@ -47,16 +51,26 @@ class PlantModel:
         if self.n < 1:
             raise ValueError(f"state dimension must be >= 1, got {self.n}")
 
+    def check_shapes(self, x, t: float) -> None:
+        """ValueError unless f(x) and omega(t) have n entries and g(x) is n x n.
 
-def plant_derivative(model: PlantModel, x, u, t: float) -> np.ndarray:
-    """f(x) + g(x) u + omega(t)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (model.n,) or u.shape != (model.n,):
-        raise ValueError(
-            f"expected state and input of length {model.n}, got {x.shape} and {u.shape}"
-        )
-    return model.drift(x) + model.input_map(x) @ u + model.disturbance(t)
+        plant_derivative's zips would truncate a wrong shape, so a run checks
+        the maps once, at its initial state.
+        """
+        n = self.n
+        shapes = [np.shape(self.drift(x)), np.shape(self.input_map(x)), np.shape(self.disturbance(t))]
+        if shapes != [(n,), (n, n), (n,)]:
+            raise ValueError(f"plant maps f, g, omega must have shapes ({n},), ({n}, {n}), ({n},); got {shapes}")
+
+
+def plant_derivative(model: PlantModel, x, u, t: float) -> list[float]:
+    """f(x) + g(x) u + omega(t) for float sequences x and u of length n."""
+    if len(x) != model.n or len(u) != model.n:
+        raise ValueError(f"expected state and input of length {model.n}, got {len(x)} and {len(u)}")
+    return [
+        f_i + sum(map(mul, g_i, u)) + w_i
+        for f_i, g_i, w_i in zip(model.drift(x), model.input_map(x), model.disturbance(t))
+    ]
 
 
 def benchmark_plant() -> PlantModel:
@@ -64,12 +78,12 @@ def benchmark_plant() -> PlantModel:
 
     def drift(x):
         p = x[0] * x[1]
-        return np.array([5.0 * math.sin(p), 5.0 * math.cos(p)])
+        return (5.0 * math.sin(p), 5.0 * math.cos(p))
 
-    g = np.diag([0.8, 0.5])
+    g = ((0.8, 0.0), (0.0, 0.5))
 
     def disturbance(t):
-        return np.array([0.4 * math.cos(t), 0.4 * math.sin(t)])
+        return (0.4 * math.cos(t), 0.4 * math.sin(t))
 
     return PlantModel(
         drift, lambda x: g, disturbance, POSITIVE_DEFINITE, 2, ("catalog", "benchmark")
@@ -78,8 +92,8 @@ def benchmark_plant() -> PlantModel:
 
 def integrator_plant(n: int = 2) -> PlantModel:
     """Single integrator xdot = u."""
-    zero = np.zeros(n)
-    ident = np.eye(n)
+    zero = (0.0,) * n
+    ident = tuple(map(tuple, np.eye(n).tolist()))
     return PlantModel(
         lambda x: zero,
         lambda x: ident,
@@ -125,12 +139,7 @@ def tree_plant(f_exprs, g_exprs, omega_exprs, sign_class: str) -> PlantModel:
         tuple(tuple(expr_to_str(e) for e in row) for row in g_exprs),
         tuple(expr_to_str(e) for e in omega_exprs),
     )
-    return PlantModel(
-        lambda x: np.array(f_fn(*x.tolist())),
-        lambda x: np.array(g_fn(*x.tolist())),
-        lambda t: np.array(omega_fn(t)),
-        sign_class, n, descriptor,
-    )
+    return PlantModel(lambda x: f_fn(*x), lambda x: g_fn(*x), omega_fn, sign_class, n, descriptor)
 
 
 def sign_class_margin(model: PlantModel, box_lo, box_hi, samples: int, seed: int) -> float:

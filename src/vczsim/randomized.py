@@ -3,7 +3,9 @@
 Scenarios are rejection-sampled in a [0, 12]^2 workspace until validation
 passes, then run end to end. Runs that abort on an infeasible CBF-QP are
 excluded from the invariance statistic and counted instead; feasibility
-mid-run is an assumption, not something the generator can guarantee.
+mid-run is an assumption, not something the generator can guarantee. Runs
+that abort on a QP the solver could not certify are counted too, and stay in
+the invariance statistic.
 """
 
 from __future__ import annotations
@@ -20,25 +22,25 @@ from .barriers import Obstacle, ShrinkSchedule, TargetSet
 from .confinement import ConfinementLaw
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel
 from .scenario import Scenario, uniform_alphas, validate
-from .simulator import BREACH, QP_INFEASIBLE, SimulationAbort, run
+from .simulator import BREACH, QP_INFEASIBLE, QP_UNCERTIFIED, SimulationAbort, run
 
 WORKSPACE = (0.0, 12.0)
 
 
 def _random_plant(rng: np.random.Generator) -> PlantModel:
     amp = float(rng.uniform(0.0, 3.0))
-    w1, w2 = rng.uniform(0.3, 1.5, size=2)
+    w1, w2 = rng.uniform(0.3, 1.5, size=2).tolist()
     g_diag = rng.uniform(0.5, 1.0, size=2)
     negative = bool(rng.random() < 0.25)
-    g = np.diag(-g_diag if negative else g_diag)
+    g = tuple(map(tuple, np.diag(-g_diag if negative else g_diag).tolist()))
     omega_amp = float(rng.uniform(0.0, 0.4))
     nu = float(rng.uniform(0.5, 2.0))
 
     def drift(x, _a=amp, _w1=w1, _w2=w2):
-        return np.array([_a * math.sin(_w1 * x[0] * x[1]), _a * math.cos(_w2 * (x[0] + x[1]))])
+        return (_a * math.sin(_w1 * x[0] * x[1]), _a * math.cos(_w2 * (x[0] + x[1])))
 
     def disturbance(t, _a=omega_amp, _nu=nu):
-        return np.array([_a * math.cos(_nu * t), _a * math.sin(_nu * t)])
+        return (_a * math.cos(_nu * t), _a * math.sin(_nu * t))
 
     sign = NEGATIVE_DEFINITE if negative else POSITIVE_DEFINITE
     return PlantModel(drift, lambda x: g, disturbance, sign, 2)
@@ -120,7 +122,7 @@ COMPLETED = "completed"
 class CampaignRun:
     seed: int
     n_obstacles: int
-    status: str            # completed | qp_infeasible | confinement_breach
+    status: str            # completed | qp_infeasible | qp_uncertified | confinement_breach
     all_qp_optimal: bool
     min_barrier_value: float
     max_u_c_norm: float
@@ -142,6 +144,10 @@ class CampaignSummary:
         return sum(1 for r in self.runs if r.status == QP_INFEASIBLE)
 
     @property
+    def uncertified_count(self) -> int:
+        return sum(1 for r in self.runs if r.status == QP_UNCERTIFIED)
+
+    @property
     def breach_count(self) -> int:
         return sum(1 for r in self.runs if r.status == BREACH)
 
@@ -159,10 +165,11 @@ class CampaignSummary:
                 f"{r.min_barrier_value:>12.4e} {r.max_u_c_norm:>10.3f} {r.verdict:>8}"
             )
         n = len(self.runs)
+        uncertified = f"{self.uncertified_count} qp-uncertified, " if self.uncertified_count else ""
         lines.append(
             f"{n} scenarios: {len(self.completed)} completed, "
             f"{self.infeasible_count} qp-infeasible ({100.0 * self.infeasible_count / n:.1f}%), "
-            f"{self.breach_count} breached"
+            f"{uncertified}{self.breach_count} breached"
         )
         lines.append(
             f"forward invariance (min_h >= -{self.invariance_tol:g} on all-optimal runs): "

@@ -9,7 +9,7 @@ check fails, because the verdict would be meaningless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +37,8 @@ class ScenarioInvalidError(RuntimeError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete problem instance plus solver and verdict tolerances."""
+    """Complete problem instance plus solver and verdict tolerances; `slopes`
+    are the class-K slopes of `alphas` as floats."""
 
     plant: PlantModel
     obstacles: tuple[Obstacle, ...]
@@ -56,10 +57,12 @@ class Scenario:
     clearance_tol: float = DEFAULT_CLEARANCE_TOL
     regularity_band: float = DEFAULT_REGULARITY_BAND
     u_c_ceiling: float = DEFAULT_UC_CEILING
+    slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "alphas", tuple(self.alphas))
+        object.__setattr__(self, "slopes", tuple(float(a.slope) for a in self.alphas))
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "qp_h", np.asarray(self.qp_h, dtype=float))
         object.__setattr__(self, "qp_f", np.asarray(self.qp_f, dtype=float))

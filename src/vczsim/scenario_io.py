@@ -169,7 +169,7 @@ def _parse_obstacle(body: dict, n_state: int) -> Obstacle:
             return np.stack([np.broadcast_to(eval_expr(e, ts), ts.shape) for e in _exprs], axis=1)
 
         return Obstacle.custom(
-            lambda t: np.array(path_fn(t)),
+            path_fn,
             radius,
             path_source=tuple(expr_to_str(e) for e in exprs),
             centers_path=centers_path,

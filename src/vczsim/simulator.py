@@ -2,24 +2,29 @@
 
 Both controls are computed once per step and held constant (zero-order
 hold) while a classical fixed-step RK4 advances true state and center
-jointly. Every step is recorded; metrics and the reach-avoid verdict are
-computed from the full-resolution trace, and verify_trace re-derives all
-safety claims from raw states rather than trusting logged values. Both work
-on whole-trace arrays: obstacle centres come from Obstacle.centers for all
-recorded times at once, their margins are taken once per trace for both,
-and verify_trace calls no controller barrier code. File IO is in trace_io.
+jointly. A step runs on Python floats: rows, QP, confinement law and RK4
+take 2- and 3-vectors as float sequences, where a numpy call costs more than
+its arithmetic. Every step is recorded into preallocated arrays; metrics and
+the reach-avoid verdict are computed from the full-resolution trace, and
+verify_trace re-derives all safety claims from raw states rather than
+trusting logged values. Both work on whole-trace arrays: obstacle centres
+come from Obstacle.centers for all recorded times at once, their margins are
+taken once per trace for both, and verify_trace calls no controller barrier
+code. File IO is in trace_io.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
 from . import __version__
 from .confinement import confinement_control
 from .plant import plant_derivative
+from .qp import QpCertificationError
 from .scenario import (
     CheckResult,
     Scenario,
@@ -31,6 +36,7 @@ from .virtual import QpInfeasibleError, virtual_control
 
 BREACH = "confinement_breach"
 QP_INFEASIBLE = "qp_infeasible"
+QP_UNCERTIFIED = "qp_uncertified"
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -88,7 +94,7 @@ class RunMetrics:
 
 
 class SimulationAbort(RuntimeError):
-    """Run stopped early (breach or infeasible QP); carries the partial trace."""
+    """Run stopped early (breach, infeasible or uncertified QP); carries the partial trace."""
 
     def __init__(self, reason: str, t: float, trace: SimTrace, detail: str):
         self.reason = reason
@@ -112,21 +118,32 @@ def _step_schedule(t_f: float, dt: float) -> list[tuple[float, float]]:
 
 
 def _rk4(scenario: Scenario, x, c, u, u_c, t: float, dt: float):
+    """One RK4 step of plant and centre on float lists, elementwise in the
+    operation order of x + dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
     model = scenario.plant
-    k1x = plant_derivative(model, x, u, t)
-    k2x = plant_derivative(model, x + 0.5 * dt * k1x, u, t + 0.5 * dt)
-    k3x = plant_derivative(model, x + 0.5 * dt * k2x, u, t + 0.5 * dt)
-    k4x = plant_derivative(model, x + dt * k3x, u, t + dt)
-    x_next = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1 = plant_derivative(model, x, u, t)
+    k2 = plant_derivative(model, [x_i + half * k for x_i, k in zip(x, k1)], u, t + half)
+    k3 = plant_derivative(model, [x_i + half * k for x_i, k in zip(x, k2)], u, t + half)
+    k4 = plant_derivative(model, [x_i + dt * k for x_i, k in zip(x, k3)], u, t + dt)
+    x_next = [x_i + sixth * (a + 2 * b + 2 * c + d) for x_i, a, b, c, d in zip(x, k1, k2, k3, k4)]
     # The centre is a single integrator: every stage derivative is the held u_c.
-    c_next = c + dt / 6.0 * (u_c + 2 * u_c + 2 * u_c + u_c)
+    c_next = [c_i + sixth * (w + 2 * w + 2 * w + w) for c_i, w in zip(c, u_c)]
     return x_next, c_next
 
 
 def _controls(t: float, c, e, gap: float, scenario: Scenario, hint=()):
     u_c, solution, h = virtual_control(c, t, scenario, hint)
     u = confinement_control(e, gap, scenario.confinement)
-    return u, u_c, solution, h
+    return u, u_c.tolist(), solution, h
+
+
+def _error(x, c) -> tuple[list[float], float]:
+    """e = x - c and ||e||, taken once per step; the norm is bitwise
+    np.linalg.norm(x - c), i.e. sqrt of numpy's dot of e with itself."""
+    e = list(map(sub, x, c))
+    e_array = np.array(e)
+    return e, math.sqrt(e_array.dot(e_array))
 
 
 class _Recorder:
@@ -181,7 +198,8 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
     """Integrate from 0 to t_f; validation runs first and gates the attempt.
 
     Raises ScenarioInvalidError on failed validation and SimulationAbort
-    (carrying the partial trace) on confinement breach or an infeasible QP.
+    (carrying the partial trace) on confinement breach, an infeasible QP or a
+    QP whose minimizer the solver could not certify.
     """
     if check:
         report = validate(scenario)
@@ -191,9 +209,9 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
 
     schedule = _step_schedule(scenario.t_f, scenario.dt)
     recorder = _Recorder(scenario, scenario_hash(scenario), len(schedule) + 1)
-    x, c = scenario.x0.copy(), scenario.x0.copy()
-    e = x - c
-    gap = float(np.linalg.norm(e))  # ||x - c||, taken once per step
+    x, c = scenario.x0.tolist(), scenario.x0.tolist()
+    scenario.plant.check_shapes(x, 0.0)
+    e, gap = _error(x, c)
     hint = ()  # each QP first tries the previous step's certified working set
     # The last pass records the controls at t_f and takes no step.
     for t_k, dt_k in schedule + [(scenario.t_f, None)]:
@@ -201,13 +219,14 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
             u, u_c, solution, h = _controls(t_k, c, e, gap, scenario, hint)
         except QpInfeasibleError as exc:
             raise SimulationAbort(QP_INFEASIBLE, t_k, recorder.trace(), str(exc)) from exc
+        except QpCertificationError as exc:
+            raise SimulationAbort(QP_UNCERTIFIED, t_k, recorder.trace(), str(exc)) from exc
         recorder.add(t_k, x, c, gap, u, u_c, solution, h)
         hint = solution.support
         if dt_k is None:
             break
         x, c = _rk4(scenario, x, c, u, u_c, t_k, dt_k)
-        e = x - c
-        gap = float(np.linalg.norm(e))
+        e, gap = _error(x, c)
         if gap >= scenario.r_c:
             raise SimulationAbort(
                 BREACH,

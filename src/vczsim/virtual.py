@@ -3,7 +3,8 @@
 The center is a single integrator, cdot = u_c, so each barrier h_j gives one
 linear row grad h_j' u_c >= -alpha_j(h_j) - dh_j/dt on the virtual input.
 Stacking all rows under a strictly convex cost yields the QP whose
-minimizer steers the center.
+minimizer steers the center. Rows are computed on Python floats and handed
+to the QP as arrays; h comes back as floats.
 """
 
 from __future__ import annotations
@@ -32,19 +33,19 @@ class QpInfeasibleError(RuntimeError):
         )
 
 
-def assemble_rows(c, t: float, scenario: "Scenario") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def assemble_rows(c, t: float, scenario: "Scenario") -> tuple[np.ndarray, np.ndarray, list[float]]:
     """CBF rows A u_c >= b at (c, t) and the barrier values h they came from.
 
     Row j is barrier j: obstacles in declaration order, the reach barrier
-    last. A[j] = grad h_j and b[j] = -alpha_j(h_j) - dh_j/dt.
+    last. A[j] = grad h_j and b[j] = -alpha_j(h_j) - dh_j/dt, with the
+    class-K slopes of scenario.slopes.
     """
-    c = np.asarray(c, dtype=float)
-    evals = [eval_avoidance(c, t, obs, scenario.r_c) for obs in scenario.obstacles]
-    evals.append(eval_reach(c, t, scenario.target.center, scenario.shrink))
-    A = np.array([ev.grad_c for ev in evals])
-    b = np.array([-alpha(ev.value) - ev.dt for ev, alpha in zip(evals, scenario.alphas)])
-    h = np.array([ev.value for ev in evals])
-    return A, b, h
+    r_c = scenario.r_c
+    evals = [eval_avoidance(c, t, obs, r_c) for obs in scenario.obstacles]
+    evals.append(eval_reach(c, t, scenario.target.point, scenario.shrink))
+    h, grads, dts = zip(*evals)
+    b = [-slope * h_j - dt_j for slope, h_j, dt_j in zip(scenario.slopes, h, dts)]
+    return np.array(grads), np.array(b), list(h)
 
 
 def _conflicting_rows(problem: QpProblem) -> tuple[int, ...]:
@@ -62,7 +63,7 @@ def _conflicting_rows(problem: QpProblem) -> tuple[int, ...]:
 
 def virtual_control(
     c, t: float, scenario: "Scenario", hint=()
-) -> tuple[np.ndarray, QpSolution, np.ndarray]:
+) -> tuple[np.ndarray, QpSolution, list[float]]:
     """Solve the stacked CBF-QP at (c, t); raises QpInfeasibleError if empty.
 
     `hint` is passed to solve_qp: the previous step's `solution.support`.

@@ -9,8 +9,26 @@ import pytest
 
 from oracles import objective
 from vczsim import run
-from vczsim.qp import QpProblem
+from vczsim.qp import QpProblem, solve_qp
 from vczsim.scenario_io import parse_scenario
+
+# Feasible and strictly convex, but its multiplier (about 5e316) overflows, so
+# solve_qp raises QpCertificationError.
+UNCERTIFIABLE_QP = QpProblem(0.1 * np.eye(2), np.zeros(2), [[1e-159, 1e-159]], [1.0])
+
+
+def uncertified_from(step: int, real_control):
+    """A virtual_control that from its call number `step` (counting from 0)
+    solves UNCERTIFIABLE_QP instead, and so raises QpCertificationError."""
+    calls = []
+
+    def control(c, t, scenario, hint=()):
+        calls.append(t)
+        if len(calls) > step:
+            solve_qp(UNCERTIFIABLE_QP)
+        return real_control(c, t, scenario, hint)
+
+    return control
 
 
 def random_qp_problem(rng: np.random.Generator, m: int = 2, d: int | None = None):

@@ -11,11 +11,15 @@ and the whole-trace checks of verify_trace are compared against.
 interpreted_scenario rebuilds a scenario's expression fields on the
 reference interpreter, which the compiled fields must match bitwise.
 reference_write_trace is the row-at-a-time trace writer, one `%` per float,
-whose bytes the chunked template writer must reproduce.
+whose bytes the chunked template writer must reproduce. reference_solve_qp is
+the all-numpy active-set enumeration (LAPACK Cholesky test and solve per
+working set, numpy_check_kkt as its certificate) that the float solver
+replaced, kept as the reference it is compared with.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -25,7 +29,17 @@ import numpy as np
 from vczsim.barriers import Obstacle, eval_avoidance, eval_reach
 from vczsim.confinement import ConfinementLaw
 from vczsim.exprs import eval_expr, parse_expr
-from vczsim.qp import QpInputError, QpProblem
+from vczsim.qp import (
+    DEGENERATE,
+    INFEASIBLE,
+    KKT_TOL,
+    OPTIMAL,
+    QpCertificationError,
+    QpInputError,
+    QpProblem,
+    QpSolution,
+    _feasible_start,
+)
 
 
 @dataclass(frozen=True)
@@ -224,3 +238,59 @@ def reference_write_trace(trace, path, decimate: int = 1) -> None:
             )
             row = [fmt % v for v in nums] + [trace.qp_status[k], fmt % trace.qp_kkt[k]]
             fh.write(",".join(row) + "\n")
+
+
+def _reference_eqp(H_inv, v, A, b, working):
+    """Equality-constrained subproblem on the working set via Schur complement; v = H^-1 F."""
+    if not working:
+        return -v, np.zeros(0)
+    Aw = A[working]
+    Y = H_inv @ Aw.T
+    S = Aw @ Y
+    np.linalg.cholesky(S)  # raises LinAlgError on a rank-deficient working set
+    lam = np.linalg.solve(S, b[working] + Aw @ v)
+    return Y @ lam - v, lam
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed candidate fails its gates
+def _reference_exhaustive(problem: QpProblem, kkt_tol: float, hint=()) -> QpSolution | None:
+    """First certified KKT candidate: a valid hint, then independent active sets, smallest first."""
+    A, b, d = problem.A, problem.b, problem.d
+    v = problem.H_inv @ problem.F
+    violated = (A @ -v < b).tolist()  # rows the unconstrained minimum breaks
+    gate = -0.5 * kkt_tol
+    max_size = min(problem.m, d)
+    hint = sorted(set(hint))
+    first = [hint] if 0 < len(hint) <= max_size and hint[0] >= 0 and hint[-1] < d else []
+    sets = (list(w) for k in range(max_size + 1) for w in itertools.combinations(range(d), k))
+    for working in itertools.chain(first, sets):
+        if working and not any(violated[i] for i in working):
+            continue  # not a support: it holds no row that u0 violates
+        try:
+            u, lam_w = _reference_eqp(problem.H_inv, v, A, b, working)
+        except np.linalg.LinAlgError:
+            continue
+        slack = (A @ u - b).tolist()
+        if not (all(x >= gate for x in lam_w.tolist()) and all(s >= gate for s in slack)):
+            continue
+        lam = np.zeros(d)
+        lam[working] = lam_w
+        residual = numpy_check_kkt(problem, u, lam)
+        if not residual <= kkt_tol:  # also rejects NaN from an overflowed subproblem
+            continue
+        tight = [i for i, (s, bi) in enumerate(zip(slack, b.tolist())) if s <= 1e-7 * max(1.0, abs(bi))]
+        dependent = len(tight) > 1 and tight != working and np.linalg.matrix_rank(A[tight]) < len(tight)
+        status = DEGENERATE if dependent else OPTIMAL
+        return QpSolution(u, tuple(tight), residual, status, lam, tuple(working))
+    return None
+
+
+def reference_solve_qp(problem: QpProblem, kkt_tol: float = KKT_TOL, hint=()) -> QpSolution:
+    """solve_qp's contract on the all-numpy enumeration: optimal, degenerate,
+    infeasible, or QpCertificationError for a feasible QP with no certified candidate."""
+    sol = _reference_exhaustive(problem, kkt_tol, hint)
+    if sol is not None:
+        return sol
+    if _feasible_start(problem.A, problem.b, 0.5 * kkt_tol) is None:
+        return QpSolution(None, (), math.inf, INFEASIBLE, None)
+    raise QpCertificationError(f"feasible, but no candidate certifies at {kkt_tol:.1e}")

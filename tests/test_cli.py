@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vczsim
-from conftest import bundled_benchmark_text
+from conftest import bundled_benchmark_text, uncertified_from
 from vczsim import simulator
 from vczsim.cli import EXIT_ABORT, EXIT_FAIL, EXIT_PARSE, EXIT_PASS, build_parser, main
 from vczsim.trace_io import read_trace
@@ -171,6 +171,16 @@ class TestRunCommand:
         lines = (out_dir / "trace.csv").read_text().splitlines()
         assert len(lines) == 4
         assert lines[3].startswith("t,x1,x2,")
+
+
+    def test_uncertified_qp_exits_three_with_partial_trace(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(simulator, "virtual_control", uncertified_from(5, simulator.virtual_control))
+        out_dir = tmp_path / "out"
+        assert main(["run", "benchmark", "--out", str(out_dir), "--dt", "0.01"]) == EXIT_ABORT
+        assert "aborted: qp_uncertified at t = 0.05" in capsys.readouterr().err
+        assert (out_dir / "abort.txt").read_text().startswith("qp_uncertified at t = 0.05\n")
+        assert len(read_trace(out_dir / "trace.csv")) == 5
+        assert not (out_dir / "metrics.txt").exists()
 
 
 class TestPlotCommand:

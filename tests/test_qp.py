@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import minimizer_box_bound, random_qp_problem
-from oracles import GridInfeasibleError, brute_force_qp, numpy_check_kkt, objective
+from oracles import GridInfeasibleError, brute_force_qp, numpy_check_kkt, objective, reference_solve_qp
 from vczsim.qp import (
     DEGENERATE,
     INFEASIBLE,
     KKT_TOL,
     OPTIMAL,
+    QpCertificationError,
     QpInputError,
     QpProblem,
     check_kkt,
@@ -465,3 +466,68 @@ class TestRandomizedProperties:
             u1 = solve_qp(problem).u_star
             u2 = solve_qp(scaled).u_star
             assert np.linalg.norm(u1 - u2) <= 1e-7 * max(1.0, np.linalg.norm(u1))
+
+
+@st.composite
+def mixed_qps(draw):
+    """Strictly convex QP with 1-3 variables and 0-7 rows. A row may be a near
+    copy of an earlier one, at an angle down to about 1e-9, and b is A p plus
+    a shift of either sign, so the polyhedron may be empty. Row entries are at
+    least 1/4 in size: a row of norm 1e-6 or 1e-79 needs multipliers of 1e10
+    or more, where the absolute KKT_TOL leaves either solver certifying alone."""
+    m, d = draw(st.integers(1, 3)), draw(st.integers(0, 7))
+    L, F, p = draw(unit_arrays(m, m)), draw(unit_arrays(m)), draw(unit_arrays(m))
+    A = draw(hnp.arrays(float, (d, m), elements=st.floats(0.25, 1.0) | st.floats(-1.0, -0.25)))
+    for j in range(1, d):
+        tilt = draw(st.sampled_from([None, None, 1e-3, 1e-6, 1e-9]), label=f"tilt of row {j}")
+        if tilt is not None:
+            A[j] = A[draw(st.integers(0, j - 1))] + tilt * draw(unit_arrays(m))
+    shift = draw(hnp.arrays(float, d, elements=st.floats(-2.0, 2.0)))
+    return QpProblem(L.T @ L + 0.1 * np.eye(m), F, A, A @ p + shift)
+
+
+def solve_or_none(solver, problem):
+    """The solver's answer, or None where it raises QpCertificationError."""
+    try:
+        return solver(problem)
+    except QpCertificationError:
+        return None
+
+
+def near_a_threshold(problem, sol) -> bool:
+    """Whether rounding alone can move a certified answer across one of the
+    solver's decisions: certification (a residual within 100x of KKT_TOL,
+    where nearly parallel active rows put multipliers of 1e2 to 1e4; FOUND 24),
+    the tight-row test (a slack within 1e-9 of 1e-7 max(1, |b_i|)) or the
+    -KKT_TOL/2 gates (a multiplier or slack within 1e-11 of -KKT_TOL/2)."""
+    if sol.kkt_residual > KKT_TOL / 100:
+        return True
+    size = np.maximum(1.0, np.abs(problem.b))
+    slack = problem.A @ sol.u_star - problem.b
+    gated = np.concatenate([slack, sol.multipliers]) + 0.5 * KKT_TOL
+    return bool(np.any(np.abs(slack - 1e-7 * size) <= 1e-9 * size) or np.any(np.abs(gated) <= 1e-11))
+
+
+class TestReferenceSolver:
+    """The float solver gives the all-numpy enumeration's answers."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(problem=mixed_qps())
+    def test_agrees_with_numpy_reference(self, problem):
+        ref, got = solve_or_none(reference_solve_qp, problem), solve_or_none(solve_qp, problem)
+        if got is not None and got.u_star is not None:
+            assert numpy_check_kkt(problem, got.u_star, got.multipliers) <= KKT_TOL
+        if any(sol is not None and sol.u_star is not None and near_a_threshold(problem, sol) for sol in (ref, got)):
+            return
+        assert (got is None) == (ref is None)
+        if ref is None:
+            return
+        assert got.status == ref.status
+        if ref.u_star is None:
+            return
+        # u* = H^-1 (A'lam - F) carries rounding of the size of A'lam as well as u*:
+        # u* = (-1, -1) with multipliers 15 and 19 moved 2.4e-12 between the two solvers.
+        scale = max(1.0, np.linalg.norm(ref.u_star), np.linalg.norm(problem.A) * np.linalg.norm(ref.multipliers))
+        assert np.linalg.norm(got.u_star - ref.u_star) <= 1e-12 * scale
+        if ref.status == OPTIMAL:
+            assert got.support == ref.support

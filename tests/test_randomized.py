@@ -1,11 +1,14 @@
 """Randomized scenario generator: reproducibility and validity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import uncertified_from
 from vczsim import simulator
-from vczsim.randomized import WORKSPACE, random_scenario, run_campaign
-from vczsim.simulator import QP_INFEASIBLE, SimulationAbort, run
+from vczsim.randomized import WORKSPACE, CampaignRun, CampaignSummary, random_scenario, run_campaign
+from vczsim.simulator import QP_INFEASIBLE, QP_UNCERTIFIED, SimulationAbort, run
 from vczsim.virtual import QpInfeasibleError
 from vczsim.scenario import validate
 from vczsim.scenario_io import scenario_hash
@@ -66,3 +69,24 @@ def test_seed_2026_aborts_on_the_same_rows():
     assert len(abort.trace) == 1120
     assert isinstance(abort.__cause__, QpInfeasibleError)
     assert abort.__cause__.conflicting == (0, 2, 3)
+
+
+def test_uncertified_seed_is_counted_and_the_others_kept(monkeypatch):
+    real = simulator.virtual_control
+    uncertified = uncertified_from(100, real)
+
+    def control(c, t, scenario, hint=()):
+        return (uncertified if scenario.seed == 2025 else real)(c, t, scenario, hint)
+
+    monkeypatch.setattr(simulator, "virtual_control", control)
+    summary = run_campaign(count=3, base_seed=2024, dt=1e-2)
+    assert [r.status for r in summary.runs] == ["completed", QP_UNCERTIFIED, QP_INFEASIBLE]
+    assert summary.runs[1].detail == "aborted at t = 1.000"
+    assert (summary.uncertified_count, summary.infeasible_count) == (1, 1)
+    assert "3 scenarios: 1 completed, 1 qp-infeasible (33.3%), 1 qp-uncertified, 0 breached" in summary.format_table()
+
+
+def test_invariance_excludes_only_infeasible_runs():
+    low = CampaignRun(1, 1, QP_UNCERTIFIED, True, -1.0, 0.0, "fail")
+    assert not CampaignSummary((low,), 1e-3).invariance_holds()
+    assert CampaignSummary((replace(low, status=QP_INFEASIBLE),), 1e-3).invariance_holds()

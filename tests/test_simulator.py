@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import uncertified_from
 from oracles import barrier_values
-from vczsim import exprs, plant, qp, scenario_io, virtual
+from vczsim import exprs, plant, qp, scenario_io, simulator, virtual
 from vczsim.barriers import Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
 from vczsim.plant import benchmark_plant, integrator_plant
@@ -25,6 +26,8 @@ from vczsim.scenario_io import load_scenario, parse_scenario
 from vczsim.simulator import (
     BREACH,
     QP_INFEASIBLE,
+    QP_UNCERTIFIED,
+    RunMetrics,
     SimulationAbort,
     run,
     verify_trace,
@@ -230,6 +233,16 @@ class TestRun:
             expected = float(np.linalg.norm(trace.x[k] - trace.c[k])) / scenario.r_c
             assert trace.e_hat[k] == expected
 
+    def test_uncertified_qp_aborts_with_partial_trace(self, monkeypatch):
+        monkeypatch.setattr(simulator, "virtual_control", uncertified_from(25, simulator.virtual_control))
+        with pytest.raises(SimulationAbort) as exc_info:
+            run(benchmark_scenario(dt=0.01))
+        abort = exc_info.value
+        assert (abort.reason, abort.t, len(abort.trace)) == (QP_UNCERTIFIED, 0.25, 25)
+        assert isinstance(abort.__cause__, qp.QpCertificationError)
+        assert "no candidate certifies" in abort.detail
+        assert abort.trace.t[-1] == 0.24 and set(abort.trace.qp_status) == {"optimal"}
+
     def test_qp_infeasible_aborts_with_partial_trace(self):
         # an obstacle dead ahead of a fast-shrinking ball pinches the center
         squeeze = Scenario(
@@ -252,6 +265,62 @@ class TestRun:
         assert abort.reason == QP_INFEASIBLE
         assert "conflicting rows" in abort.detail
         assert len(abort.trace) >= 1
+
+
+CROWDED_3D = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / "crowded_3d.scn"
+
+
+# RunMetrics of the all-numpy step loop that the float step loop replaced,
+# on the bundled benchmark and bench/scenarios/crowded_3d.scn at dt = 1e-3.
+PINNED_METRICS = {
+    "benchmark": RunMetrics(
+        min_true_clearance=0.810990615356987,
+        min_center_clearance=0.28238603148185404,
+        terminal_distance=0.6967066256231773,
+        max_e_hat=0.570055775686149,
+        max_u_c_norm=1.4798050832881349,
+        max_u_norm=12.95210934249667,
+        min_barrier_value=0.0011298098158768755,
+        all_qp_optimal=True,
+        u_c_within_ceiling=True,
+        ptra_verdict="pass",
+    ),
+    "crowded_3d": RunMetrics(
+        min_true_clearance=0.4701398538515855,
+        min_center_clearance=0.012520580265498626,
+        terminal_distance=0.5816355165957502,
+        max_e_hat=0.273065987419337,
+        max_u_c_norm=2.017328709375725,
+        max_u_norm=5.603477266894098,
+        min_barrier_value=0.0009570536246025774,
+        all_qp_optimal=True,
+        u_c_within_ceiling=True,
+        ptra_verdict="pass",
+    ),
+}
+
+
+class TestBehaviourGuard:
+    """Float arithmetic moves the metrics by rounding only: at most 1e-12 per
+    float field, with booleans, verdict and every QP status unchanged."""
+
+    @staticmethod
+    def assert_pinned(name, trace, metrics):
+        for key, pinned in PINNED_METRICS[name].as_dict().items():
+            value = metrics.as_dict()[key]
+            if isinstance(pinned, float):
+                assert abs(value - pinned) <= 1e-12, (key, value, pinned)
+            else:
+                assert value == pinned, key
+        assert trace.qp_status == ("optimal",) * 10001
+
+    def test_benchmark(self, benchmark_run):
+        _, trace, metrics, _ = benchmark_run
+        self.assert_pinned("benchmark", trace, metrics)
+
+    def test_crowded_3d(self):
+        trace, metrics = run(load_scenario(CROWDED_3D))
+        self.assert_pinned("crowded_3d", trace, metrics)
 
 
 class TestBarrierPass:
@@ -321,9 +390,6 @@ class TestWarmStart:
         for name in ("x", "c", "u", "u_c", "h", "qp_kkt"):
             assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
         assert warm.qp_status == cold.qp_status
-
-
-CROWDED_3D = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / "crowded_3d.scn"
 
 
 class TestCompiledExpressions:
