@@ -48,7 +48,7 @@ class Obstacle:
     centers_path: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:  # also rejects NaN
             raise ValueError(f"obstacle radius must be > 0, got {self.radius}")
         if self.kind not in (STATIC, LINEAR, CUSTOM):
             raise ValueError(f"unknown obstacle kind '{self.kind}'")
@@ -170,7 +170,7 @@ class ClassKappa:
     slope: float = 1.0
 
     def __post_init__(self):
-        if self.slope <= 0:
+        if not self.slope > 0:  # also rejects NaN
             raise ValueError(f"class-K slope must be > 0, got {self.slope}")
 
     def __call__(self, h: float) -> float:

@@ -28,7 +28,7 @@ EXIT_ABORT = 3
 
 
 def _int_at_least(low: int):
-    """argparse type: an integer >= low, so a bad count fails before any work."""
+    """argparse type: an integer >= low, so a bad count or seed fails before any work."""
 
     def parse(text: str) -> int:
         try:
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(2), default=1001, help="time grid size")
     p.add_argument("--dt", type=float)
     p.add_argument("--tf", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("run", help="validate, simulate, export trace and metrics")
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dt", type=float)
     p.add_argument("--tf", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--decimate", type=_int_at_least(1), default=1, help="write every k-th record")
     p.set_defaults(fn=cmd_run)
 
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="randomized invariance campaign")
     p.add_argument("--count", type=_int_at_least(1), default=20)
-    p.add_argument("--seed", type=int, default=2024, help="base seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=2024, help="base seed")
     p.set_defaults(fn=cmd_suite)
     return parser
 

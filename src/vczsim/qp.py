@@ -23,16 +23,17 @@ or proves the polyhedron empty.
 A sequence of nearby problems passes the previous solution's `support` as
 a hint, tried first. Certification is kept: there is one KKT point, and the
 hint passes the same gates as any candidate or falls through to the
-unchanged enumeration. H is checked and inverted once per distinct matrix.
+unchanged enumeration.
 
 Each step solves one such QP with m <= 3 and a handful of rows, where a
-numpy call costs more than its arithmetic. So the solver works on Python
-floats: H^-1 comes as float rows from the memoized inverse, each working
-set's Schur complement (at most m x m) is factored once with a hand-written
-Cholesky, and the gates and the tight set read the solver's own slacks.
-check_kkt, the certificate, recomputes its residual from the problem's numpy
-arrays and shares no code with the solver. The rank test of dependent tight
-rows and the emptiness search run on numpy; they are rare.
+numpy call costs more than its arithmetic, so a solve runs on Python floats:
+the cost (H, F) is checked once per pair and kept as floats (QpCost), each
+working set's Schur complement (at most m x m) is factored with a
+hand-written Cholesky, u0's violations are tested on the working sets tried
+only, and the gates and the tight set read the solver's own slacks.
+check_kkt, the certificate, recomputes its residual on floats and shares no
+code with the solver. The rank test of dependent tight rows and the rare
+emptiness search use the arrays that a QpProblem builds on first use.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,11 +62,23 @@ class QpCertificationError(RuntimeError):
     """Solver could not certify a KKT point (should not occur for valid data)."""
 
 
+class QpCost(NamedTuple):
+    """A checked cost 1/2 u'Hu + F'u as Python floats: H and H^-1 by rows, F
+    and v = H^-1 F; `arrays` holds H, F and H^-1 as read-only arrays."""
+
+    H: tuple
+    F: tuple
+    H_inv: tuple
+    v: tuple
+    arrays: tuple
+
+
 @functools.lru_cache(maxsize=32)
-def _inverse(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, tuple[tuple[float, ...], ...]]:
-    """Read-only H^-1 of a symmetric PD H, via its Cholesky factor, and its
-    rows as floats; memoized per matrix."""
-    H = np.frombuffer(data).reshape(shape)
+def _cost(shape: tuple[int, ...], H_data: bytes, F_data: bytes) -> QpCost:
+    """The cost of one (H, F), H^-1 via H's Cholesky factor; memoized, as a run keeps its cost."""
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+        raise QpInputError(f"H must be square, got shape {shape}")
+    H, F = np.frombuffer(H_data).reshape(shape), np.frombuffer(F_data)  # read-only, as bytes are
     if not np.isfinite(H).all():
         raise QpInputError("H must be finite")
     if not np.allclose(H, H.T, rtol=1e-10, atol=1e-12):
@@ -73,97 +87,83 @@ def _inverse(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, tuple[tup
         L_inv = np.linalg.inv(np.linalg.cholesky(H))
     except np.linalg.LinAlgError:
         raise QpInputError("H must be positive definite") from None
+    if F.shape != (shape[0],) or not np.isfinite(F).all():
+        raise QpInputError(f"F must be {shape[0]} finite values, got {F.tolist()}")
     H_inv = L_inv.T @ L_inv
     H_inv.setflags(write=False)
-    return H_inv, tuple(map(tuple, H_inv.tolist()))
+    H_inv_rows, F_floats = tuple(map(tuple, H_inv.tolist())), tuple(F.tolist())
+    v = tuple(sum(map(mul, h, F_floats)) for h in H_inv_rows)
+    return QpCost(tuple(map(tuple, H.tolist())), F_floats, H_inv_rows, v, (H, F, H_inv))
 
 
-@dataclass(frozen=True)
 class QpProblem:
     """min 1/2 u'Hu + F'u  s.t.  A u >= b; H symmetric PD, inverted via its Cholesky factor.
 
-    `floats` holds (H^-1 rows, F, A rows, b) as Python floats for the solver.
+    The solver and the certificate read Python floats: `cost`, and A and b
+    as `rows` and `rhs`. H, F and H_inv are read-only arrays; the arrays A
+    and b are built on first use.
     """
 
-    H: np.ndarray
-    F: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    H_inv: np.ndarray = field(init=False, repr=False, compare=False)
-    floats: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        H = np.asarray(self.H, dtype=float)
+    def __init__(self, H, F, A, b):
+        H = np.asarray(H, dtype=float)
         if H.ndim != 2:
             H = np.atleast_2d(H)
-        F = np.asarray(self.F, dtype=float).ravel()
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float).ravel()
-        if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] < 1:
-            raise QpInputError(f"H must be square, got shape {H.shape}")
-        m = H.shape[0]
-        H_inv, H_inv_rows = _inverse(H.shape, H.tobytes())
-        if F.shape != (m,):
-            raise QpInputError(f"F must have length {m}, got {F.shape}")
-        if A.size == 0:
-            A = np.zeros((0, m))
-        elif A.ndim != 2:
-            A = np.atleast_2d(A)
-        if A.shape[1] != m:
-            raise QpInputError(f"A must have {m} columns, got shape {A.shape}")
-        if b.shape != (A.shape[0],):
-            raise QpInputError(f"b must have length {A.shape[0]}, got {b.shape}")
-        # Per step, on a few dozen numbers, lists beat np.isfinite(...).all() about 4x.
-        F_list, rows, b_list = F.tolist(), A.tolist(), b.tolist()
-        if not all(map(math.isfinite, itertools.chain(F_list, b_list, *rows))):
-            raise QpInputError("F, A and b must be finite")
-        # Frozen: one __dict__ update sets the normalized fields and the float copies.
-        self.__dict__.update(H=H, F=F, A=A, b=b, H_inv=H_inv, floats=(H_inv_rows, F_list, rows, b_list))
+        F = np.asarray(F, dtype=float).ravel()
+        self.cost = cost = _cost(H.shape, H.tobytes(), F.tobytes())
+        self.H, self.F, self.H_inv = cost.arrays
+        m = len(cost.F)
+        rows, b = [list(map(float, a)) for a in A], list(map(float, b))
+        if any(len(a) != m for a in rows):
+            raise QpInputError(f"A must have {m} columns")
+        if len(b) != len(rows):
+            raise QpInputError(f"b must have length {len(rows)}, got {len(b)}")
+        if not all(map(math.isfinite, itertools.chain(b, *rows))):
+            raise QpInputError("A and b must be finite")
+        self.rows, self.rhs, self.m, self.d = rows, b, m, len(rows)
 
-    @property
-    def m(self) -> int:
-        return self.H.shape[0]
+    @functools.cached_property
+    def A(self) -> np.ndarray:
+        return np.array(self.rows, dtype=float).reshape(self.d, self.m)
 
-    @property
-    def d(self) -> int:
-        return self.A.shape[0]
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        return np.array(self.rhs, dtype=float)
 
 
 @dataclass(frozen=True)
 class QpSolution:
-    """Certified minimizer; u_star/multipliers are None when infeasible.
+    """Certified minimizer; u_star/multipliers are float tuples, None when infeasible.
 
     active_set holds the tight rows; support is the working set whose
     candidate certified, the hint for the next, nearby problem.
     """
 
-    u_star: np.ndarray | None
+    u_star: tuple[float, ...] | None
     active_set: tuple[int, ...]
     kkt_residual: float
     status: str
-    multipliers: np.ndarray | None
+    multipliers: tuple[float, ...] | None
     support: tuple[int, ...] = ()
 
 
 def check_kkt(problem: QpProblem, candidate, multipliers) -> float:
-    """Max violation over stationarity, primal/dual feasibility, slackness; NaN if any term is."""
-    H, A = problem.H, problem.A
-    u = np.asarray(candidate, dtype=float).ravel()
-    lam = np.asarray(multipliers, dtype=float).ravel()
-    if u.shape != (H.shape[0],):
-        raise QpInputError(f"candidate must have length {H.shape[0]}")
-    if lam.shape != (A.shape[0],):
-        raise QpInputError(f"multipliers must have length {A.shape[0]}")
-    r = H @ u + problem.F - A.T @ lam
-    stationarity = math.sqrt(float(r @ r))  # bitwise np.linalg.norm(r)
-    if not lam.size:
-        return stationarity
-    slack, lam = (A @ u - problem.b).tolist(), lam.tolist()
+    """max(0, ||Hu + F - A'lam||, -min slack, -min lam, max |lam slack|), slack = A u - b, on the
+    floats of problem.cost, rows and rhs; NaN if any term is, inf or NaN on overflow."""
+    H, F, A, b = problem.cost.H, problem.cost.F, problem.rows, problem.rhs
+    u, lam = list(map(float, candidate)), list(map(float, multipliers))
+    if len(u) != len(F):
+        raise QpInputError(f"candidate must have length {len(F)}")
+    if len(lam) != len(A):
+        raise QpInputError(f"multipliers must have length {len(A)}")
+    columns = zip(*A) if A else [()] * len(F)
+    r = [sum(map(mul, h, u)) + f - sum(map(mul, column, lam)) for h, f, column in zip(H, F, columns)]
+    stationarity = math.sqrt(sum(map(mul, r, r)))
+    slack = [sum(map(mul, a, u)) - b_i for a, b_i in zip(A, b)]
     products = [abs(x * s) for x, s in zip(lam, slack)]
     # min and max skip a NaN that is not first, so every entry is tested.
     if any(map(math.isnan, [stationarity, *slack, *lam, *products])):
         return math.nan
-    return max(0.0, stationarity, -min(slack), -min(lam), max(products))
+    return max(0.0, stationarity, -min(slack, default=0.0), -min(lam, default=0.0), max(products, default=0.0))
 
 
 def _cholesky_solve(S, r):
@@ -257,18 +257,18 @@ def _feasible_start(A, b, tol):
 
 def _exhaustive(problem: QpProblem, kkt_tol: float, hint=()) -> QpSolution | None:
     """First certified KKT candidate: a valid hint, then independent active sets, smallest first."""
-    H_inv, F, A, b = problem.floats
+    H_inv, v = problem.cost.H_inv, problem.cost.v
+    A, b = problem.rows, problem.rhs
     d = len(A)
-    v = [sum(map(mul, h, F)) for h in H_inv]
-    violated = [-sum(map(mul, a, v)) < b_i for a, b_i in zip(A, b)]  # rows the unconstrained minimum breaks
     gate = -0.5 * kkt_tol
-    max_size = min(len(F), d)
+    max_size = min(len(v), d)
     hint = sorted(set(hint))
     first = [hint] if 0 < len(hint) <= max_size and hint[0] >= 0 and hint[-1] < d else []
     sets = (list(w) for k in range(max_size + 1) for w in itertools.combinations(range(d), k))
     for working in itertools.chain(first, sets):
-        if working and not any(map(violated.__getitem__, working)):
-            continue  # not a support: it holds no row that u0 violates
+        # Not a support unless it holds a row that the unconstrained minimum u0 = -v violates.
+        if working and not any(-sum(map(mul, A[i], v)) < b[i] for i in working):
+            continue
         candidate = _eqp(H_inv, v, A, b, working)
         if candidate is None:
             continue
@@ -283,15 +283,14 @@ def _exhaustive(problem: QpProblem, kkt_tol: float, hint=()) -> QpSolution | Non
         lam = [0.0] * d
         for i, x in zip(working, lam_w):
             lam[i] = x
-        u_star, multipliers = np.array(u), np.array(lam)
-        residual = check_kkt(problem, u_star, multipliers)
+        residual = check_kkt(problem, u, lam)
         if not residual <= kkt_tol:  # also rejects NaN
             continue
         tight = [i for i, (s, b_i) in enumerate(zip(slack, b)) if s <= 1e-7 * max(1.0, abs(b_i))]
         # Tight rows equal to the working set passed _eqp's Cholesky: independent.
         dependent = len(tight) > 1 and tight != working and np.linalg.matrix_rank(problem.A[tight]) < len(tight)
         status = DEGENERATE if dependent else OPTIMAL
-        return QpSolution(u_star, tuple(tight), residual, status, multipliers, tuple(working))
+        return QpSolution(tuple(u), tuple(tight), residual, status, tuple(lam), tuple(working))
     return None
 
 

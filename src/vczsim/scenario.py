@@ -16,7 +16,7 @@ import numpy as np
 from .barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet
 from .confinement import ConfinementLaw
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, benchmark_plant, sign_class_margin
-from .qp import _inverse
+from .qp import _cost
 
 DEFAULT_INVARIANCE_TOL = 1e-3
 DEFAULT_CLEARANCE_TOL = 1e-6
@@ -75,9 +75,9 @@ class Scenario:
             raise ValueError("initial state dimension disagrees with the plant")
         if self.qp_h.shape != (n, n):
             raise ValueError(f"qp_h must be {n}x{n}, got shape {self.qp_h.shape}")
-        _inverse(self.qp_h.shape, self.qp_h.tobytes())  # QpInputError unless finite, symmetric, PD
         if self.qp_f.shape != (n,) or not np.isfinite(self.qp_f).all():
             raise ValueError(f"qp_f must be {n} finite values, got {self.qp_f.tolist()}")
+        _cost(self.qp_h.shape, self.qp_h.tobytes(), self.qp_f.tobytes())  # QpInputError unless H is PD
         if len(self.alphas) != self.barrier_count:
             raise ValueError(
                 f"need {self.barrier_count} class-K slopes, got {len(self.alphas)}"

@@ -86,7 +86,8 @@ def _split_sections(text: str):
     return sections
 
 
-def _floats(entry: _Entry, key: str, count: int | None = None) -> np.ndarray:
+def _floats(entry: _Entry, key: str, count: int | None = None, finite: bool = True) -> np.ndarray:
+    """The entry's numbers, finite unless `finite` is False (keys Scenario checks itself)."""
     try:
         values = np.array([float(v) for v in entry.value.split()])
     except ValueError:
@@ -95,11 +96,13 @@ def _floats(entry: _Entry, key: str, count: int | None = None) -> np.ndarray:
         raise ScenarioParseError("empty numeric value", entry.line, key)
     if count is not None and values.size != count:
         raise ScenarioParseError(f"expected {count} values, got {values.size}", entry.line, key)
+    if finite and not np.isfinite(values).all():
+        raise ScenarioParseError("numeric value must be finite", entry.line, key)
     return values
 
 
-def _one_float(entry: _Entry, key: str) -> float:
-    return float(_floats(entry, key, 1)[0])
+def _one_float(entry: _Entry, key: str, finite: bool = True) -> float:
+    return float(_floats(entry, key, 1, finite)[0])
 
 
 def _require(body: dict, key: str, section: str) -> _Entry:
@@ -210,8 +213,8 @@ def parse_scenario(text: str) -> Scenario:
     )
     r_c = _one_float(_require(grouped["vcz"][0], "r_c", "vcz"), "r_c")
     hor = grouped["horizon"][0]
-    t_f = _one_float(_require(hor, "t_f", "horizon"), "t_f")
-    dt = _one_float(_require(hor, "dt", "horizon"), "dt")
+    t_f = _one_float(_require(hor, "t_f", "horizon"), "t_f", finite=False)
+    dt = _one_float(_require(hor, "dt", "horizon"), "dt", finite=False)
     shr = grouped["shrink"][0]
     try:
         shrink = ShrinkSchedule(
@@ -243,14 +246,14 @@ def parse_scenario(text: str) -> Scenario:
         _one_float(ctl["epsilon_sat"], "epsilon_sat") if "epsilon_sat" in ctl else DEFAULT_EPSILON_SAT
     )
     qp_h = _float_matrix(ctl["qp_h"], "qp_h", (n, n)) if "qp_h" in ctl else np.eye(n)
-    qp_f = _floats(ctl["qp_f"], "qp_f", n) if "qp_f" in ctl else np.zeros(n)
+    qp_f = _floats(ctl["qp_f"], "qp_f", n, finite=False) if "qp_f" in ctl else np.zeros(n)
 
     seed = 0
     if "run" in grouped and "seed" in grouped["run"][0]:
         entry = grouped["run"][0]["seed"]
         seed_f = _one_float(entry, "seed")
-        if seed_f != int(seed_f):
-            raise ScenarioParseError("seed must be an integer", entry.line, "seed")
+        if seed_f != int(seed_f) or seed_f < 0:
+            raise ScenarioParseError("seed must be a non-negative integer", entry.line, "seed")
         seed = int(seed_f)
 
     try:

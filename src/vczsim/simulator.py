@@ -2,11 +2,11 @@
 
 Both controls are computed once per step and held constant (zero-order
 hold) while a classical fixed-step RK4 advances true state and center
-jointly. A step runs on Python floats: rows, QP, confinement law and RK4
-take 2- and 3-vectors as float sequences, where a numpy call costs more than
-its arithmetic. Every step is recorded into preallocated arrays; metrics and
-the reach-avoid verdict are computed from the full-resolution trace, and
-verify_trace re-derives all safety claims from raw states rather than
+jointly. A step runs on Python floats: rows, QP, confinement law, RK4 and
+||x - c|| take 2- and 3-vectors as float sequences, where a numpy call costs
+more than its arithmetic. Every step is recorded into preallocated arrays;
+metrics and the reach-avoid verdict are computed from the full-resolution
+trace, and verify_trace re-derives all safety claims from raw states rather than
 trusting logged values. Both work on whole-trace arrays: obstacle centres
 come from Obstacle.centers for all recorded times at once, their margins are
 taken once per trace for both, and verify_trace calls no controller barrier
@@ -135,15 +135,13 @@ def _rk4(scenario: Scenario, x, c, u, u_c, t: float, dt: float):
 def _controls(t: float, c, e, gap: float, scenario: Scenario, hint=()):
     u_c, solution, h = virtual_control(c, t, scenario, hint)
     u = confinement_control(e, gap, scenario.confinement)
-    return u, u_c.tolist(), solution, h
+    return u, u_c, solution, h
 
 
 def _error(x, c) -> tuple[list[float], float]:
-    """e = x - c and ||e||, taken once per step; the norm is bitwise
-    np.linalg.norm(x - c), i.e. sqrt of numpy's dot of e with itself."""
+    """e = x - c and ||e||, taken once per step."""
     e = list(map(sub, x, c))
-    e_array = np.array(e)
-    return e, math.sqrt(e_array.dot(e_array))
+    return e, math.hypot(*e)
 
 
 class _Recorder:

@@ -3,8 +3,8 @@
 The center is a single integrator, cdot = u_c, so each barrier h_j gives one
 linear row grad h_j' u_c >= -alpha_j(h_j) - dh_j/dt on the virtual input.
 Stacking all rows under a strictly convex cost yields the QP whose
-minimizer steers the center. Rows are computed on Python floats and handed
-to the QP as arrays; h comes back as floats.
+minimizer steers the center. Rows, the QP and its answer stay Python floats
+through a step: A by rows, b and h as float lists, u_c as a float tuple.
 """
 
 from __future__ import annotations
@@ -33,19 +33,19 @@ class QpInfeasibleError(RuntimeError):
         )
 
 
-def assemble_rows(c, t: float, scenario: "Scenario") -> tuple[np.ndarray, np.ndarray, list[float]]:
+def assemble_rows(c, t: float, scenario: "Scenario") -> tuple[list[list[float]], list[float], list[float]]:
     """CBF rows A u_c >= b at (c, t) and the barrier values h they came from.
 
     Row j is barrier j: obstacles in declaration order, the reach barrier
     last. A[j] = grad h_j and b[j] = -alpha_j(h_j) - dh_j/dt, with the
-    class-K slopes of scenario.slopes.
+    class-K slopes of scenario.slopes. A comes by rows; all are floats.
     """
     r_c = scenario.r_c
     evals = [eval_avoidance(c, t, obs, r_c) for obs in scenario.obstacles]
     evals.append(eval_reach(c, t, scenario.target.point, scenario.shrink))
     h, grads, dts = zip(*evals)
     b = [-slope * h_j - dt_j for slope, h_j, dt_j in zip(scenario.slopes, h, dts)]
-    return np.array(grads), np.array(b), list(h)
+    return list(grads), b, list(h)
 
 
 def _conflicting_rows(problem: QpProblem) -> tuple[int, ...]:
@@ -63,7 +63,7 @@ def _conflicting_rows(problem: QpProblem) -> tuple[int, ...]:
 
 def virtual_control(
     c, t: float, scenario: "Scenario", hint=()
-) -> tuple[np.ndarray, QpSolution, list[float]]:
+) -> tuple[tuple[float, ...], QpSolution, list[float]]:
     """Solve the stacked CBF-QP at (c, t); raises QpInfeasibleError if empty.
 
     `hint` is passed to solve_qp: the previous step's `solution.support`.

@@ -2,8 +2,8 @@
 
 Central finite differences check barrier gradients and time partials;
 seeded sphere sampling supports the containment checks; a grid search
-checks the QP solver, and numpy_check_kkt is the all-numpy form of its
-certificate. Everything here is
+checks the QP solver; numpy_check_kkt is the all-numpy form of its
+certificate and fraction_check_kkt the exact rational one. Everything here is
 deliberately dumb: the value of an oracle is that it shares no code with
 what it certifies. barrier_values is the exception: it is the controller's
 own per-sample barrier evaluation, kept as the reference that recorded h
@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -156,9 +157,8 @@ def objective(problem: QpProblem, u) -> float:
 
 
 def numpy_check_kkt(problem, candidate, multipliers) -> float:
-    """The KKT certificate with every term a numpy reduction: the reference
-    that qp.check_kkt, which takes its terms on Python floats, must match
-    bitwise, NaN for NaN."""
+    """The KKT certificate with every term a numpy reduction, NaN if any term
+    is: the reference solver's certificate."""
     u = np.asarray(candidate, dtype=float).ravel()
     lam = np.asarray(multipliers, dtype=float).ravel()
     if u.shape != (problem.m,):
@@ -171,6 +171,35 @@ def numpy_check_kkt(problem, candidate, multipliers) -> float:
     slack = problem.A @ u - problem.b
     terms = (stationarity, float(np.max(-slack)), float(np.max(-lam)), float(np.max(np.abs(lam * slack))))
     return math.nan if any(map(math.isnan, terms)) else max(0.0, *terms)
+
+
+SQRT_BITS = 1200  # fraction_check_kkt's norm is exact to 2^-1200
+
+
+def fraction_check_kkt(problem, candidate, multipliers) -> Fraction:
+    """The KKT residual in exact rational arithmetic, for finite data:
+    max(0, ||H u + F - A' lam||, -min slack, -min lam, max |lam slack|) with
+    slack = A u - b, read from the arrays H, F, A and b. The norm's square
+    root is rounded down to a multiple of 2^-SQRT_BITS, far below any error
+    bound a float evaluation can meet."""
+
+    def fractions(values):
+        return [Fraction(x) for x in np.asarray(values, dtype=float).ravel().tolist()]
+
+    m, d = problem.m, problem.d
+    H = [fractions(row) for row in np.asarray(problem.H, dtype=float).reshape(m, m)]
+    A = [fractions(row) for row in np.asarray(problem.A, dtype=float).reshape(d, m)]
+    F, b, u, lam = fractions(problem.F), fractions(problem.b), fractions(candidate), fractions(multipliers)
+    r = [
+        sum(h * x for h, x in zip(H[j], u)) + F[j] - sum(a[j] * y for a, y in zip(A, lam))
+        for j in range(m)
+    ]
+    square = sum(r_j * r_j for r_j in r)
+    stationarity = Fraction(math.isqrt(math.floor(square * 4**SQRT_BITS)), 2**SQRT_BITS)
+    if not A:
+        return stationarity
+    slack = [sum(a_k * x for a_k, x in zip(a, u)) - b_i for a, b_i in zip(A, b)]
+    return max(Fraction(0), stationarity, -min(slack), -min(lam), max(abs(x * s) for x, s in zip(lam, slack)))
 
 
 def brute_force_qp(

@@ -117,6 +117,10 @@ class TestClassKappa:
         with pytest.raises(ValueError):
             ClassKappa(0.0)
 
+    def test_rejects_nan_slope(self):
+        with pytest.raises(ValueError):
+            ClassKappa(float("nan"))
+
     @given(st.floats(-100, 100), st.floats(-100, 100))
     def test_strictly_increasing(self, h1, h2):
         kappa = ClassKappa(0.7)
@@ -200,6 +204,10 @@ class TestObstaclePaths:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             Obstacle.static([0.0, 0.0], 0.0)
+
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValueError):
+            Obstacle.static([0.0, 0.0], float("nan"))
 
 
 CROWDED_3D = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / "crowded_3d.scn"

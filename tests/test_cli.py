@@ -88,6 +88,25 @@ class TestValidateCommand:
 
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("radius = 0.5", "radius = nan", "line 9, key 'radius'"),
+            ("alpha = 1.0", "alpha = nan", "line 33, key 'alpha'"),
+            ("x0 = 0.0 0.0", "x0 = nan 0.0", "line 37, key 'x0'"),
+            ("seed = 0", "seed = -3", "line 40, key 'seed'"),
+        ],
+        ids=["radius-nan", "alpha-nan", "x0-nan", "seed-negative"],
+    )
+    def test_bad_scenario_number_is_parse_error(self, tmp_path, capsys, command, old, new, where):
+        # validate once passed the NaNs and run then died with a traceback.
+        path = tmp_path / "bad.scn"
+        path.write_text(bundled_benchmark_text().replace(old, new, 1))
+        out_args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path)] + out_args) == EXIT_PARSE
+        assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--dt", "nan"), ("--tf", "inf")])
     def test_bad_override_is_parse_error(self, tmp_path, capsys, command, flag, value):
         out_args = ["--out", str(tmp_path / "out")] if command == "run" else []
@@ -104,8 +123,11 @@ class TestCountArguments:
             ["suite", "--count", "0"],
             ["validate", "benchmark", "--samples", "1"],
             ["suite", "--count", "two"],
+            ["run", "benchmark", "--out", "unused", "--seed", "-1"],
+            ["validate", "benchmark", "--seed", "-1"],
+            ["suite", "--count", "1", "--seed", "-5"],
         ],
-        ids=["decimate-0", "count-0", "samples-1", "count-word"],
+        ids=["decimate-0", "count-0", "samples-1", "count-word", "run-seed", "validate-seed", "suite-seed"],
     )
     def test_rejected_while_parsing(self, argv, monkeypatch, capsys):
         def no_work(*args, **kwargs):
@@ -123,6 +145,7 @@ class TestCountArguments:
         assert parser.parse_args(["run", "benchmark", "--out", "d", "--decimate", "1"]).decimate == 1
         assert parser.parse_args(["suite", "--count", "1"]).count == 1
         assert parser.parse_args(["validate", "benchmark", "--samples", "2"]).samples == 2
+        assert parser.parse_args(["suite", "--seed", "0"]).seed == 0
 
 
 class TestRunCommand:

@@ -146,6 +146,30 @@ class TestParseErrors:
         with pytest.raises(ScenarioParseError):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("seed = 0", "seed = -3", "seed"),
+            ("radius = 0.5", "radius = nan", "radius"),
+            ("alpha = 1.0", "alpha = nan", "alpha"),
+            ("radius = 1.1", "radius = inf", "radius"),
+            ("center = 10.0 10.0", "center = 10.0 inf", "center"),
+            ("velocity = 0.4 -0.4", "velocity = inf -0.4", "velocity"),
+            ("x0 = 0.0 0.0", "x0 = nan 0.0", "x0"),
+        ],
+        ids=["seed-negative", "obstacle-radius-nan", "alpha-nan", "target-radius-inf", "target-center-inf"]
+        + ["velocity-inf", "x0-nan"],
+    )
+    def test_bad_number_names_key_and_line(self, old, new, key):
+        # Unchecked, the NaNs passed validation and the run died with a
+        # QpInputError; inf and the x0 NaN raised OverflowError in validation;
+        # a negative seed raised numpy's ValueError.
+        text = bundled_benchmark_text().replace(old, new, 1)
+        line = text.splitlines().index(new.partition("\n")[0]) + 1
+        with pytest.raises(ScenarioParseError) as exc_info:
+            parse_scenario(text)
+        assert (exc_info.value.key, exc_info.value.line) == (key, line)
+
     def test_bad_expression_reports_key(self):
         text = CUSTOM_TEXT.replace("(* 2 (sin x2))", "(* 2 (sin x2)")
         with pytest.raises(ScenarioParseError):

@@ -1,6 +1,7 @@
 """Closed-loop stepping, trace recording, metrics, and independent re-verification."""
 
 import gc
+import math
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -117,7 +118,7 @@ class TestStep:
         scenario, trace, _, _ = benchmark_run
         # c is a single integrator under constant u_c: exact displacement
         u_c, _, _ = virtual_control([0.0, 0.0], 0.0, scenario)
-        np.testing.assert_allclose(trace.c[1], 1e-3 * u_c, rtol=1e-12)
+        np.testing.assert_allclose(trace.c[1], 1e-3 * np.asarray(u_c), rtol=1e-12)
         # x evolves under drift + disturbance only (u = 0 at zero error)
         np.testing.assert_allclose(trace.x[1], [0.4e-3, 5e-3], atol=1e-6)
         assert trace.t[1] == pytest.approx(1e-3)
@@ -230,8 +231,8 @@ class TestRun:
     def test_e_hat_is_the_recomputed_gap(self, benchmark_run):
         scenario, trace, _, _ = benchmark_run
         for k in range(len(trace)):
-            expected = float(np.linalg.norm(trace.x[k] - trace.c[k])) / scenario.r_c
-            assert trace.e_hat[k] == expected
+            expected = math.hypot(*(trace.x[k] - trace.c[k])) / scenario.r_c
+            assert abs(trace.e_hat[k] - expected) <= 2 * math.ulp(expected)
 
     def test_uncertified_qp_aborts_with_partial_trace(self, monkeypatch):
         monkeypatch.setattr(simulator, "virtual_control", uncertified_from(25, simulator.virtual_control))
