@@ -6,19 +6,28 @@ radius; the reach barrier measures containment in a ball whose radius
 shrinks affinely to force arrival at the horizon. Both report value,
 spatial gradient, and time partial so a QP row can be assembled from them.
 
-A step evaluates them on Python floats: obstacle paths return float
-sequences and the barriers take 2- and 3-vectors as sequences, where a numpy
-call costs more than its arithmetic. Obstacle.center, Obstacle.velocity and
-Obstacle.centers give numpy arrays for whole-trace work.
+eval_avoidance and eval_reach define the barriers on Python floats, one at a
+time. A step does not call them: compile_rows turns a scenario's barriers and
+class-K slopes into one straight-line function of (c, t) that performs the
+same operations in the same order, sums included (from 0, left to right),
+so its rows are bitwise theirs; the tests compare the two. A static or
+linear obstacle's path enters it as the float constants point and rate,
+a custom obstacle's as calls of its center_path and velocity_path.
+Obstacle.center, Obstacle.velocity and Obstacle.centers give numpy arrays
+for whole-trace work.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from operator import mul, sub
+from functools import reduce
+from operator import add, mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+
+from .exprs import straight_line, unpack
 
 STATIC = "static"
 LINEAR = "linear"
@@ -37,7 +46,8 @@ class Obstacle:
 
     center_path and velocity_path map a time to n floats. centers_path, when
     given, maps a 1-D array of times to the (len, n) array of centres, row k
-    bitwise equal to center_path(ts[k]).
+    bitwise equal to center_path(ts[k]). A static or linear obstacle also
+    holds its path as floats: centre point + rate * t.
     """
 
     center_path: Callable[[float], Sequence[float]]
@@ -46,12 +56,18 @@ class Obstacle:
     kind: str
     path_source: tuple[str, ...] | None = None
     centers_path: Callable[[np.ndarray], np.ndarray] | None = None
+    point: tuple[float, ...] = ()
+    rate: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.radius > 0:  # also rejects NaN
             raise ValueError(f"obstacle radius must be > 0, got {self.radius}")
+        if not math.isfinite(self.radius):
+            raise ValueError(f"obstacle radius must be finite, got {self.radius}")
         if self.kind not in (STATIC, LINEAR, CUSTOM):
             raise ValueError(f"unknown obstacle kind '{self.kind}'")
+        if self.kind != CUSTOM and not len(self.point) == len(self.rate) > 0:
+            raise ValueError(f"a {self.kind} obstacle needs its point and rate")
 
     @staticmethod
     def static(center, radius: float) -> "Obstacle":
@@ -63,6 +79,8 @@ class Obstacle:
             float(radius),
             STATIC,
             centers_path=lambda ts: np.broadcast_to(p0, (len(ts),) + p0.shape),
+            point=point,
+            rate=zero,
         )
 
     @staticmethod
@@ -78,6 +96,8 @@ class Obstacle:
             float(radius),
             LINEAR,
             centers_path=lambda ts: p0 + v * ts[:, None],
+            point=start,
+            rate=rate,
         )
 
     @staticmethod
@@ -123,8 +143,10 @@ class TargetSet:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "point", tuple(self.center.tolist()))
-        if self.radius <= 0:
+        if not self.radius > 0:  # also rejects NaN
             raise ValueError(f"target radius must be > 0, got {self.radius}")
+        if not all(map(math.isfinite, (*self.point, self.radius))):
+            raise ValueError(f"target center and radius must be finite, got {list(self.point)} and {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +162,10 @@ class ShrinkSchedule:
             raise ValueError(
                 f"need r_start >= r_end > 0, got ({self.r_start}, {self.r_end})"
             )
-        if self.t_f <= 0:
+        if not self.t_f > 0:  # also rejects NaN
             raise ValueError(f"horizon must be > 0, got {self.t_f}")
+        if not math.isfinite(self.r_start):
+            raise ValueError(f"r_start must be finite, got {self.r_start}")
 
     def radius_at(self, t: float) -> float:
         # Integrator endpoints and finite-difference probes graze the horizon;
@@ -172,9 +196,17 @@ class ClassKappa:
     def __post_init__(self):
         if not self.slope > 0:  # also rejects NaN
             raise ValueError(f"class-K slope must be > 0, got {self.slope}")
+        if not math.isfinite(self.slope):
+            raise ValueError(f"class-K slope must be finite, got {self.slope}")
 
     def __call__(self, h: float) -> float:
         return self.slope * h
+
+
+def _dot(a, b):
+    """0 + a0 b0 + a1 b1 + ..., left to right, the order the compiled rows use
+    (sum() compensates float sums from Python 3.12 on)."""
+    return reduce(add, map(mul, a, b), 0)
 
 
 def eval_avoidance(c, t: float, obstacle: Obstacle, r_c: float) -> BarrierEval:
@@ -183,12 +215,58 @@ def eval_avoidance(c, t: float, obstacle: Obstacle, r_c: float) -> BarrierEval:
         raise ValueError(f"confinement radius must be > 0, got {r_c}")
     delta = list(map(sub, c, obstacle.center_path(t)))
     inflated = obstacle.radius + r_c
-    value = sum(map(mul, delta, delta)) - inflated * inflated
-    return BarrierEval(value, [2.0 * d for d in delta], -2.0 * sum(map(mul, delta, obstacle.velocity_path(t))))
+    value = _dot(delta, delta) - inflated * inflated
+    return BarrierEval(value, [2.0 * d for d in delta], -2.0 * _dot(delta, obstacle.velocity_path(t)))
 
 
 def eval_reach(c, t: float, target_center, schedule: ShrinkSchedule) -> BarrierEval:
     """h = r_r(t)^2 - ||c - b_R||^2 for the shrinking containment ball."""
     delta = list(map(sub, c, target_center))
     r = schedule.radius_at(t)
-    return BarrierEval(r * r - sum(map(mul, delta, delta)), [-2.0 * d for d in delta], 2.0 * r * schedule.rate_of())
+    return BarrierEval(r * r - _dot(delta, delta), [-2.0 * d for d in delta], 2.0 * r * schedule.rate_of())
+
+
+def compile_rows(obstacles, r_c: float, target_point, schedule: ShrinkSchedule, slopes):
+    """rows(c, t) -> (A, b, h): the CBF rows of eval_avoidance per obstacle,
+    then eval_reach, with b_j = -slope_j h_j - dh_j/dt, as one straight-line
+    function over the n coordinates. Each value takes the operations of
+    those functions in their order; only products of scenario constants,
+    (r + r_c)^2 and -slope, are taken here, once. A static or linear
+    obstacle's centre is point + rate * t from its fields, a custom one calls
+    center_path and velocity_path once each."""
+    consts = []
+
+    def k(value) -> str:
+        consts.append(value)
+        return f"k{len(consts) - 1}"
+
+    n = len(target_point)
+    lines = [unpack((f"c{i}" for i in range(n)), "c")]
+    grads = []
+    for j, (obs, slope) in enumerate(zip(obstacles, slopes)):
+        if obs.kind == CUSTOM:
+            center, velocity = [f"p{i}" for i in range(n)], [f"w{i}" for i in range(n)]
+            lines += [unpack(center, f"{k(obs.center_path)}(t)"), unpack(velocity, f"{k(obs.velocity_path)}(t)")]
+        else:
+            if obs.kind == LINEAR:
+                center = [f"({k(p)} + {k(w)} * t)" for p, w in zip(obs.point, obs.rate)]
+            else:
+                center = [k(p) for p in obs.point]
+            velocity = [k(w) for w in obs.rate]
+        delta = [f"d{j}_{i}" for i in range(n)]
+        lines += [f"{d} = c{i} - {q}" for i, (d, q) in enumerate(zip(delta, center))]
+        inflated = obs.radius + r_c
+        lines.append(f"h{j} = 0{''.join(f' + {d} * {d}' for d in delta)} - {k(inflated * inflated)}")
+        lines.append(f"dt{j} = -2.0 * (0{''.join(f' + {d} * {w}' for d, w in zip(delta, velocity))})")
+        lines.append(f"b{j} = {k(-slope)} * h{j} - dt{j}")
+        grads.append(f"[{', '.join(f'2.0 * {d}' for d in delta)}]")
+    j = len(obstacles)
+    delta = [f"d{j}_{i}" for i in range(n)]
+    lines += [f"{d} = c{i} - {k(p)}" for i, (d, p) in enumerate(zip(delta, target_point))]
+    lines.append(f"r = {k(schedule.radius_at)}(t)")
+    lines.append(f"h{j} = r * r - (0{''.join(f' + {d} * {d}' for d in delta)})")
+    lines.append(f"dt{j} = 2.0 * r * {k(schedule.rate_of())}")
+    lines.append(f"b{j} = {k(-slopes[j])} * h{j} - dt{j}")
+    grads.append(f"[{', '.join(f'-2.0 * {d}' for d in delta)}]")
+    result = ", ".join(f"[{', '.join(f'{x}{i}' for i in range(j + 1))}]" for x in "bh")
+    return straight_line(("c", "t"), lines, f"[{', '.join(grads)}], {result}", consts)

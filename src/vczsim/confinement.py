@@ -40,8 +40,12 @@ class ConfinementLaw:
     def __post_init__(self):
         if self.gain == 0:
             raise ValueError("confinement gain must be nonzero")
-        if self.r_c <= 0:
+        if not math.isfinite(self.gain):
+            raise ValueError(f"confinement gain must be finite, got {self.gain}")
+        if not self.r_c > 0:  # also rejects NaN
             raise ValueError(f"confinement radius must be > 0, got {self.r_c}")
+        if not math.isfinite(self.r_c):
+            raise ValueError(f"confinement radius must be finite, got {self.r_c}")
         if not (0 < self.epsilon_sat < 1):
             raise ValueError(f"epsilon_sat must lie in (0, 1), got {self.epsilon_sat}")
 

@@ -17,6 +17,12 @@ alone: ``+`` applies ``math.fsum`` and ``sin``/``cos`` apply
 ``math.sin``/``math.cos`` element by element, and ``-`` and ``*`` are
 already exact elementwise. A subexpression without ``t`` stays a float, so
 the result may be a float for an array ``t``.
+
+``straight_line`` compiles generated code, for ``compile_exprs`` and for the
+step kernels of barriers.compile_rows and plant.compile_rk4. It is the
+package's only call of ``compile()``: the text it gets is made of generated
+names and fixed operator text, and every number and callable of the input
+reaches the code as a closure constant.
 """
 
 from __future__ import annotations
@@ -226,17 +232,32 @@ def compile_exprs(exprs, params):
             rhs = f" {tag} ".join(["1.0"] * (tag == "*") + args)
         else:
             rhs = f"{tag}({args[0]})"
-        lines.append(f"  v{len(lines)} = {rhs}\n")
+        lines.append(f"v{len(lines)} = {rhs}")
         return f"v{len(lines) - 1}"
 
     def out(item):
         return node(item) if isinstance(item, tuple) else f"({''.join(out(i) + ', ' for i in item)})"
 
-    result = out(exprs)
+    return straight_line(params, lines, out(exprs), consts)
+
+
+def unpack(names, value: str) -> str:
+    """The statement `n0, n1, ... = value`, which also unpacks one value."""
+    return f"{''.join(f'{name}, ' for name in names)}= {value}"
+
+
+def straight_line(params, lines, result, consts):
+    """fn(*params) that runs the statements `lines` and returns `result`,
+    with `consts` bound as the closure constants k0, k1, ... This is the
+    package's one call of compile(): callers build `lines` and `result` from
+    their own generated names and fixed operator text, never from input
+    text, and pass every input number and callable in `consts`. The code sees
+    no builtins, only fsum, sin and cos."""
+    body = "".join(f"  {line}\n" for line in lines)
     source = (f"def make({', '.join(f'k{i}' for i in range(len(consts)))}):\n"
-              f" def fn({', '.join(params)}):\n{''.join(lines)}  return {result}\n return fn\n")
+              f" def fn({', '.join(params)}):\n{body}  return {result}\n return fn\n")
     namespace = {"__builtins__": {}, "fsum": math.fsum, "sin": math.sin, "cos": math.cos}
-    exec(compile(source, "<expression>", "exec"), namespace)
+    exec(compile(source, "<generated>", "exec"), namespace)
     return namespace["make"](*consts)
 
 

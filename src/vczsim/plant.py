@@ -4,19 +4,23 @@ The controllers never see these maps; only the simulator evaluates them.
 Plants come from a small catalog or from expression trees in a scenario
 file, so custom instances run without code changes. The maps take and
 return Python floats (g as rows), which is what a step integrates on;
-whole-sample checks wrap them with numpy.
+whole-sample checks wrap them with numpy. plant_derivative defines
+f(x) + g(x) u + omega(t); a step does not call it but the plant's compiled
+RK4 step (compile_rk4), which forms each stage's derivative with the same
+operations in the same order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprs import ExprError, compile_exprs, expr_to_str, parse_expr
+from .exprs import ExprError, compile_exprs, expr_to_str, parse_expr, straight_line, unpack
 from .exprs import eval_expr  # noqa: F401  (bench/layers.py traces plant.eval_expr)
 
 POSITIVE_DEFINITE = "positive_definite"
@@ -64,13 +68,38 @@ class PlantModel:
 
 
 def plant_derivative(model: PlantModel, x, u, t: float) -> list[float]:
-    """f(x) + g(x) u + omega(t) for float sequences x and u of length n."""
+    """f(x) + g(x) u + omega(t) for float sequences x and u of length n; g(x) u
+    is summed from 0 left to right."""
     if len(x) != model.n or len(u) != model.n:
         raise ValueError(f"expected state and input of length {model.n}, got {len(x)} and {len(u)}")
     return [
-        f_i + sum(map(mul, g_i, u)) + w_i
+        f_i + reduce(add, map(mul, g_i, u), 0) + w_i
         for f_i, g_i, w_i in zip(model.drift(x), model.input_map(x), model.disturbance(t))
     ]
+
+
+def compile_rk4(model: PlantModel):
+    """rk4(x, u, t, dt) -> x after one classical RK4 step with u held, as one
+    straight-line function over the n coordinates: four stages, each calling
+    drift, input_map and disturbance once and forming plant_derivative's
+    f_i + (0 + g_i1 u_1 + ... + g_in u_n) + omega_i, combined as
+    x + dt/6 (k1 + 2 k2 + 2 k3 + k4) elementwise."""
+    n = model.n
+    xs, us = [f"x{i}" for i in range(n)], [f"u{j}" for j in range(n)]
+    g_rows = [f"({', '.join(f'g{i}_{j}' for j in range(n))},)" for i in range(n)]
+    lines = [unpack(xs, "x"), unpack(us, "u"), "half = 0.5 * dt", "mid = t + half", "end = t + dt"]
+    stages = (("x", "t", "half"), ("y", "mid", "half"), ("y", "mid", "dt"), ("y", "end", None))
+    for s, (state, time, step) in enumerate(stages):
+        lines += [unpack((f"f{i}" for i in range(n)), f"k0({state})"), unpack(g_rows, f"k1({state})"),
+                  unpack((f"w{i}" for i in range(n)), f"k2({time})")]
+        for i in range(n):
+            gu = "".join(f" + g{i}_{j} * {u}" for j, u in enumerate(us))
+            lines.append(f"s{s}_{i} = f{i} + (0{gu}) + w{i}")
+        if step is not None:
+            lines.append(f"y = [{', '.join(f'{x} + {step} * s{s}_{i}' for i, x in enumerate(xs))}]")
+    lines.append("sixth = dt / 6.0")
+    x_next = ", ".join(f"{x} + sixth * (s0_{i} + 2 * s1_{i} + 2 * s2_{i} + s3_{i})" for i, x in enumerate(xs))
+    return straight_line(("x", "u", "t", "dt"), lines, f"[{x_next}]", (model.drift, model.input_map, model.disturbance))
 
 
 def benchmark_plant() -> PlantModel:

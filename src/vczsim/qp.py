@@ -99,17 +99,24 @@ def _cost(shape: tuple[int, ...], H_data: bytes, F_data: bytes) -> QpCost:
 class QpProblem:
     """min 1/2 u'Hu + F'u  s.t.  A u >= b; H symmetric PD, inverted via its Cholesky factor.
 
-    The solver and the certificate read Python floats: `cost`, and A and b
-    as `rows` and `rhs`. H, F and H_inv are read-only arrays; the arrays A
-    and b are built on first use.
+    H may also be a QpCost already checked, such as a scenario's `qp_cost`,
+    with F None. The solver and the certificate read Python floats: `cost`,
+    and A and b as `rows` and `rhs`. H, F and H_inv are read-only arrays; the
+    arrays A and b are built on first use.
     """
 
     def __init__(self, H, F, A, b):
-        H = np.asarray(H, dtype=float)
-        if H.ndim != 2:
-            H = np.atleast_2d(H)
-        F = np.asarray(F, dtype=float).ravel()
-        self.cost = cost = _cost(H.shape, H.tobytes(), F.tobytes())
+        if isinstance(H, QpCost):
+            if F is not None:
+                raise QpInputError("F comes with the QpCost; pass None")
+            cost = H
+        else:
+            H = np.asarray(H, dtype=float)
+            if H.ndim != 2:
+                H = np.atleast_2d(H)
+            F = np.asarray(F, dtype=float).ravel()
+            cost = _cost(H.shape, H.tobytes(), F.tobytes())
+        self.cost = cost
         self.H, self.F, self.H_inv = cost.arrays
         m = len(cost.F)
         rows, b = [list(map(float, a)) for a in A], list(map(float, b))

@@ -8,15 +8,16 @@ check fails, because the verdict would be meaningless.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet
+from .barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, compile_rows
 from .confinement import ConfinementLaw
-from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, benchmark_plant, sign_class_margin
-from .qp import _cost
+from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, benchmark_plant, compile_rk4, sign_class_margin
+from .qp import QpCost, _cost
 
 DEFAULT_INVARIANCE_TOL = 1e-3
 DEFAULT_CLEARANCE_TOL = 1e-6
@@ -38,7 +39,9 @@ class ScenarioInvalidError(RuntimeError):
 @dataclass(frozen=True)
 class Scenario:
     """Complete problem instance plus solver and verdict tolerances; `slopes`
-    are the class-K slopes of `alphas` as floats."""
+    are the class-K slopes of `alphas` as floats and `qp_cost` the checked
+    QP cost of (qp_h, qp_f). The step kernels `rows_kernel` and `rk4_kernel`
+    are compiled on first use, so a scenario that is never run builds none."""
 
     plant: PlantModel
     obstacles: tuple[Obstacle, ...]
@@ -58,6 +61,7 @@ class Scenario:
     regularity_band: float = DEFAULT_REGULARITY_BAND
     u_c_ceiling: float = DEFAULT_UC_CEILING
     slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    qp_cost: QpCost = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
@@ -66,18 +70,23 @@ class Scenario:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "qp_h", np.asarray(self.qp_h, dtype=float))
         object.__setattr__(self, "qp_f", np.asarray(self.qp_f, dtype=float))
-        if self.r_c <= 0:
+        if not self.r_c > 0:  # also rejects NaN
             raise ValueError(f"r_c must be > 0, got {self.r_c}")
+        if not math.isfinite(self.r_c):
+            raise ValueError(f"r_c must be finite, got {self.r_c}")
         if not (0 < self.t_f < math.inf and 0 < self.dt < math.inf):
             raise ValueError(f"t_f and dt must be finite and > 0, got {self.t_f} and {self.dt}")
         n = self.plant.n
         if self.x0.shape != (n,):
             raise ValueError("initial state dimension disagrees with the plant")
+        if not np.isfinite(self.x0).all():
+            raise ValueError(f"x0 must be finite, got {self.x0.tolist()}")
         if self.qp_h.shape != (n, n):
             raise ValueError(f"qp_h must be {n}x{n}, got shape {self.qp_h.shape}")
         if self.qp_f.shape != (n,) or not np.isfinite(self.qp_f).all():
             raise ValueError(f"qp_f must be {n} finite values, got {self.qp_f.tolist()}")
-        _cost(self.qp_h.shape, self.qp_h.tobytes(), self.qp_f.tobytes())  # QpInputError unless H is PD
+        # QpInputError unless H is PD
+        object.__setattr__(self, "qp_cost", _cost(self.qp_h.shape, self.qp_h.tobytes(), self.qp_f.tobytes()))
         if len(self.alphas) != self.barrier_count:
             raise ValueError(
                 f"need {self.barrier_count} class-K slopes, got {len(self.alphas)}"
@@ -93,6 +102,16 @@ class Scenario:
     @property
     def n(self) -> int:
         return self.plant.n
+
+    @functools.cached_property
+    def rows_kernel(self):
+        """(c, t) -> (A, b, h), the CBF rows; see barriers.compile_rows."""
+        return compile_rows(self.obstacles, self.r_c, self.target.point, self.shrink, self.slopes)
+
+    @functools.cached_property
+    def rk4_kernel(self):
+        """(x, u, t, dt) -> x after one RK4 step of the plant; see plant.compile_rk4."""
+        return compile_rk4(self.plant)
 
     @property
     def barrier_count(self) -> int:

@@ -2,9 +2,11 @@
 
 Both controls are computed once per step and held constant (zero-order
 hold) while a classical fixed-step RK4 advances true state and center
-jointly. A step runs on Python floats: rows, QP, confinement law, RK4 and
-||x - c|| take 2- and 3-vectors as float sequences, where a numpy call costs
-more than its arithmetic. Every step is recorded into preallocated arrays;
+jointly. A step runs on Python floats: the scenario's compiled rows, the QP
+on its checked cost, the confinement law, the compiled RK4 step of the plant
+(plant.compile_rk4, bitwise the RK4 step through plant_derivative) with the
+centre's own update, and ||x - c||, on 2- and 3-vectors where a numpy call
+costs more than its arithmetic. Every step is recorded into preallocated arrays;
 metrics and the reach-avoid verdict are computed from the full-resolution
 trace, and verify_trace re-derives all safety claims from raw states rather than
 trusting logged values. Both work on whole-trace arrays: obstacle centres
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .confinement import confinement_control
-from .plant import plant_derivative
+from .plant import plant_derivative  # noqa: F401  (reference; bench/layers.py traces it here)
 from .qp import QpCertificationError
 from .scenario import (
     CheckResult,
@@ -119,17 +121,12 @@ def _step_schedule(t_f: float, dt: float) -> list[tuple[float, float]]:
 
 def _rk4(scenario: Scenario, x, c, u, u_c, t: float, dt: float):
     """One RK4 step of plant and centre on float lists, elementwise in the
-    operation order of x + dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
-    model = scenario.plant
-    half, sixth = 0.5 * dt, dt / 6.0
-    k1 = plant_derivative(model, x, u, t)
-    k2 = plant_derivative(model, [x_i + half * k for x_i, k in zip(x, k1)], u, t + half)
-    k3 = plant_derivative(model, [x_i + half * k for x_i, k in zip(x, k2)], u, t + half)
-    k4 = plant_derivative(model, [x_i + dt * k for x_i, k in zip(x, k3)], u, t + dt)
-    x_next = [x_i + sixth * (a + 2 * b + 2 * c + d) for x_i, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    operation order of x + dt/6 (k1 + 2 k2 + 2 k3 + k4); the plant's step is
+    the scenario's compiled rk4_kernel."""
+    sixth = dt / 6.0
     # The centre is a single integrator: every stage derivative is the held u_c.
     c_next = [c_i + sixth * (w + 2 * w + 2 * w + w) for c_i, w in zip(c, u_c)]
-    return x_next, c_next
+    return scenario.rk4_kernel(x, u, t, dt), c_next
 
 
 def _controls(t: float, c, e, gap: float, scenario: Scenario, hint=()):

@@ -74,8 +74,10 @@ def read_trace(path) -> SimTrace:
     n = sum(1 for name in header if name.startswith("x"))
     m = sum(1 for name in header if name.startswith("uc"))
     d = sum(1 for name in header if name.startswith("h") and name != "e_hat")
-    if not body or header != _header(n, m, d):
+    if not body:
         raise ValueError(f"no trace data in {path}")
+    if header != _header(n, m, d):
+        raise ValueError(f"{path}: unexpected header {','.join(header)}")
     width = len(header)
     if any(line.count(",") != width - 1 for line in body):
         raise ValueError(f"{path}: a row's width is not the header's {width} columns")

@@ -3,7 +3,10 @@
 The center is a single integrator, cdot = u_c, so each barrier h_j gives one
 linear row grad h_j' u_c >= -alpha_j(h_j) - dh_j/dt on the virtual input.
 Stacking all rows under a strictly convex cost yields the QP whose
-minimizer steers the center. Rows, the QP and its answer stay Python floats
+minimizer steers the center. The rows come from the scenario's compiled
+rows_kernel (barriers.compile_rows) and the QP is built on the scenario's
+checked cost, qp_cost, so a step neither re-evaluates barriers one call at a
+time nor re-checks the cost. Rows, the QP and its answer stay Python floats
 through a step: A by rows, b and h as float lists, u_c as a float tuple.
 """
 
@@ -13,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .barriers import eval_avoidance, eval_reach
+from .barriers import eval_avoidance, eval_reach  # noqa: F401  (references; bench/layers.py traces them here)
 from .qp import INFEASIBLE, KKT_TOL, QpProblem, QpSolution, _feasible_start, solve_qp
 
 if TYPE_CHECKING:
@@ -38,14 +41,11 @@ def assemble_rows(c, t: float, scenario: "Scenario") -> tuple[list[list[float]],
 
     Row j is barrier j: obstacles in declaration order, the reach barrier
     last. A[j] = grad h_j and b[j] = -alpha_j(h_j) - dh_j/dt, with the
-    class-K slopes of scenario.slopes. A comes by rows; all are floats.
+    class-K slopes of scenario.slopes. A comes by rows. The scenario's
+    compiled rows_kernel computes them, bitwise as eval_avoidance and
+    eval_reach would.
     """
-    r_c = scenario.r_c
-    evals = [eval_avoidance(c, t, obs, r_c) for obs in scenario.obstacles]
-    evals.append(eval_reach(c, t, scenario.target.point, scenario.shrink))
-    h, grads, dts = zip(*evals)
-    b = [-slope * h_j - dt_j for slope, h_j, dt_j in zip(scenario.slopes, h, dts)]
-    return list(grads), b, list(h)
+    return scenario.rows_kernel(c, t)
 
 
 def _conflicting_rows(problem: QpProblem) -> tuple[int, ...]:
@@ -71,7 +71,7 @@ def virtual_control(
     in row order, so callers need not evaluate the barriers again.
     """
     A, b, h = assemble_rows(c, t, scenario)
-    problem = QpProblem(scenario.qp_h, scenario.qp_f, A, b)
+    problem = QpProblem(scenario.qp_cost, None, A, b)
     solution = solve_qp(problem, hint=hint)
     if solution.status == INFEASIBLE:
         raise QpInfeasibleError(c, t, _conflicting_rows(problem))

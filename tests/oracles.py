@@ -10,6 +10,9 @@ own per-sample barrier evaluation, kept as the reference that recorded h
 and the whole-trace checks of verify_trace are compared against.
 interpreted_scenario rebuilds a scenario's expression fields on the
 reference interpreter, which the compiled fields must match bitwise.
+reference_rows and reference_rk4 are the generic step bodies that the
+scenario's compiled kernels replaced: rows assembled one barrier at a time
+from eval_avoidance and eval_reach, and RK4 through plant_derivative.
 reference_write_trace is the row-at-a-time trace writer, one `%` per float,
 whose bytes the chunked template writer must reproduce. reference_solve_qp is
 the all-numpy active-set enumeration (LAPACK Cholesky test and solve per
@@ -30,6 +33,7 @@ import numpy as np
 from vczsim.barriers import Obstacle, eval_avoidance, eval_reach
 from vczsim.confinement import ConfinementLaw
 from vczsim.exprs import eval_expr, parse_expr
+from vczsim.plant import plant_derivative
 from vczsim.qp import (
     DEGENERATE,
     INFEASIBLE,
@@ -115,6 +119,29 @@ def barrier_values(c, t: float, scenario) -> np.ndarray:
     evals = [eval_avoidance(c, t, obs, scenario.r_c) for obs in scenario.obstacles]
     evals.append(eval_reach(c, t, scenario.target.center, scenario.shrink))
     return np.array([ev.value for ev in evals])
+
+
+def reference_rows(c, t: float, scenario):
+    """(A, b, h) as assemble_rows defines them, one barrier evaluation per row."""
+    evals = [eval_avoidance(c, t, obs, scenario.r_c) for obs in scenario.obstacles]
+    evals.append(eval_reach(c, t, scenario.target.point, scenario.shrink))
+    h, grads, dts = zip(*evals)
+    b = [-slope * h_j - dt_j for slope, h_j, dt_j in zip(scenario.slopes, h, dts)]
+    return list(grads), b, list(h)
+
+
+def reference_rk4(scenario, x, c, u, u_c, t: float, dt: float):
+    """One RK4 step of plant and centre on float lists, elementwise in the
+    operation order of x + dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
+    model = scenario.plant
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1 = plant_derivative(model, x, u, t)
+    k2 = plant_derivative(model, [x_i + half * k for x_i, k in zip(x, k1)], u, t + half)
+    k3 = plant_derivative(model, [x_i + half * k for x_i, k in zip(x, k2)], u, t + half)
+    k4 = plant_derivative(model, [x_i + dt * k for x_i, k in zip(x, k3)], u, t + dt)
+    x_next = [x_i + sixth * (a + 2 * b + 2 * c + d) for x_i, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    c_next = [c_i + sixth * (w + 2 * w + 2 * w + w) for c_i, w in zip(c, u_c)]
+    return x_next, c_next
 
 
 def interpreted_scenario(scenario):

@@ -1,5 +1,6 @@
 """Barrier evaluations against hand arithmetic and finite differences."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -294,3 +295,33 @@ class TestObstacleCenters:
 def test_target_set_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         TargetSet([0.0, 0.0], -1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TargetSet([0.0, 0.0], math.nan),
+        lambda: TargetSet([0.0, 0.0], math.inf),
+        lambda: TargetSet([math.nan, 0.0], 1.0),
+        lambda: TargetSet([0.0, -math.inf], 1.0),
+        lambda: ShrinkSchedule(2.0, 1.0, math.nan),
+        lambda: ShrinkSchedule(math.nan, 1.0, 10.0),
+        lambda: ShrinkSchedule(math.inf, 1.0, 10.0),
+        lambda: ShrinkSchedule(2.0, math.nan, 10.0),
+        lambda: Obstacle.static([0.0, 0.0], math.inf),
+        lambda: ClassKappa(math.inf),
+    ],
+    ids=["target-radius-nan", "target-radius-inf", "target-center-nan", "target-center-inf",
+         "shrink-horizon-nan", "shrink-start-nan", "shrink-start-inf", "shrink-end-nan",
+         "obstacle-radius-inf", "slope-inf"],
+)
+def test_rejects_non_finite_geometry(make):
+    # The compiled rows take these numbers as constants, once per scenario.
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("kind", ["static", "linear"])
+def test_static_and_linear_obstacles_need_their_floats(kind):
+    with pytest.raises(ValueError, match="needs its point and rate"):
+        Obstacle(lambda t: (0.0, 0.0), lambda t: (0.0, 0.0), 1.0, kind)

@@ -252,8 +252,9 @@ class TestPlotCommand:
             lambda rows: rows[:5] + [rows[5] + ",0"] + rows[6:],  # one cell too many
             lambda rows: rows[:5] + [rows[5].split(",", 1)[1]] + rows[6:],  # one cell short
             lambda rows: rows[:5] + ["abc" + rows[5][rows[5].index(","):]] + rows[6:],  # not a number
+            lambda rows: [rows[0].replace("qp_kkt", "qp_kkt2")] + rows[1:],  # a column renamed
         ],
-        ids=["header_only", "extra_cell", "missing_cell", "non_numeric"],
+        ids=["header_only", "extra_cell", "missing_cell", "non_numeric", "renamed_column"],
     )
     def test_malformed_trace_exits_two(self, tmp_path, edit, capsys):
         out_dir = tmp_path / "out"

@@ -140,6 +140,15 @@ class TestLawValidation:
         with pytest.raises(ValueError):
             ConfinementLaw(gain=0.0, r_c=0.5)
 
+    @pytest.mark.parametrize(
+        "gain, r_c",
+        [(math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (1.0, math.nan), (1.0, math.inf)],
+        ids=["gain-nan", "gain-inf", "gain-minus-inf", "radius-nan", "radius-inf"],
+    )
+    def test_rejects_non_finite_gain_or_radius(self, gain, r_c):
+        with pytest.raises(ValueError):
+            ConfinementLaw(gain, r_c)
+
     def test_rejects_bad_radius_or_clamp(self):
         with pytest.raises(ValueError):
             ConfinementLaw(gain=1.0, r_c=0.0)

@@ -31,6 +31,9 @@ from vczsim.qp import (
     check_kkt,
     solve_qp,
 )
+from vczsim import qp
+from vczsim.scenario import benchmark_scenario
+from vczsim.simulator import run
 from vczsim.virtual import assemble_rows
 
 
@@ -294,6 +297,29 @@ class TestCostFactor:
         with pytest.raises(ValueError):
             problem.H_inv[0, 0] = 2.0
         assert QpProblem(np.eye(2), np.zeros(2), np.zeros((0, 2)), []).H_inv is problem.H_inv
+
+    def test_a_checked_cost_stands_in_for_h_and_f(self):
+        by_arrays = QpProblem(np.diag([2.0, 1.0]), [1.0, -1.0], [[1.0, 0.5]], [0.3])
+        by_cost = QpProblem(by_arrays.cost, None, [[1.0, 0.5]], [0.3])
+        assert by_cost.cost is by_arrays.cost
+        assert solve_qp(by_cost) == solve_qp(by_arrays)
+        with pytest.raises(QpInputError, match="comes with the QpCost"):
+            QpProblem(by_arrays.cost, [1.0, -1.0], [[1.0, 0.5]], [0.3])
+        with pytest.raises(QpInputError, match="2 columns"):
+            QpProblem(by_arrays.cost, None, [[1.0]], [0.3])
+
+    def test_a_run_checks_its_cost_once_when_the_scenario_is_built(self, monkeypatch):
+        scenario = benchmark_scenario(dt=0.05)
+        calls = []
+        real = qp._cost
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(qp, "_cost", counted)
+        run(scenario, check=False)
+        assert calls == []
 
 
 class TestWarmStart:

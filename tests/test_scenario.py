@@ -175,6 +175,15 @@ class TestScenarioConstruction:
         with pytest.raises(ValueError):
             replace(BENCH, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("r_c", math.nan), ("r_c", math.inf), ("x0", [math.nan, 0.0]), ("x0", [0.0, math.inf])],
+        ids=["r_c-nan", "r_c-inf", "x0-nan", "x0-inf"],
+    )
+    def test_rejects_non_finite_radius_or_start(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            replace(BENCH, **{field: value})
+
     def test_with_overrides_keeps_shrink_consistent(self):
         shorter = BENCH.with_overrides(t_f=5.0)
         assert shorter.shrink.t_f == 5.0

@@ -330,17 +330,17 @@ class TestBarrierPass:
     def test_each_barrier_evaluated_once_per_step(self, monkeypatch):
         scenario = parse_scenario(PATH_OBSTACLE_TEXT)
         assert scenario.obstacles[0].kind == "custom"
-        calls = {"eval_avoidance": 0, "eval_reach": 0}
-        for name in calls:
-            real = getattr(virtual, name)
+        # The compiled rows evaluate every barrier; one row assembly per step.
+        calls = []
+        real = virtual.assemble_rows
 
-            def counted(*args, _name=name, _real=real):
-                calls[_name] += 1
-                return _real(*args)
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
 
-            monkeypatch.setattr(virtual, name, counted)
+        monkeypatch.setattr(virtual, "assemble_rows", counted)
         trace, _ = run(scenario)
-        assert calls == {"eval_avoidance": len(trace), "eval_reach": len(trace)}
+        assert len(calls) == len(trace)
         monkeypatch.undo()
         for k in range(len(trace)):
             assert np.array_equal(trace.h[k], barrier_values(trace.c[k], trace.t[k], scenario))
@@ -448,7 +448,9 @@ class TestVerifyTrace:
     def test_runs_no_controller_barrier_code(self, path_run, monkeypatch):
         scenario, trace = path_run
         calls = []
-        for owner, name in ((virtual, "eval_avoidance"), (virtual, "eval_reach"), (oracles, "barrier_values")):
+        for owner, name in (
+            (virtual, "assemble_rows"), (virtual, "eval_avoidance"), (virtual, "eval_reach"), (oracles, "barrier_values")
+        ):
             monkeypatch.setattr(owner, name, lambda *args, _name=name: calls.append(_name))
         assert verify_trace(trace, scenario).all_passed
         assert calls == []

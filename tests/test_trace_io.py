@@ -4,6 +4,7 @@ reference, and exact read-back of every float, including the special ones."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_write_trace
@@ -88,3 +89,15 @@ def test_read_back_is_bitwise(tmp_path_factory, trace):
     assert (loaded.scenario_hash, loaded.dt, loaded.version) == (
         trace.scenario_hash, trace.dt, trace.version
     )
+
+
+def test_renamed_column_is_named_as_a_bad_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(make_trace(2, 3, 10, seed=5), path)
+    text = path.read_text()
+    path.write_text(text.replace(",qp_kkt\n", ",qp_kkx\n", 1))
+    with pytest.raises(ValueError, match="unexpected header .*,qp_kkx$"):
+        read_trace(path)
+    path.write_text("\n".join(text.splitlines()[:4]) + "\n")  # header, no rows
+    with pytest.raises(ValueError, match="no trace data"):
+        read_trace(path)
