@@ -23,7 +23,7 @@ from .confinement import (
     confinement_control,
     zeta,
 )
-from .plant import PlantModel, benchmark_plant, integrator_plant, plant_derivative
+from .plant import PlantModel, plant_derivative
 from .qp import (
     QpInputError,
     QpProblem,
@@ -36,12 +36,12 @@ from .scenario import (
     Scenario,
     ScenarioInvalidError,
     ValidationReport,
-    benchmark_scenario,
     uniform_alphas,
     validate,
 )
 from .scenario_io import (
     ScenarioParseError,
+    benchmark_scenario,
     load_scenario,
     parse_scenario,
     scenario_hash,

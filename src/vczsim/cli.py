@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .randomized import run_campaign
 from .scenario import Scenario, validate
-from .scenario_io import ScenarioParseError, load_scenario, scenario_hash
+from .scenario_io import ScenarioParseError, benchmark_scenario, load_scenario, scenario_hash
 from .simulator import SimulationAbort, run, verify_trace
 from .svgplot import render_figure
 from .trace_io import read_trace, write_trace
@@ -54,12 +53,7 @@ def _finite_times(text: str) -> list[float]:
 
 
 def _load(path: str) -> Scenario:
-    if path == "benchmark":
-        text = resources.files("vczsim.data").joinpath("benchmark.scn").read_text()
-        from .scenario_io import parse_scenario
-
-        return parse_scenario(text)
-    return load_scenario(path)
+    return benchmark_scenario() if path == "benchmark" else load_scenario(path)
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:

@@ -1,9 +1,10 @@
 """True-plant models for simulation.
 
 The controllers never see these maps; only the simulator evaluates them.
-Plants come from a small catalog or from expression trees in a scenario
-file, so custom instances run without code changes. The maps take and
-return Python floats (g as rows), which is what a step integrates on;
+Every plant the package builds is compiled expression trees (tree_plant):
+CATALOG plants are expression text, and random plants carry their drawn
+numbers as literals. f and g take the state sequence, omega the time; each
+returns Python floats (g as rows), which is what a step integrates on;
 whole-sample checks wrap them with numpy. plant_derivative defines
 f(x) + g(x) u + omega(t); a step does not call it but the plant's compiled
 RK4 step (compile_rk4), which forms each stage's derivative with the same
@@ -13,20 +14,43 @@ operations in the same order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add, mul
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exprs import ExprError, compile_exprs, expr_to_str, parse_expr, straight_line, unpack
+from .exprs import (
+    ExprError,
+    compile_exprs,
+    expr_to_str,
+    parse_expr,
+    parse_expr_rows,
+    parse_expr_sequence,
+    straight_line,
+    unpack,
+)
 from .exprs import eval_expr  # noqa: F401  (bench/layers.py traces plant.eval_expr)
 
 POSITIVE_DEFINITE = "positive_definite"
 NEGATIVE_DEFINITE = "negative_definite"
 
-CATALOG = ("benchmark", "integrator")
+
+def _integrator_text(n: int) -> tuple[str, str, str]:
+    """Single integrator xdot = u in n dimensions: zero f and omega, identity g."""
+    zeros = " ".join(["0.0"] * n)
+    g = " ; ".join(" ".join("1.0" if i == j else "0.0" for j in range(n)) for i in range(n))
+    return zeros, g, zeros
+
+
+# Catalog plants as (f, g, omega) expression text, rows of g separated by ';',
+# or a function of the state dimension n that gives it.
+CATALOG = {
+    "benchmark": ("(* 5.0 (sin (* x1 x2))) (* 5.0 (cos (* x1 x2)))", "0.8 0.0 ; 0.0 0.5",
+                  "(* 0.4 (cos t)) (* 0.4 (sin t))"),
+    "integrator": _integrator_text,
+}
 
 
 class PlantSpecError(ValueError):
@@ -102,43 +126,15 @@ def compile_rk4(model: PlantModel):
     return straight_line(("x", "u", "t", "dt"), lines, f"[{x_next}]", (model.drift, model.input_map, model.disturbance))
 
 
-def benchmark_plant() -> PlantModel:
-    """2-D plant with trigonometric drift, diagonal input map, rotating disturbance."""
-
-    def drift(x):
-        p = x[0] * x[1]
-        return (5.0 * math.sin(p), 5.0 * math.cos(p))
-
-    g = ((0.8, 0.0), (0.0, 0.5))
-
-    def disturbance(t):
-        return (0.4 * math.cos(t), 0.4 * math.sin(t))
-
-    return PlantModel(
-        drift, lambda x: g, disturbance, POSITIVE_DEFINITE, 2, ("catalog", "benchmark")
-    )
-
-
-def integrator_plant(n: int = 2) -> PlantModel:
-    """Single integrator xdot = u."""
-    zero = (0.0,) * n
-    ident = tuple(map(tuple, np.eye(n).tolist()))
-    return PlantModel(
-        lambda x: zero,
-        lambda x: ident,
-        lambda t: zero,
-        POSITIVE_DEFINITE,
-        n,
-        ("catalog", "integrator"),
-    )
-
-
 def catalog_plant(name: str, n: int = 2) -> PlantModel:
-    if name == "benchmark":
-        return benchmark_plant()
-    if name == "integrator":
-        return integrator_plant(n)
-    raise ValueError(f"unknown catalog plant '{name}' (have {CATALOG})")
+    """The tree plant of CATALOG's text for `name` (n: the integrator's
+    dimension), described as ("catalog", name)."""
+    if name not in CATALOG:
+        raise ValueError(f"unknown catalog plant '{name}' (have {tuple(CATALOG)})")
+    text = CATALOG[name]
+    f, g, omega = text(n) if callable(text) else text
+    plant = tree_plant(parse_expr_sequence(f), parse_expr_rows(g), parse_expr_sequence(omega), POSITIVE_DEFINITE)
+    return replace(plant, descriptor=("catalog", name))
 
 
 def expression_plant(f_sources, g_sources, omega_sources, sign_class: str) -> PlantModel:
@@ -148,7 +144,8 @@ def expression_plant(f_sources, g_sources, omega_sources, sign_class: str) -> Pl
 
 
 def tree_plant(f_exprs, g_exprs, omega_exprs, sign_class: str) -> PlantModel:
-    """Plant from parsed trees: n in x1..xn (f), n rows of n in x1..xn (g), n in t (omega)."""
+    """Plant from parsed trees: n in x1..xn (f), n rows of n in x1..xn (g), n in
+    t (omega). f and g are compiled to take the state sequence itself."""
     n = len(f_exprs)
     if len(g_exprs) != n or any(len(row) != n for row in g_exprs):
         raise PlantSpecError(f"input map must be {n}x{n}", "g")
@@ -158,17 +155,16 @@ def tree_plant(f_exprs, g_exprs, omega_exprs, sign_class: str) -> PlantModel:
     fns = []
     for field, exprs, params in (("f", f_exprs, xs), ("g", g_exprs, xs), ("omega", omega_exprs, ("t",))):
         try:
-            fns.append(compile_exprs(exprs, params))
+            fns.append(compile_exprs(exprs, params, packed=field != "omega"))
         except ExprError as exc:
             raise PlantSpecError(f"plant {field} {exc}", field) from None
-    f_fn, g_fn, omega_fn = fns
     descriptor = (
         "exprs",
         tuple(expr_to_str(e) for e in f_exprs),
         tuple(tuple(expr_to_str(e) for e in row) for row in g_exprs),
         tuple(expr_to_str(e) for e in omega_exprs),
     )
-    return PlantModel(lambda x: f_fn(*x), lambda x: g_fn(*x), omega_fn, sign_class, n, descriptor)
+    return PlantModel(*fns, sign_class, n, descriptor)
 
 
 def sign_class_margin(model: PlantModel, box_lo, box_hi, samples: int, seed: int) -> float:

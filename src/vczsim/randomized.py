@@ -1,7 +1,9 @@
 """Seed-reproducible randomized scenarios for the invariance campaign.
 
 Scenarios are rejection-sampled in a [0, 12]^2 workspace until validation
-passes, then run end to end. Runs that abort on an infeasible CBF-QP are
+passes, then run end to end. A random plant is an expression plant with its
+drawn numbers as exact literals, so every campaign scenario serializes and
+its file reproduces the run. Runs that abort on an infeasible CBF-QP are
 excluded from the invariance statistic and counted instead; feasibility
 mid-run is an assumption, not something the generator can guarantee. Runs
 that abort on a QP the solver could not certify are counted too, and stay in
@@ -20,7 +22,7 @@ import numpy.random
 
 from .barriers import Obstacle, ShrinkSchedule, TargetSet
 from .confinement import ConfinementLaw
-from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel
+from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, expression_plant
 from .scenario import Scenario, uniform_alphas, validate
 from .simulator import BREACH, QP_INFEASIBLE, QP_UNCERTIFIED, SimulationAbort, run
 
@@ -28,22 +30,21 @@ WORKSPACE = (0.0, 12.0)
 
 
 def _random_plant(rng: np.random.Generator) -> PlantModel:
+    """A 2-D expression plant whose drawn numbers appear as exact literals."""
     amp = float(rng.uniform(0.0, 3.0))
     w1, w2 = rng.uniform(0.3, 1.5, size=2).tolist()
     g_diag = rng.uniform(0.5, 1.0, size=2)
     negative = bool(rng.random() < 0.25)
-    g = tuple(map(tuple, np.diag(-g_diag if negative else g_diag).tolist()))
+    g1, g2 = (-g_diag if negative else g_diag).tolist()
     omega_amp = float(rng.uniform(0.0, 0.4))
     nu = float(rng.uniform(0.5, 2.0))
-
-    def drift(x, _a=amp, _w1=w1, _w2=w2):
-        return (_a * math.sin(_w1 * x[0] * x[1]), _a * math.cos(_w2 * (x[0] + x[1])))
-
-    def disturbance(t, _a=omega_amp, _nu=nu):
-        return (_a * math.cos(_nu * t), _a * math.sin(_nu * t))
-
-    sign = NEGATIVE_DEFINITE if negative else POSITIVE_DEFINITE
-    return PlantModel(drift, lambda x: g, disturbance, sign, 2)
+    a, w1, w2, g1, g2, oa, nu = map(repr, (amp, w1, w2, g1, g2, omega_amp, nu))
+    return expression_plant(
+        [f"(* {a} (sin (* {w1} x1 x2)))", f"(* {a} (cos (* {w2} (+ x1 x2))))"],
+        [[g1, "0.0"], ["0.0", g2]],
+        [f"(* {oa} (cos (* {nu} t)))", f"(* {oa} (sin (* {nu} t)))"],
+        NEGATIVE_DEFINITE if negative else POSITIVE_DEFINITE,
+    )
 
 
 def _target_clear_throughout(obstacles, b_target, r_target, r_c, t_f, samples: int = 64) -> bool:

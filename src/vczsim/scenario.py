@@ -3,7 +3,8 @@
 A scenario bundles the plant, the obstacle field, the target, the
 confinement geometry, and all controller settings. validate() machine-checks
 the assumptions the guarantees rest on; a run is refused if any mandatory
-check fails, because the verdict would be meaningless.
+check fails, because the verdict would be meaningless. The bundled
+benchmark is defined only by data/benchmark.scn (scenario_io.benchmark_scenario).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, compile_rows
 from .confinement import ConfinementLaw
-from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, benchmark_plant, compile_rk4, sign_class_margin
+from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, compile_rk4, sign_class_margin
 from .qp import QpCost, _cost
 
 DEFAULT_INVARIANCE_TOL = 1e-3
@@ -242,26 +243,3 @@ def validate(scenario: Scenario, time_samples: int = 1001) -> ValidationReport:
 
     return ValidationReport(tuple(checks))
 
-
-def benchmark_scenario(dt: float = 1e-3) -> Scenario:
-    """Bundled benchmark: unknown-drift 2-D plant, one static and one moving
-    obstacle, target ball of radius 1.1 at [10, 10], horizon 10 s."""
-    obstacles = (
-        Obstacle.static([1.5, 2.0], 0.5),
-        Obstacle.linear([5.0, 5.0], [0.4, -0.4], 1.5),
-    )
-    return Scenario(
-        plant=benchmark_plant(),
-        obstacles=obstacles,
-        target=TargetSet(np.array([10.0, 10.0]), 1.1),
-        r_c=0.5,
-        t_f=10.0,
-        x0=np.zeros(2),
-        shrink=ShrinkSchedule(15.0, 0.5, 10.0),
-        alphas=uniform_alphas(3),
-        qp_h=np.eye(2),
-        qp_f=np.zeros(2),
-        confinement=ConfinementLaw(gain=10.0, r_c=0.5),
-        dt=dt,
-        seed=0,
-    )

@@ -1,9 +1,10 @@
 """Line-oriented scenario file format.
 
-Sections are bracketed headers; entries are ``key = value`` lines. Repeating
-the ``[obstacle]`` section declares the obstacle list in order. Vector
-values are whitespace-separated; matrix values separate rows with ``;``.
-Plant maps and obstacle paths may be prefix expressions (see exprs).
+Sections are bracketed headers; entries are ``key = value`` lines, and a key
+the section does not read is an error. Repeating the ``[obstacle]`` section
+declares the obstacle list in order. Vector values are whitespace-separated;
+matrix values separate rows with ``;``. Plant maps and obstacle paths may be
+prefix expressions (see exprs).
 
 Serialization is canonical: parsing a file and serializing the result is a
 fixed point, which is what the scenario hash is computed from.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+from importlib import resources
 
 import numpy as np
 
@@ -22,17 +24,24 @@ from .exprs import ExprError, compile_exprs, eval_expr, expr_to_str, parse_expr_
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantSpecError, catalog_plant, tree_plant
 from .scenario import Scenario
 
-_SECTIONS = (
-    "plant",
-    "obstacle",
-    "target",
-    "vcz",
-    "horizon",
-    "shrink",
-    "controller",
-    "initial_state",
-    "run",
-)
+# Each section with the keys the parser reads from it.
+_SECTIONS = {
+    "plant": ("catalog", "f", "g", "omega", "sign_class"),
+    "obstacle": ("center", "velocity", "path", "radius"),
+    "target": ("center", "radius"),
+    "vcz": ("r_c",),
+    "horizon": ("t_f", "dt"),
+    "shrink": ("r_start", "r_end"),
+    "controller": ("gain", "alpha", "epsilon_sat", "qp_h", "qp_f"),
+    "initial_state": ("x0",),
+    "run": ("seed",),
+}
+# Keys that replace others in their section: a catalog plant has no maps of
+# its own, and an obstacle on a path has no fixed centre or velocity.
+_EXCLUSIVE = {
+    "plant": ("catalog", ("f", "g", "omega", "sign_class")),
+    "obstacle": ("path", ("center", "velocity")),
+}
 
 
 class ScenarioParseError(ValueError):
@@ -80,9 +89,16 @@ def _split_sections(text: str):
         if not sep:
             raise ScenarioParseError("expected 'key = value'", lineno)
         key = key.strip()
+        if key not in _SECTIONS[current[0]]:
+            raise ScenarioParseError(f"unknown key in section [{current[0]}]", lineno, key)
         if key in current[1]:
             raise ScenarioParseError("duplicate key", lineno, key)
         current[1][key] = _Entry(value.strip(), lineno)
+    for name, body in sections:
+        lead, others = _EXCLUSIVE.get(name, ("", ()))
+        for key in others:
+            if lead in body and key in body:
+                raise ScenarioParseError(f"'{lead}' excludes '{key}' in section [{name}]", body[key].line, key)
     return sections
 
 
@@ -279,6 +295,14 @@ def parse_scenario(text: str) -> Scenario:
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
         return parse_scenario(fh.read())
+
+
+def benchmark_scenario(dt: float = 1e-3) -> Scenario:
+    """The bundled benchmark, data/benchmark.scn, at step dt: unknown-drift 2-D
+    plant, one static and one moving obstacle, target ball of radius 1.1 at
+    [10, 10], horizon 10 s."""
+    text = resources.files("vczsim.data").joinpath("benchmark.scn").read_text()
+    return parse_scenario(text).with_overrides(dt=dt)
 
 
 class SerializationError(ValueError):

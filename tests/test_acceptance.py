@@ -16,7 +16,7 @@ from vczsim.barriers import eval_avoidance, eval_reach
 from vczsim.confinement import ConfinementLaw, confinement_control
 from vczsim.qp import solve_qp
 from vczsim.randomized import run_campaign
-from vczsim.scenario import benchmark_scenario
+from vczsim.scenario_io import benchmark_scenario
 
 
 def report(name: str, ok: bool, detail: str) -> None:

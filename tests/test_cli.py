@@ -107,6 +107,16 @@ class TestValidateCommand:
         assert where in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unknown_key_is_parse_error(self, tmp_path, capsys, command):
+        # A misspelt velocity once turned the moving obstacle into a static one.
+        path = tmp_path / "bad.scn"
+        path.write_text(bundled_benchmark_text().replace("velocity = 0.4 -0.4", "velocty = 0.4 -0.4"))
+        out_args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path)] + out_args) == EXIT_PARSE
+        assert "line 13, key 'velocty'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--dt", "nan"), ("--tf", "inf")])
     def test_bad_override_is_parse_error(self, tmp_path, capsys, command, flag, value):
         out_args = ["--out", str(tmp_path / "out")] if command == "run" else []

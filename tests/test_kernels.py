@@ -17,9 +17,9 @@ from oracles import reference_rk4, reference_rows
 from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, TimeDomainError
 from vczsim.confinement import ConfinementLaw
 from vczsim.exprs import compile_exprs, parse_expr
-from vczsim.plant import POSITIVE_DEFINITE, PlantModel, benchmark_plant, expression_plant, integrator_plant
-from vczsim.scenario import Scenario, benchmark_scenario, validate
-from vczsim.scenario_io import load_scenario
+from vczsim.plant import POSITIVE_DEFINITE, PlantModel, catalog_plant, expression_plant
+from vczsim.scenario import Scenario, validate
+from vczsim.scenario_io import benchmark_scenario, load_scenario
 from vczsim.simulator import _rk4, run
 from vczsim.virtual import assemble_rows
 
@@ -83,7 +83,7 @@ def rows_cases(draw):
     slopes = draw(st.lists(st.floats(0.01, 10.0), min_size=len(obs) + 1, max_size=len(obs) + 1))
     target = draw(st.lists(COORD, min_size=n, max_size=n))
     r_c = draw(st.floats(0.01, 1.0))
-    scenario = scenario_of(integrator_plant(n), obs, t_f, slopes, r_c, target, shrink)
+    scenario = scenario_of(catalog_plant("integrator", n), obs, t_f, slopes, r_c, target, shrink)
     c = draw(st.lists(COORD, min_size=n, max_size=n))
     t = draw(st.one_of(st.floats(0.0, t_f), st.sampled_from([0.0, t_f])))
     return scenario, c, t
@@ -100,7 +100,7 @@ def test_rows_kernel_sees_obstacles_exactly_on_the_centre():
     # c equal to an obstacle centre gives delta = 0.0 and -0.0 terms; the
     # static time partial is computed, not folded, so the zero signs match.
     obstacles = [Obstacle.static([-0.0, 1.0], 0.5), Obstacle.linear([0.0, -0.0], [-0.0, 0.0], 0.5)]
-    scenario = scenario_of(integrator_plant(2), obstacles)
+    scenario = scenario_of(catalog_plant("integrator", 2), obstacles)
     for c in ([-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]):
         assert bits(assemble_rows(c, 0.0, scenario)) == bits(reference_rows(c, 0.0, scenario))
 
@@ -139,8 +139,8 @@ def rk4_cases(draw):
     plant = {
         "expressions": lambda: _expression_plant(n, coeffs),
         "arrays": lambda: _array_plant(n, coeffs),
-        "integrator": lambda: integrator_plant(n),
-        "benchmark": benchmark_plant,
+        "integrator": lambda: catalog_plant("integrator", n),
+        "benchmark": lambda: catalog_plant("benchmark"),
     }[kind]()
     vectors = st.lists(COORD, min_size=n, max_size=n)
     x, c, u, u_c = (draw(vectors) for _ in range(4))

@@ -32,7 +32,7 @@ from vczsim.qp import (
     solve_qp,
 )
 from vczsim import qp
-from vczsim.scenario import benchmark_scenario
+from vczsim.scenario_io import benchmark_scenario
 from vczsim.simulator import run
 from vczsim.virtual import assemble_rows
 

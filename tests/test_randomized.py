@@ -11,7 +11,7 @@ from vczsim.randomized import WORKSPACE, CampaignRun, CampaignSummary, random_sc
 from vczsim.simulator import QP_INFEASIBLE, QP_UNCERTIFIED, SimulationAbort, run
 from vczsim.virtual import QpInfeasibleError
 from vczsim.scenario import validate
-from vczsim.scenario_io import scenario_hash
+from vczsim.scenario_io import parse_scenario, scenario_hash, serialize_scenario
 
 
 def test_same_seed_same_scenario():
@@ -69,6 +69,39 @@ def test_seed_2026_aborts_on_the_same_rows():
     assert len(abort.trace) == 1120
     assert isinstance(abort.__cause__, QpInfeasibleError)
     assert abort.__cause__.conflicting == (0, 2, 3)
+
+
+def _run_to_end(scenario):
+    """(trace, abort or None) of a run."""
+    try:
+        return run(scenario, check=False)[0], None
+    except SimulationAbort as abort:
+        return abort.trace, abort
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [(2024, "5a5305e8777e0f83"), (2025, "685eb982244442bc"), (2026, "02a834932c137243"), (2027, "a412ca74985ac196")],
+)
+def test_campaign_scenario_round_trips_through_its_file(seed, digest):
+    # A random plant is expression trees with its drawn numbers as exact
+    # literals, so its scenario serializes, and the file reproduces the run.
+    scenario = random_scenario(seed)
+    text = serialize_scenario(scenario)
+    reparsed = parse_scenario(text)
+    assert serialize_scenario(reparsed) == text
+    assert scenario_hash(scenario) == scenario_hash(reparsed) == digest
+    (trace, abort), (again, abort_again) = _run_to_end(scenario), _run_to_end(reparsed)
+    for name in ("t", "x", "c", "u", "u_c", "h", "e_hat", "qp_kkt"):
+        assert getattr(trace, name).tobytes() == getattr(again, name).tobytes(), name
+    assert trace.qp_status == again.qp_status and trace.scenario_hash == again.scenario_hash
+    if seed == 2026:
+        for stop in (abort, abort_again):
+            assert stop.reason == QP_INFEASIBLE
+            assert stop.t == pytest.approx(2.8, abs=1e-9)
+            assert stop.__cause__.conflicting == (0, 2, 3)
+    else:
+        assert abort is None and abort_again is None
 
 
 def test_uncertified_seed_is_counted_and_the_others_kept(monkeypatch):

@@ -9,13 +9,13 @@ import pytest
 from oracles import sphere_sample
 from vczsim.barriers import Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
-from vczsim.plant import integrator_plant
+from vczsim.plant import catalog_plant
 from vczsim.scenario import (
     Scenario,
-    benchmark_scenario,
     uniform_alphas,
     validate,
 )
+from vczsim.scenario_io import benchmark_scenario
 
 BENCH = benchmark_scenario()
 
@@ -56,7 +56,7 @@ def simple_scenario(obstacles, x0=(0.0, 0.0), r_c=0.5, target=None, shrink=None)
     target = target or TargetSet([10.0, 10.0], 1.1)
     shrink = shrink or ShrinkSchedule(max(15.0, float(np.linalg.norm(np.asarray(x0) - target.center)) + 1), 0.5, 10.0)
     return Scenario(
-        plant=integrator_plant(2),
+        plant=catalog_plant("integrator", 2),
         obstacles=tuple(obstacles),
         target=target,
         r_c=r_c,

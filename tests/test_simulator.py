@@ -15,15 +15,14 @@ from oracles import barrier_values
 from vczsim import exprs, plant, qp, scenario_io, simulator, virtual
 from vczsim.barriers import Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
-from vczsim.plant import benchmark_plant, integrator_plant
+from vczsim.plant import catalog_plant
 from vczsim.scenario import (
     Scenario,
     ScenarioInvalidError,
-    benchmark_scenario,
     uniform_alphas,
     validate,
 )
-from vczsim.scenario_io import load_scenario, parse_scenario
+from vczsim.scenario_io import benchmark_scenario, load_scenario, parse_scenario
 from vczsim.simulator import (
     BREACH,
     QP_INFEASIBLE,
@@ -81,7 +80,7 @@ def head(trace, k):
 def quiet_scenario(**overrides):
     """Obstacle-free integrator scenario whose reach row stays inactive."""
     base = Scenario(
-        plant=integrator_plant(2),
+        plant=catalog_plant("integrator", 2),
         obstacles=(),
         target=TargetSet([0.0, 0.0], 1.1),
         r_c=0.1,
@@ -247,7 +246,7 @@ class TestRun:
     def test_qp_infeasible_aborts_with_partial_trace(self):
         # an obstacle dead ahead of a fast-shrinking ball pinches the center
         squeeze = Scenario(
-            plant=integrator_plant(2),
+            plant=catalog_plant("integrator", 2),
             obstacles=(Obstacle.static([5.0, 0.0], 0.8),),
             target=TargetSet([10.0, 0.0], 1.2),
             r_c=0.3,

@@ -6,7 +6,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
-from vczsim.scenario import benchmark_scenario
+from vczsim.scenario_io import benchmark_scenario
 from vczsim.simulator import SimTrace, run
 from vczsim.svgplot import render_figure
 

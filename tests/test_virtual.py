@@ -8,9 +8,10 @@ import pytest
 from oracles import barrier_values, brute_force_qp
 from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, eval_avoidance, eval_reach
 from vczsim.confinement import ConfinementLaw
-from vczsim.plant import integrator_plant
+from vczsim.plant import catalog_plant
 from vczsim.qp import QpProblem
-from vczsim.scenario import Scenario, benchmark_scenario, uniform_alphas
+from vczsim.scenario import Scenario, uniform_alphas
+from vczsim.scenario_io import benchmark_scenario
 from vczsim.virtual import (
     QpInfeasibleError,
     assemble_rows,
@@ -22,7 +23,7 @@ def make_scenario(obstacles, shrink, target=None, r_c=0.5, alphas=None):
     target = target or TargetSet([10.0, 10.0], 1.1)
     d = len(obstacles) + 1
     return Scenario(
-        plant=integrator_plant(2),
+        plant=catalog_plant("integrator", 2),
         obstacles=tuple(obstacles),
         target=target,
         r_c=r_c,
