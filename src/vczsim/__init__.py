@@ -9,13 +9,10 @@ reach-avoid guarantee transfers to the plant.
 __version__ = "0.1.0"
 
 from .barriers import (
-    BarrierEval,
     ClassKappa,
     Obstacle,
     ShrinkSchedule,
     TargetSet,
-    eval_avoidance,
-    eval_reach,
 )
 from .confinement import (
     ConfinementBreachError,
@@ -23,7 +20,7 @@ from .confinement import (
     confinement_control,
     zeta,
 )
-from .plant import PlantModel, plant_derivative
+from .plant import PlantModel
 from .qp import (
     QpInputError,
     QpProblem,

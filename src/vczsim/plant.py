@@ -176,16 +176,13 @@ def sign_class_margin(model: PlantModel, box_lo, box_hi, samples: int, seed: int
     rng = np.random.default_rng(seed)
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
-    margin = math.inf
-    for _ in range(samples):
-        x = rng.uniform(lo, hi)
+    gs = []
+    for x in rng.uniform(lo, hi, size=(samples, lo.size)):  # the draws of one rng.uniform(lo, hi) per sample
         g = np.asarray(model.input_map(x), dtype=float)
         f = np.asarray(model.drift(x), dtype=float)
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(f))):
             return -math.inf
-        eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if model.sign_class == POSITIVE_DEFINITE:
-            margin = min(margin, float(eigs.min()))
-        else:
-            margin = min(margin, float(-eigs.max()))
-    return margin
+        gs.append(g)
+    g = np.array(gs)
+    eigs = np.linalg.eigvalsh(0.5 * (g + g.transpose(0, 2, 1)))
+    return float(eigs.min()) if model.sign_class == POSITIVE_DEFINITE else float(-eigs.max())

@@ -14,11 +14,16 @@ That is at most sum_{k <= min(m, d)} C(d, k) subproblems: 7 for m = 2, d = 3
 and 64 for m = 3, d = 7. Subsets holding no row that u0 violates are skipped,
 since on a support with lam_W > 0, lam_W'(b_W - A_W u0) = |u* - u0|_H^2 > 0.
 
-Only when no candidate certifies is the polyhedron checked for emptiness: if
-it is nonempty, the projection of the origin onto it is the least-norm point
-tied to some linearly independent subset of tight rows, so checking the
-least-norm candidate of every such subset either produces a feasible point
-or proves the polyhedron empty.
+Only when no candidate certifies is the polyhedron checked for emptiness,
+by the same enumeration run on the projection QP min 1/2 |u|^2 s.t. A u >= b
+(H^-1 = I, v = 0): if the polyhedron is nonempty, the projection of the
+origin onto it is the least-norm point A_W'(A_W A_W')^-1 b_W of some
+linearly independent subset W of tight rows, and the skip rule keeps it, as
+u0 = 0. So checking those candidates either produces a feasible point or
+proves the polyhedron empty; a candidate within the tolerance of every row
+counts as a point. The check runs in exact rational arithmetic on the float
+data: with two nearly parallel rows cond(A_W A_W') nears 1/eps, and on
+floats the rounding would hide a point that exists.
 
 A sequence of nearby problems passes the previous solution's `support` as
 a hint, tried first. Certification is kept: there is one KKT point, and the
@@ -32,8 +37,8 @@ working set's Schur complement (at most m x m) is factored with a
 hand-written Cholesky, u0's violations are tested on the working sets tried
 only, and the gates and the tight set read the solver's own slacks.
 check_kkt, the certificate, recomputes its residual on floats and shares no
-code with the solver. The rank test of dependent tight rows and the rare
-emptiness search use the arrays that a QpProblem builds on first use.
+code with the solver. numpy is left to the cost check and to the rare rank
+test of dependent tight rows.
 """
 
 from __future__ import annotations
@@ -198,11 +203,33 @@ def _cholesky_solve(S, r):
     return x
 
 
-def _eqp(H_inv, v, A, b, working):
+def _ldl_solve(S, r):
+    """Exact x with S x = r for a positive semidefinite S of rationals, given as
+    _cholesky_solve takes it, via S = L D L' with a unit lower L; None when a
+    pivot is not > 0, i.e. S is singular."""
+    L, D, y = [], [], []  # y solves L y = r
+    for S_i, r_i in zip(S, r):
+        row = []
+        for L_j, d in zip(L, D):
+            row.append((S_i[len(row)] - sum(p * q * e for p, q, e in zip(row, L_j, D))) / d)
+        pivot = S_i[-1] - sum(p * p * e for p, e in zip(row, D))
+        if not pivot > 0:
+            return None
+        y.append(r_i - sum(map(mul, row, y)))
+        L.append(row + [1])
+        D.append(pivot)
+    x = []  # L' x = y / D, from the last row up
+    for i in range(len(L) - 1, -1, -1):
+        x.insert(0, y[i] / D[i] - sum(L[k][i] * x_k for k, x_k in enumerate(x, i + 1)))
+    return x
+
+
+def _eqp(H_inv, v, A, b, working, solve=_cholesky_solve):
     """Equality-constrained subproblem on the working set via Schur complement; v = H^-1 F.
 
     Returns (u, lam_W), or None when the working set is rank-deficient: the
     Schur complement S = A_W H^-1 A_W' (at most m x m) has a pivot that is not > 0.
+    `solve` factors S: the float Cholesky, or _ldl_solve on rational data.
     Plain loops: on 1 to 3 rows they beat nested comprehensions.
     """
     if not working:
@@ -218,7 +245,7 @@ def _eqp(H_inv, v, A, b, working):
         S.append(S_i)
         Y.append(y)
         r.append(b[i] + sum(map(mul, a, v)))
-    lam = _cholesky_solve(S, r)
+    lam = solve(S, r)
     if lam is None:
         return None
     u = []
@@ -227,67 +254,58 @@ def _eqp(H_inv, v, A, b, working):
     return u, lam
 
 
-def _full_rank_subsets(A, max_size):
-    d = A.shape[0]
-    for size in range(0, max_size + 1):
-        for subset in itertools.combinations(range(d), size):
-            if size == 0:
-                yield subset, None
-                continue
-            Aw = A[list(subset)]
-            G = Aw @ Aw.T
-            try:
-                np.linalg.cholesky(G)
-            except np.linalg.LinAlgError:
-                continue
-            yield subset, G
+def _candidates(H_inv, v, A, b, hint=(), solve=_cholesky_solve):
+    """The solver's one enumeration: a valid hint first, then independent working sets, smallest first.
 
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed candidate fails its gates
-def _feasible_start(A, b, tol):
-    """Least-norm candidate per independent tight subset; None iff empty polyhedron."""
-    m = A.shape[1]
-    for subset, G in _full_rank_subsets(A, m):
-        if not subset:
-            cand = np.zeros(m)
-        else:
-            Aw = A[list(subset)]
-            try:
-                mu = np.linalg.solve(G, b[list(subset)])
-            except np.linalg.LinAlgError:
-                continue  # dependent rows whose Gram matrix passed the Cholesky test
-            cand = Aw.T @ mu
-        if np.all(A @ cand >= b - tol):
-            return cand
-    return None
-
-
-def _exhaustive(problem: QpProblem, kkt_tol: float, hint=()) -> QpSolution | None:
-    """First certified KKT candidate: a valid hint, then independent active sets, smallest first."""
-    H_inv, v = problem.cost.H_inv, problem.cost.v
-    A, b = problem.rows, problem.rhs
+    Skips a set holding no row that the unconstrained minimum u0 = -v violates,
+    and one whose Schur complement _eqp, factoring with `solve`, rejects.
+    Yields (working, u, lam_W, slack) per candidate, slack = A u - b over all
+    rows, unfiltered.
+    """
     d = len(A)
-    gate = -0.5 * kkt_tol
     max_size = min(len(v), d)
     hint = sorted(set(hint))
     first = [hint] if 0 < len(hint) <= max_size and hint[0] >= 0 and hint[-1] < d else []
     sets = (list(w) for k in range(max_size + 1) for w in itertools.combinations(range(d), k))
     for working in itertools.chain(first, sets):
-        # Not a support unless it holds a row that the unconstrained minimum u0 = -v violates.
+        # Not a support unless it holds a row that u0 violates.
         if working and not any(-sum(map(mul, A[i], v)) < b[i] for i in working):
             continue
-        candidate = _eqp(H_inv, v, A, b, working)
+        candidate = _eqp(H_inv, v, A, b, working, solve)
         if candidate is None:
             continue
         u, lam_w = candidate
-        slack = [sum(map(mul, a, u)) - b_i for a, b_i in zip(A, b)]
+        yield working, u, lam_w, [sum(map(mul, a, u)) - b_i for a, b_i in zip(A, b)]
+
+
+def _feasible_start(rows, rhs, tol):
+    """A point of A u >= b - tol as Fractions, or None, which proves A u >= b
+    empty: the candidates of the projection QP, H^-1 = I and v = 0, are the
+    least-norm points of the working sets, here computed exactly on the float
+    data. The point may lie beyond the float range."""
+    from fractions import Fraction  # imports decimal; only this rare path needs it
+
+    m = len(rows[0]) if rows else 0
+    A, b = [[Fraction(x) for x in row] for row in rows], [Fraction(x) for x in rhs]
+    identity = [[int(i == j) for j in range(m)] for i in range(m)]  # integers keep products exact
+    for _, u, _, slack in _candidates(identity, [0] * m, A, b, solve=_ldl_solve):
+        if min(slack, default=0) >= -tol:
+            return u
+    return None
+
+
+def _exhaustive(problem: QpProblem, kkt_tol: float, hint=()) -> QpSolution | None:
+    """The first candidate of _candidates that passes the gates and check_kkt."""
+    A, b = problem.rows, problem.rhs
+    gate = -0.5 * kkt_tol
+    for working, u, lam_w, slack in _candidates(problem.cost.H_inv, problem.cost.v, A, b, hint):
         # A non-finite u, lam_W or slack has a non-finite or NaN residual;
         # rejecting it first keeps overflowed arithmetic out of the certificate.
         if not all(map(math.isfinite, itertools.chain(u, lam_w, slack))):
             continue
         if min(lam_w, default=gate) < gate or min(slack, default=gate) < gate:
             continue
-        lam = [0.0] * d
+        lam = [0.0] * len(A)
         for i, x in zip(working, lam_w):
             lam[i] = x
         residual = check_kkt(problem, u, lam)
@@ -295,7 +313,7 @@ def _exhaustive(problem: QpProblem, kkt_tol: float, hint=()) -> QpSolution | Non
             continue
         tight = [i for i, (s, b_i) in enumerate(zip(slack, b)) if s <= 1e-7 * max(1.0, abs(b_i))]
         # Tight rows equal to the working set passed _eqp's Cholesky: independent.
-        dependent = len(tight) > 1 and tight != working and np.linalg.matrix_rank(problem.A[tight]) < len(tight)
+        dependent = len(tight) > 1 and tight != working and np.linalg.matrix_rank([A[i] for i in tight]) < len(tight)
         status = DEGENERATE if dependent else OPTIMAL
         return QpSolution(tuple(u), tuple(tight), residual, status, tuple(lam), tuple(working))
     return None
@@ -317,6 +335,6 @@ def solve_qp(problem: QpProblem, kkt_tol: float = KKT_TOL, hint=()) -> QpSolutio
     sol = _exhaustive(problem, kkt_tol, hint)
     if sol is not None:
         return sol
-    if _feasible_start(problem.A, problem.b, 0.5 * kkt_tol) is None:
+    if _feasible_start(problem.rows, problem.rhs, 0.5 * kkt_tol) is None:
         return QpSolution(None, (), math.inf, INFEASIBLE, None)
     raise QpCertificationError(f"feasible, but no candidate certifies at {kkt_tol:.1e}")

@@ -12,6 +12,7 @@ fixed point, which is what the scenario hash is computed from.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 from importlib import resources
@@ -170,7 +171,8 @@ def _parse_plant(body: dict, n_state: int):
 
 
 def _parse_obstacle(body: dict, n_state: int) -> Obstacle:
-    radius = _one_float(_require(body, "radius", "obstacle"), "radius")
+    radius_entry = _require(body, "radius", "obstacle")
+    radius = _one_float(radius_entry, "radius")
     if "path" in body:
         entry = body["path"]
         try:
@@ -187,17 +189,18 @@ def _parse_obstacle(body: dict, n_state: int) -> Obstacle:
         def centers_path(ts, _exprs=exprs):
             return np.stack([np.broadcast_to(eval_expr(e, ts), ts.shape) for e in _exprs], axis=1)
 
-        return Obstacle.custom(
-            path_fn,
-            radius,
-            path_source=tuple(expr_to_str(e) for e in exprs),
-            centers_path=centers_path,
-        )
-    center = _floats(_require(body, "center", "obstacle"), "center", n_state)
-    if "velocity" in body:
-        velocity = _floats(body["velocity"], "velocity", n_state)
-        return Obstacle.linear(center, velocity, radius)
-    return Obstacle.static(center, radius)
+        source = tuple(expr_to_str(e) for e in exprs)
+        build = functools.partial(Obstacle.custom, path_fn, path_source=source, centers_path=centers_path)
+    else:
+        center = _floats(_require(body, "center", "obstacle"), "center", n_state)
+        if "velocity" in body:
+            build = functools.partial(Obstacle.linear, center, _floats(body["velocity"], "velocity", n_state))
+        else:
+            build = functools.partial(Obstacle.static, center)
+    try:
+        return build(radius)
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc), radius_entry.line, "radius") from None
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -223,10 +226,13 @@ def parse_scenario(text: str) -> Scenario:
     obstacles = tuple(_parse_obstacle(body, n) for body in grouped.get("obstacle", []))
 
     tgt = grouped["target"][0]
-    target = TargetSet(
-        _floats(_require(tgt, "center", "target"), "center", n),
-        _one_float(_require(tgt, "radius", "target"), "radius"),
-    )
+    target_center = _floats(_require(tgt, "center", "target"), "center", n)
+    radius_entry = _require(tgt, "radius", "target")
+    target_radius = _one_float(radius_entry, "radius")
+    try:
+        target = TargetSet(target_center, target_radius)
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc), radius_entry.line, "radius") from None
     r_c = _one_float(_require(grouped["vcz"][0], "r_c", "vcz"), "r_c")
     hor = grouped["horizon"][0]
     t_f = _one_float(_require(hor, "t_f", "horizon"), "t_f", finite=False)

@@ -51,12 +51,13 @@ def assemble_rows(c, t: float, scenario: "Scenario") -> tuple[list[list[float]],
 def _conflicting_rows(problem: QpProblem) -> tuple[int, ...]:
     # Greedy deletion: drop rows whose removal keeps the set empty, leaving an
     # irreducible infeasible subset. _feasible_start is the emptiness test.
+    rows, rhs = problem.rows, problem.rhs
     keep = list(range(problem.d))
     for i in list(keep):
         trial = [j for j in keep if j != i]
         if not trial:
             break
-        if _feasible_start(problem.A[trial], problem.b[trial], 0.5 * KKT_TOL) is None:
+        if _feasible_start([rows[j] for j in trial], [rhs[j] for j in trial], 0.5 * KKT_TOL) is None:
             keep.remove(i)
     return tuple(keep)
 

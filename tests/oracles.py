@@ -17,7 +17,12 @@ reference_write_trace is the row-at-a-time trace writer, one `%` per float,
 whose bytes the chunked template writer must reproduce. reference_solve_qp is
 the all-numpy active-set enumeration (LAPACK Cholesky test and solve per
 working set, numpy_check_kkt as its certificate) that the float solver
-replaced, kept as the reference it is compared with.
+replaced, kept as the reference it is compared with; its emptiness proof,
+reference_feasible_start, is the numpy least-norm search over independent
+row subsets that the solver's float emptiness proof replaced.
+fraction_nonempty decides the same question exactly, by Fourier-Motzkin
+elimination, which shares nothing with a least-norm search. None of these
+imports a private name of vczsim.qp.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from vczsim.qp import (
     QpInputError,
     QpProblem,
     QpSolution,
-    _feasible_start,
 )
 
 
@@ -341,12 +345,64 @@ def _reference_exhaustive(problem: QpProblem, kkt_tol: float, hint=()) -> QpSolu
     return None
 
 
+def _full_rank_subsets(A, max_size):
+    d = A.shape[0]
+    for size in range(0, max_size + 1):
+        for subset in itertools.combinations(range(d), size):
+            if size == 0:
+                yield subset, None
+                continue
+            Aw = A[list(subset)]
+            G = Aw @ Aw.T
+            try:
+                np.linalg.cholesky(G)
+            except np.linalg.LinAlgError:
+                continue
+            yield subset, G
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed candidate is compared as it is: inf meets a row, NaN does not
+def reference_feasible_start(A, b, tol):
+    """Least-norm candidate per independent tight subset; None iff empty polyhedron."""
+    m = A.shape[1]
+    for subset, G in _full_rank_subsets(A, m):
+        if not subset:
+            cand = np.zeros(m)
+        else:
+            Aw = A[list(subset)]
+            try:
+                mu = np.linalg.solve(G, b[list(subset)])
+            except np.linalg.LinAlgError:
+                continue  # dependent rows whose Gram matrix passed the Cholesky test
+            cand = Aw.T @ mu
+        if np.all(A @ cand >= b - tol):
+            return cand
+    return None
+
+
+def fraction_nonempty(A, b, tol) -> bool:
+    """Whether A u >= b - tol has a solution, decided exactly on the floats of
+    A, b and tol by Fourier-Motzkin elimination: each variable in turn is
+    eliminated by pairing every row where its coefficient is positive with
+    every row where it is negative. What is left reads 0 >= c."""
+    system = [([Fraction(x) for x in row], Fraction(b_i) - Fraction(tol)) for row, b_i in zip(A.tolist(), b.tolist())]
+    for k in range(A.shape[1]):
+        rest = [(a, c) for a, c in system if a[k] == 0]
+        for (p, c_p), (n, c_n) in itertools.product(
+            [(a, c) for a, c in system if a[k] > 0], [(a, c) for a, c in system if a[k] < 0]
+        ):
+            s_p, s_n = 1 / p[k], -1 / n[k]
+            rest.append(([s_p * x + s_n * y for x, y in zip(p, n)], s_p * c_p + s_n * c_n))
+        system = rest
+    return all(c <= 0 for _, c in system)
+
+
 def reference_solve_qp(problem: QpProblem, kkt_tol: float = KKT_TOL, hint=()) -> QpSolution:
     """solve_qp's contract on the all-numpy enumeration: optimal, degenerate,
     infeasible, or QpCertificationError for a feasible QP with no certified candidate."""
     sol = _reference_exhaustive(problem, kkt_tol, hint)
     if sol is not None:
         return sol
-    if _feasible_start(problem.A, problem.b, 0.5 * kkt_tol) is None:
+    if reference_feasible_start(problem.A, problem.b, 0.5 * kkt_tol) is None:
         return QpSolution(None, (), math.inf, INFEASIBLE, None)
     raise QpCertificationError(f"feasible, but no candidate certifies at {kkt_tol:.1e}")

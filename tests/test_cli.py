@@ -228,6 +228,17 @@ class TestPlotCommand:
         assert code == EXIT_PASS
         assert fig.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize(
+        "old, new", [("radius = 0.5", "radius = 0.0"), ("radius = 1.1", "radius = -1.0")], ids=["obstacle", "target"]
+    )
+    def test_bad_radius_in_scenario_exits_two(self, tmp_path, old, new, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(bundled_benchmark_text().replace(old, new, 1))
+        code = main(["plot", str(tmp_path / "trace.csv"), str(bad), "--out", str(tmp_path / "f.svg")])
+        assert code == EXIT_PARSE
+        assert "key 'radius'" in capsys.readouterr().err
+        assert not (tmp_path / "f.svg").exists()
+
     @pytest.mark.parametrize("times", ["0,abc", "0,inf", "nan", ""])
     def test_bad_snapshot_times_rejected_while_parsing(self, times, monkeypatch, capsys):
         def no_work(*args, **kwargs):

@@ -17,6 +17,8 @@ from vczsim.plant import (
     plant_derivative,
     sign_class_margin,
 )
+from vczsim.randomized import random_scenario
+from vczsim.scenario import workspace_box
 
 
 class TestPlantDerivative:
@@ -64,6 +66,18 @@ class TestBenchmarkPlant:
         model = catalog_plant("benchmark")
         margin = sign_class_margin(model, [-2.0, -2.0], [12.0, 12.0], 100, 0)
         assert margin == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("seed", [2024, 2025, 2026, 2027])
+    def test_sign_class_margin_is_the_per_sample_minimum(self, seed):
+        # One batched draw and eigvalsh give the bits of a draw and an eigvalsh per sample.
+        scenario = random_scenario(seed)
+        lo, hi = workspace_box(scenario)
+        model, rng, margins = scenario.plant, np.random.default_rng(scenario.seed), []
+        for _ in range(100):
+            g = np.asarray(model.input_map(rng.uniform(lo, hi)), dtype=float)
+            eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
+            margins.append(eigs.min() if model.sign_class == POSITIVE_DEFINITE else -eigs.max())
+        assert sign_class_margin(model, lo, hi, 100, scenario.seed) == min(margins)
 
     def test_lipschitz_spot_check(self):
         model = catalog_plant("benchmark")

@@ -1,5 +1,6 @@
 """Candidate-enumeration QP solver: worked cases, certificates, and randomized properties."""
 
+import itertools
 import math
 import sys
 import warnings
@@ -8,16 +9,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import minimizer_box_bound, random_qp_problem
+from conftest import UNCERTIFIABLE_QP, minimizer_box_bound, random_qp_problem
 from oracles import (
     GridInfeasibleError,
     brute_force_qp,
     fraction_check_kkt,
     numpy_check_kkt,
+    fraction_nonempty,
     objective,
+    reference_feasible_start,
     reference_solve_qp,
 )
 from vczsim.qp import (
@@ -34,7 +37,7 @@ from vczsim.qp import (
 from vczsim import qp
 from vczsim.scenario_io import benchmark_scenario
 from vczsim.simulator import run
-from vczsim.virtual import assemble_rows
+from vczsim.virtual import _conflicting_rows, assemble_rows
 
 
 def halfspace_problem(b: float) -> QpProblem:
@@ -637,3 +640,173 @@ class TestReferenceSolver:
             assert (got.status, got.support) == (ref.status, ref.support), k
             scale = max(1.0, np.linalg.norm(ref.u_star))
             assert np.linalg.norm(np.asarray(got.u_star) - ref.u_star) <= 1e-12 * scale, k
+
+
+EMPTINESS_TOL = 0.5 * KKT_TOL  # what solve_qp and _conflicting_rows pass to _feasible_start
+
+
+def well_separated(A) -> bool:
+    """Whether every set of at most m rows, scaled to unit length, has a least
+    singular value sigma with sigma^2 >= 1e-3: for a pair, 1 - |cos| >= 1e-3.
+    The rows of a 1-variable problem are all parallel and pass."""
+    d, m = A.shape
+    unit = A / np.linalg.norm(A, axis=1, keepdims=True)
+    subsets = (list(w) for k in range(2, min(m, d) + 1) for w in itertools.combinations(range(d), k))
+    return all(np.linalg.svd(unit[w], compute_uv=False)[-1] ** 2 >= 1e-3 for w in subsets)
+
+
+def signed_entries(shape):
+    return hnp.arrays(float, shape, elements=st.floats(0.25, 1.0) | st.floats(-1.0, -0.25))
+
+
+@st.composite
+def polyhedra(draw):
+    """A u >= b with 1-3 variables and 1-5 well separated rows; b = A p plus a
+    shift of either sign, so the polyhedron may be empty."""
+    m, d = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    A = draw(signed_entries((d, m)))
+    assume(well_separated(A))
+    return A, A @ draw(unit_arrays(m)) + draw(hnp.arrays(float, d, elements=st.floats(-2.0, 2.0)))
+
+
+@st.composite
+def empty_polyhedra(draw):
+    """Well separated rows holding an empty core, in shuffled order: rows a_1..a_m,
+    a_{m+1} = -sum_i w_i a_i and every b_i = a_i p + s_i with s_i >= 1/10, so the
+    multipliers (w, 1) prove the core empty by a margin (Farkas); plus up to
+    4 - m rows of a polyhedra draw."""
+    m = draw(st.integers(1, 3))
+    core = draw(signed_entries((m, m)))
+    w = draw(hnp.arrays(float, m, elements=st.floats(0.25, 1.0)))
+    core = np.vstack([core, -(w @ core)])
+    b_core = core @ draw(unit_arrays(m)) + draw(hnp.arrays(float, m + 1, elements=st.floats(0.1, 1.0)))
+    extra = draw(st.integers(0, 4 - m))
+    A_extra = draw(signed_entries((extra, m)))
+    b_extra = A_extra @ draw(unit_arrays(m)) + draw(hnp.arrays(float, extra, elements=st.floats(-2.0, 2.0)))
+    order = draw(st.permutations(range(m + 1 + extra)))
+    A, b = np.vstack([core, A_extra])[order], np.concatenate([b_core, b_extra])[order]
+    assume(well_separated(A))
+    return A, b
+
+
+@st.composite
+def nearly_parallel_polyhedra(draw):
+    """A polyhedra draw whose second row is -s times the first plus noise of
+    scale 10^-12 to 10^-1, so cond(A_W A_W') of that pair reaches 1/eps; all
+    rows scaled by 1 or 1e-155."""
+    m, d = draw(st.integers(2, 3)), draw(st.integers(2, 5))
+    A = draw(signed_entries((d, m)))
+    noise = draw(hnp.arrays(float, m, elements=st.floats(-1.0, 1.0)))
+    A[1] = -draw(st.floats(0.2, 3.0)) * A[0] + 10.0 ** draw(st.floats(-12.0, -1.0)) * noise
+    b = A @ draw(unit_arrays(m)) + draw(hnp.arrays(float, d, elements=st.floats(-2.0, 2.0)))
+    scale = draw(st.sampled_from([1.0, 1e-155]))
+    return scale * A, b
+
+
+def assert_sound(point, A, b):
+    """None proves A u >= b empty; a point is one of A u >= b - tol. Both are
+    checked exactly; in between, a set empty by less than tol, either is right."""
+    if point is None:
+        assert not fraction_nonempty(A, b, 0.0)
+    else:
+        assert fraction_nonempty(A, b, EMPTINESS_TOL)
+
+
+def feasible_start_solving(A, b):
+    """_feasible_start on float lists, and the working sets that it passed to _eqp."""
+    solved, real = [], qp._eqp
+
+    def recorded(H_inv, v, rows, rhs, working, *solve):
+        solved.append(list(working))
+        return real(H_inv, v, rows, rhs, working, *solve)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qp, "_eqp", recorded)
+        return qp._feasible_start(A.tolist(), b.tolist(), EMPTINESS_TOL), solved
+
+
+class TestEmptinessProof:
+    """_feasible_start, the solver's enumeration run on the projection QP,
+    against the numpy least-norm search and the exact Fourier-Motzkin test
+    of tests/oracles.py."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=polyhedra() | empty_polyhedra())
+    def test_agrees_with_numpy_reference(self, rows):
+        A, b = rows
+        point, solved = feasible_start_solving(A, b)
+        assert (point is None) == (reference_feasible_start(A, b, EMPTINESS_TOL) is None)
+        assert_sound(point, A, b)
+        if point is not None:
+            assert np.all(A @ np.array(point, dtype=float) - b >= -EMPTINESS_TOL - 1e-12)
+        # The skip rule on the projection QP, u0 = 0: each working set holds a row that 0 violates.
+        assert all(any(b[i] > 0.0 for i in working) for working in solved if working)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=nearly_parallel_polyhedra())
+    def test_nearly_parallel_rows_are_decided_exactly(self, rows):
+        # Here float candidates would call some nonempty polyhedra empty.
+        A, b = rows
+        assert_sound(qp._feasible_start(A.tolist(), b.tolist(), EMPTINESS_TOL), A, b)
+
+    def test_wedge_that_rounding_hides_is_not_empty(self):
+        # Two rows 2e-4 rad from antiparallel (cond(A_W A_W') = 3.9e7) bound a
+        # nonempty wedge. The float candidate of {0, 1} misses a row by 8.8e-10,
+        # more than the tolerance; the exact one finds the point, and solve_qp
+        # reports an uncertified QP, not an infeasible one.
+        A = np.array([[-1.2261539134436839, 1.1738885903120326], [0.5550569838852342, -0.5318534102343234]])
+        b = np.array([-1.6587947019106561, 4.286096556114419])
+        identity = [[1, 0], [0, 1]]
+        slacks = [min(slack) for _, _, _, slack in qp._candidates(identity, [0.0, 0.0], A.tolist(), b.tolist())]
+        assert max(slacks) < -EMPTINESS_TOL
+        assert fraction_nonempty(A, b, 0.0)
+        assert qp._feasible_start(A.tolist(), b.tolist(), EMPTINESS_TOL) is not None
+        with pytest.raises(QpCertificationError):
+            solve_qp(QpProblem(np.eye(2), np.zeros(2), A, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=empty_polyhedra())
+    def test_conflicting_rows_are_an_irreducible_empty_set(self, rows):
+        A, b = rows
+        assert reference_feasible_start(A, b, EMPTINESS_TOL) is None
+        m = A.shape[1]
+        conflicting = list(_conflicting_rows(QpProblem(np.eye(m), np.zeros(m), A, b)))
+        assert reference_feasible_start(A[conflicting], b[conflicting], EMPTINESS_TOL) is None
+        for i in conflicting:
+            rest = [j for j in conflicting if j != i]
+            assert reference_feasible_start(A[rest], b[rest], EMPTINESS_TOL) is not None
+            assert fraction_nonempty(A[rest], b[rest], EMPTINESS_TOL)
+        assert not fraction_nonempty(A[conflicting], b[conflicting], 0.0)
+
+    def test_overflowed_candidate_is_a_point(self):
+        # The row has norm 1e-159, so on floats the candidate of {0} overflows.
+        # The polyhedron is nonempty: solve_qp must raise QpCertificationError
+        # rather than call UNCERTIFIABLE_QP infeasible.
+        problem = UNCERTIFIABLE_QP
+        assert qp._feasible_start(problem.rows, problem.rhs, EMPTINESS_TOL) is not None
+        assert reference_feasible_start(problem.A, problem.b, EMPTINESS_TOL) is not None
+        with pytest.raises(QpCertificationError):
+            solve_qp(problem)
+
+    def test_subnormal_row_gives_a_point(self):
+        # |a|^2 underflows to 0 on floats, and the least-norm point, 5e309,
+        # lies beyond the float range; the polyhedron is still nonempty.
+        problem = QpProblem(np.eye(2), np.zeros(2), [[1e-310, 1e-310]], [1.0])
+        assert qp._feasible_start(problem.rows, problem.rhs, EMPTINESS_TOL) is not None
+        with pytest.raises(QpCertificationError):
+            solve_qp(problem)
+
+    @pytest.mark.parametrize("a", [[1.0], [1.0, 0.0], [0.6, 0.8], [0.3, -0.7, 0.2]])
+    def test_exactly_antiparallel_pair_is_empty(self, a):
+        # a u >= 1 and -a u >= -0.5; the Schur complement of {0, 1} is singular.
+        A, b = np.array([a, [-x for x in a]]), np.array([1.0, -0.5])
+        assert qp._feasible_start(A.tolist(), b.tolist(), EMPTINESS_TOL) is None
+        assert reference_feasible_start(A, b, EMPTINESS_TOL) is None
+        assert not fraction_nonempty(A, b, 0.0)
+
+    def test_rows_the_origin_meets_are_skipped(self):
+        # x <= 2 and x >= 1. The foot of the origin on x = 2 is feasible too, but
+        # the origin meets x <= 2, so {0} is skipped and the point is the projection.
+        point, solved = feasible_start_solving(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.array([-2.0, 1.0]))
+        assert point == [1.0, 0.0]
+        assert solved == [[], [1]]

@@ -183,19 +183,31 @@ class TestParseErrors:
             ("center = 10.0 10.0", "center = 10.0 inf", "center"),
             ("velocity = 0.4 -0.4", "velocity = inf -0.4", "velocity"),
             ("x0 = 0.0 0.0", "x0 = nan 0.0", "x0"),
+            ("radius = 0.5", "radius = 0.0", "radius"),
+            ("radius = 1.5", "radius = -2.0", "radius"),
+            ("radius = 1.1", "radius = -1.0", "radius"),
         ],
         ids=["seed-negative", "obstacle-radius-nan", "alpha-nan", "target-radius-inf", "target-center-inf"]
-        + ["velocity-inf", "x0-nan"],
+        + ["velocity-inf", "x0-nan", "static-radius-zero", "linear-radius-negative", "target-radius-negative"],
     )
     def test_bad_number_names_key_and_line(self, old, new, key):
         # Unchecked, the NaNs passed validation and the run died with a
         # QpInputError; inf and the x0 NaN raised OverflowError in validation;
-        # a negative seed raised numpy's ValueError.
+        # a negative seed raised numpy's ValueError; a radius <= 0 raised the
+        # obstacle's or target's own ValueError, without line or key.
         text = bundled_benchmark_text().replace(old, new, 1)
         line = text.splitlines().index(new.partition("\n")[0]) + 1
         with pytest.raises(ScenarioParseError) as exc_info:
             parse_scenario(text)
         assert (exc_info.value.key, exc_info.value.line) == (key, line)
+
+    def test_path_obstacle_radius_names_key_and_line(self):
+        text = CUSTOM_TEXT.replace("radius = 1.5", "radius = 0.0")
+        line = text.splitlines().index("radius = 0.0") + 1
+        with pytest.raises(ScenarioParseError) as exc_info:
+            parse_scenario(text)
+        assert (exc_info.value.key, exc_info.value.line) == ("radius", line)
+        assert "obstacle radius must be > 0" in str(exc_info.value)
 
     def test_bad_expression_reports_key(self):
         text = CUSTOM_TEXT.replace("(* 2 (sin x2))", "(* 2 (sin x2)")
