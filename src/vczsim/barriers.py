@@ -33,7 +33,15 @@ STATIC = "static"
 LINEAR = "linear"
 CUSTOM = "custom"
 
-CUSTOM_VELOCITY_FD_STEP = 1e-5
+CUSTOM_VELOCITY_FD_STEP = 1e-5  # the step h of a custom path's velocity (p(t + h) - p(t - h)) / 2h
+
+
+class SettingError(ValueError):
+    """A setting outside its domain; `key` names it as a scenario file does."""
+
+    def __init__(self, message: str, key: str):
+        super().__init__(message)
+        self.key = key
 
 
 class TimeDomainError(ValueError):
@@ -104,15 +112,15 @@ class Obstacle:
     def custom(
         path: Callable[[float], Sequence[float]],
         radius: float,
-        fd_step: float = CUSTOM_VELOCITY_FD_STEP,
         path_source: tuple[str, ...] | None = None,
         centers_path: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> "Obstacle":
-        width = 2.0 * fd_step
+        step = CUSTOM_VELOCITY_FD_STEP
+        width = 2.0 * step
 
         def velocity(t: float) -> list[float]:
-            # Central difference, elementwise (hi - lo) / (2 fd_step).
-            return [d / width for d in map(sub, path(t + fd_step), path(t - fd_step))]
+            # Central difference, elementwise (hi - lo) / (2 step).
+            return [d / width for d in map(sub, path(t + step), path(t - step))]
 
         return Obstacle(path, velocity, float(radius), CUSTOM, path_source, centers_path)
 
@@ -159,13 +167,14 @@ class ShrinkSchedule:
 
     def __post_init__(self):
         if not (self.r_start >= self.r_end > 0):
-            raise ValueError(
-                f"need r_start >= r_end > 0, got ({self.r_start}, {self.r_end})"
+            raise SettingError(
+                f"need r_start >= r_end > 0, got ({self.r_start}, {self.r_end})",
+                "r_start" if self.r_end > 0 else "r_end",
             )
         if not self.t_f > 0:  # also rejects NaN
-            raise ValueError(f"horizon must be > 0, got {self.t_f}")
+            raise SettingError(f"horizon must be > 0, got {self.t_f}", "t_f")
         if not math.isfinite(self.r_start):
-            raise ValueError(f"r_start must be finite, got {self.r_start}")
+            raise SettingError(f"r_start must be finite, got {self.r_start}", "r_start")
 
     def radius_at(self, t: float) -> float:
         # Integrator endpoints and finite-difference probes graze the horizon;

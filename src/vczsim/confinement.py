@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .barriers import SettingError
+
 DEFAULT_EPSILON_SAT = 1e-9
 
 
@@ -39,15 +41,15 @@ class ConfinementLaw:
 
     def __post_init__(self):
         if self.gain == 0:
-            raise ValueError("confinement gain must be nonzero")
+            raise SettingError("confinement gain must be nonzero", "gain")
         if not math.isfinite(self.gain):
-            raise ValueError(f"confinement gain must be finite, got {self.gain}")
+            raise SettingError(f"confinement gain must be finite, got {self.gain}", "gain")
         if not self.r_c > 0:  # also rejects NaN
-            raise ValueError(f"confinement radius must be > 0, got {self.r_c}")
+            raise SettingError(f"confinement radius must be > 0, got {self.r_c}", "r_c")
         if not math.isfinite(self.r_c):
-            raise ValueError(f"confinement radius must be finite, got {self.r_c}")
+            raise SettingError(f"confinement radius must be finite, got {self.r_c}", "r_c")
         if not (0 < self.epsilon_sat < 1):
-            raise ValueError(f"epsilon_sat must lie in (0, 1), got {self.epsilon_sat}")
+            raise SettingError(f"epsilon_sat must lie in (0, 1), got {self.epsilon_sat}", "epsilon_sat")
 
 
 def zeta(e_hat: float, epsilon_sat: float = DEFAULT_EPSILON_SAT) -> float:

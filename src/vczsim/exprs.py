@@ -105,39 +105,35 @@ def parse_expr(text: str):
 
 def parse_expr_sequence(text: str) -> list:
     """Parse a whitespace-separated sequence of expressions."""
-    tokens = _tokenize(text)
-    exprs = []
-    pos = 0
-    while pos < len(tokens):
-        if tokens[pos][0] == "semi":
-            raise ExprError("unexpected ';' in expression sequence", tokens[pos][2])
-        expr, pos = _parse_one(tokens, pos)
-        exprs.append(expr)
-    if not exprs:
-        raise ExprError("empty expression")
-    return exprs
+    return _parse_rows(text, False)[0]
 
 
 def parse_expr_rows(text: str) -> list[list]:
     """Parse ';'-separated rows of expression sequences (matrix fields)."""
-    rows = []
-    for chunk in _split_rows(text):
-        rows.append(parse_expr_sequence(chunk))
-    return rows
+    return _parse_rows(text, True)
 
 
-def _split_rows(text: str) -> list[str]:
-    rows, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == ";" and depth == 0:
-            rows.append(text[start:i])
-            start = i + 1
-    rows.append(text[start:])
-    return rows
+def _parse_rows(text: str, rows: bool) -> list[list]:
+    """The expression sequences of text; with `rows`, a top-level ';' starts
+    the next one. Columns count from the start of text."""
+    tokens = _tokenize(text)
+    out, exprs = [], []
+    pos = 0
+    while pos < len(tokens):
+        if tokens[pos][0] == "semi":
+            if not rows:
+                raise ExprError("unexpected ';' in expression sequence", tokens[pos][2])
+            if not exprs:
+                raise ExprError("empty expression")
+            out.append(exprs)
+            exprs, pos = [], pos + 1
+            continue
+        expr, pos = _parse_one(tokens, pos)
+        exprs.append(expr)
+    if not exprs:
+        raise ExprError("empty expression")
+    out.append(exprs)
+    return out
 
 
 def eval_expr(expr, t, x=None):

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .barriers import SettingError
 from .exprs import (
     ExprError,
     compile_exprs,
@@ -51,14 +52,6 @@ CATALOG = {
                   "(* 0.4 (cos t)) (* 0.4 (sin t))"),
     "integrator": _integrator_text,
 }
-
-
-class PlantSpecError(ValueError):
-    """Malformed expression plant; `field` names the part at fault: f, g or omega."""
-
-    def __init__(self, message: str, field: str):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -148,16 +141,16 @@ def tree_plant(f_exprs, g_exprs, omega_exprs, sign_class: str) -> PlantModel:
     t (omega). f and g are compiled to take the state sequence itself."""
     n = len(f_exprs)
     if len(g_exprs) != n or any(len(row) != n for row in g_exprs):
-        raise PlantSpecError(f"input map must be {n}x{n}", "g")
+        raise SettingError(f"input map must be {n}x{n}", "g")
     if len(omega_exprs) != n:
-        raise PlantSpecError(f"disturbance must have {n} components", "omega")
+        raise SettingError(f"disturbance must have {n} components", "omega")
     xs = tuple(f"x{i + 1}" for i in range(n))
     fns = []
     for field, exprs, params in (("f", f_exprs, xs), ("g", g_exprs, xs), ("omega", omega_exprs, ("t",))):
         try:
             fns.append(compile_exprs(exprs, params, packed=field != "omega"))
         except ExprError as exc:
-            raise PlantSpecError(f"plant {field} {exc}", field) from None
+            raise SettingError(f"plant {field} {exc}", field) from None
     descriptor = (
         "exprs",
         tuple(expr_to_str(e) for e in f_exprs),

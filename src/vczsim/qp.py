@@ -278,8 +278,8 @@ def _candidates(H_inv, v, A, b, hint=(), solve=_cholesky_solve):
         yield working, u, lam_w, [sum(map(mul, a, u)) - b_i for a, b_i in zip(A, b)]
 
 
-def _feasible_start(rows, rhs, tol):
-    """A point of A u >= b - tol as Fractions, or None, which proves A u >= b
+def _feasible_start(rows, rhs):
+    """A point of A u >= b - KKT_TOL/2 as Fractions, or None, which proves A u >= b
     empty: the candidates of the projection QP, H^-1 = I and v = 0, are the
     least-norm points of the working sets, here computed exactly on the float
     data. The point may lie beyond the float range."""
@@ -288,16 +288,17 @@ def _feasible_start(rows, rhs, tol):
     m = len(rows[0]) if rows else 0
     A, b = [[Fraction(x) for x in row] for row in rows], [Fraction(x) for x in rhs]
     identity = [[int(i == j) for j in range(m)] for i in range(m)]  # integers keep products exact
+    floor = -0.5 * KKT_TOL
     for _, u, _, slack in _candidates(identity, [0] * m, A, b, solve=_ldl_solve):
-        if min(slack, default=0) >= -tol:
+        if min(slack, default=0) >= floor:
             return u
     return None
 
 
-def _exhaustive(problem: QpProblem, kkt_tol: float, hint=()) -> QpSolution | None:
+def _exhaustive(problem: QpProblem, hint=()) -> QpSolution | None:
     """The first candidate of _candidates that passes the gates and check_kkt."""
     A, b = problem.rows, problem.rhs
-    gate = -0.5 * kkt_tol
+    gate = -0.5 * KKT_TOL
     for working, u, lam_w, slack in _candidates(problem.cost.H_inv, problem.cost.v, A, b, hint):
         # A non-finite u, lam_W or slack has a non-finite or NaN residual;
         # rejecting it first keeps overflowed arithmetic out of the certificate.
@@ -309,7 +310,7 @@ def _exhaustive(problem: QpProblem, kkt_tol: float, hint=()) -> QpSolution | Non
         for i, x in zip(working, lam_w):
             lam[i] = x
         residual = check_kkt(problem, u, lam)
-        if not residual <= kkt_tol:  # also rejects NaN
+        if not residual <= KKT_TOL:  # also rejects NaN
             continue
         tight = [i for i, (s, b_i) in enumerate(zip(slack, b)) if s <= 1e-7 * max(1.0, abs(b_i))]
         # Tight rows equal to the working set passed _eqp's Cholesky: independent.
@@ -319,7 +320,7 @@ def _exhaustive(problem: QpProblem, kkt_tol: float, hint=()) -> QpSolution | Non
     return None
 
 
-def solve_qp(problem: QpProblem, kkt_tol: float = KKT_TOL, hint=()) -> QpSolution:
+def solve_qp(problem: QpProblem, hint=()) -> QpSolution:
     """Certified minimizer: the first candidate active set that passes check_kkt.
 
     `hint`, typically the previous solution's `support`, is tried before the
@@ -332,9 +333,9 @@ def solve_qp(problem: QpProblem, kkt_tol: float = KKT_TOL, hint=()) -> QpSolutio
     raises QpCertificationError; see the module docstring for why the first
     certified candidate of the enumeration is the minimizer.
     """
-    sol = _exhaustive(problem, kkt_tol, hint)
+    sol = _exhaustive(problem, hint)
     if sol is not None:
         return sol
-    if _feasible_start(problem.rows, problem.rhs, 0.5 * kkt_tol) is None:
+    if _feasible_start(problem.rows, problem.rhs) is None:
         return QpSolution(None, (), math.inf, INFEASIBLE, None)
-    raise QpCertificationError(f"feasible, but no candidate certifies at {kkt_tol:.1e}")
+    raise QpCertificationError(f"feasible, but no candidate certifies at {KKT_TOL:.1e}")

@@ -56,21 +56,19 @@ def _target_clear_throughout(obstacles, b_target, r_target, r_c, t_f, samples: i
     return True
 
 
-def random_scenario(
-    seed: int,
-    t_f: float | None = None,
-    dt: float = 2.5e-3,
-    max_attempts: int = 500,
-) -> Scenario:
+MAX_ATTEMPTS = 500
+
+
+def random_scenario(seed: int, dt: float = 2.5e-3) -> Scenario:
     """One validated random scenario; identical seed gives an identical scenario.
 
-    When t_f is not forced it scales with the start-to-target span so the
-    shrinking set contracts at roughly 1.4 units/s; much faster contraction
-    demands approach speeds the avoidance rows cannot concede.
+    t_f scales with the start-to-target span so the shrinking set contracts
+    at roughly 1.4 units/s; much faster contraction demands approach speeds
+    the avoidance rows cannot concede.
     """
     rng = np.random.default_rng(seed)
     lo, hi = WORKSPACE
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         r_c = float(rng.uniform(0.3, 0.5))
         r_target = float(rng.uniform(1.0, 1.4))
         x0 = rng.uniform(lo + 0.5, lo + 3.5, size=2)
@@ -78,7 +76,7 @@ def random_scenario(
         span = float(np.linalg.norm(x0 - b_target))
         if span < 5.0:
             continue
-        horizon = t_f if t_f is not None else round(min(9.0, max(5.0, span / 1.4)), 3)
+        horizon = round(min(9.0, max(5.0, span / 1.4)), 3)
         n_obs = int(rng.integers(1, 4))
         obstacles = []
         for _ in range(n_obs):
@@ -100,8 +98,6 @@ def random_scenario(
             plant=plant,
             obstacles=tuple(obstacles),
             target=TargetSet(b_target, r_target),
-            r_c=r_c,
-            t_f=horizon,
             x0=x0,
             shrink=ShrinkSchedule(span + float(rng.uniform(0.3, 1.0)), 0.9 * (r_target - r_c), horizon),
             alphas=uniform_alphas(len(obstacles) + 1),
@@ -113,7 +109,7 @@ def random_scenario(
         )
         if validate(candidate).all_passed:
             return candidate
-    raise RuntimeError(f"no valid scenario after {max_attempts} attempts (seed {seed})")
+    raise RuntimeError(f"no valid scenario after {MAX_ATTEMPTS} attempts (seed {seed})")
 
 
 COMPLETED = "completed"
@@ -134,7 +130,6 @@ class CampaignRun:
 @dataclass(frozen=True)
 class CampaignSummary:
     runs: tuple[CampaignRun, ...]
-    invariance_tol: float
 
     @property
     def completed(self) -> tuple[CampaignRun, ...]:
@@ -155,7 +150,7 @@ class CampaignSummary:
     def invariance_holds(self) -> bool:
         """Every run with all-optimal QP statuses kept all barriers above -tol."""
         candidates = [r for r in self.runs if r.status != QP_INFEASIBLE and r.all_qp_optimal]
-        return all(r.min_barrier_value >= -self.invariance_tol for r in candidates)
+        return all(r.min_barrier_value >= -Scenario.invariance_tol for r in candidates)
 
     def format_table(self) -> str:
         head = f"{'seed':>6} {'obs':>4} {'status':<20} {'min_h':>12} {'max|u_c|':>10} {'verdict':>8}"
@@ -173,7 +168,7 @@ class CampaignSummary:
             f"{uncertified}{self.breach_count} breached"
         )
         lines.append(
-            f"forward invariance (min_h >= -{self.invariance_tol:g} on all-optimal runs): "
+            f"forward invariance (min_h >= -{Scenario.invariance_tol:g} on all-optimal runs): "
             f"{'OK' if self.invariance_holds() else 'VIOLATED'}"
         )
         return "\n".join(lines)
@@ -191,11 +186,9 @@ def _partial_stats(trace) -> tuple[float, float, bool]:
 def run_campaign(count: int = 20, base_seed: int = 2024, dt: float = 2.5e-3) -> CampaignSummary:
     """Generate, run, and summarize `count` random scenarios."""
     runs = []
-    tol = None
     for k in range(count):
         seed = base_seed + k
         scenario = random_scenario(seed, dt=dt)
-        tol = scenario.invariance_tol if tol is None else tol
         try:
             # random_scenario returns only scenarios that passed validate.
             trace, metrics = run(scenario, check=False)
@@ -225,4 +218,4 @@ def run_campaign(count: int = 20, base_seed: int = 2024, dt: float = 2.5e-3) -> 
                     f"aborted at t = {abort.t:.3f}",
                 )
             )
-    return CampaignSummary(tuple(runs), tol if tol is not None else 1e-3)
+    return CampaignSummary(tuple(runs))

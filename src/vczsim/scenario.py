@@ -12,18 +12,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, compile_rows
+from .barriers import ClassKappa, Obstacle, SettingError, ShrinkSchedule, TargetSet, compile_rows
 from .confinement import ConfinementLaw
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, compile_rk4, sign_class_margin
 from .qp import QpCost, _cost
-
-DEFAULT_INVARIANCE_TOL = 1e-3
-DEFAULT_CLEARANCE_TOL = 1e-6
-DEFAULT_REGULARITY_BAND = 0.5
-DEFAULT_UC_CEILING = 100.0
 
 MANDATORY_CHECKS = ("V1", "V2", "V3", "V4", "V5")
 
@@ -39,16 +35,22 @@ class ScenarioInvalidError(RuntimeError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete problem instance plus solver and verdict tolerances; `slopes`
-    are the class-K slopes of `alphas` as floats and `qp_cost` the checked
-    QP cost of (qp_h, qp_f). The step kernels `rows_kernel` and `rk4_kernel`
-    are compiled on first use, so a scenario that is never run builds none."""
+    """Complete problem instance; `slopes` are the class-K slopes of `alphas`
+    as floats and `qp_cost` the checked QP cost of (qp_h, qp_f). r_c is the
+    confinement law's radius and t_f the shrink schedule's horizon. The
+    verdict tolerances are constants of the class. The step kernels
+    `rows_kernel` and `rk4_kernel` are compiled on first use, so a scenario
+    that is never run builds none."""
+
+    # min_h and the T1/T2 margins may dip to -invariance_tol, true clearance
+    # to -clearance_tol; |u_c| above u_c_ceiling is reported in the metrics.
+    invariance_tol: ClassVar[float] = 1e-3
+    clearance_tol: ClassVar[float] = 1e-6
+    u_c_ceiling: ClassVar[float] = 100.0
 
     plant: PlantModel
     obstacles: tuple[Obstacle, ...]
     target: TargetSet
-    r_c: float
-    t_f: float
     x0: np.ndarray
     shrink: ShrinkSchedule
     alphas: tuple[ClassKappa, ...]
@@ -57,10 +59,6 @@ class Scenario:
     confinement: ConfinementLaw
     dt: float
     seed: int = 0
-    invariance_tol: float = DEFAULT_INVARIANCE_TOL
-    clearance_tol: float = DEFAULT_CLEARANCE_TOL
-    regularity_band: float = DEFAULT_REGULARITY_BAND
-    u_c_ceiling: float = DEFAULT_UC_CEILING
     slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
     qp_cost: QpCost = field(init=False, repr=False, compare=False)
 
@@ -71,12 +69,9 @@ class Scenario:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "qp_h", np.asarray(self.qp_h, dtype=float))
         object.__setattr__(self, "qp_f", np.asarray(self.qp_f, dtype=float))
-        if not self.r_c > 0:  # also rejects NaN
-            raise ValueError(f"r_c must be > 0, got {self.r_c}")
-        if not math.isfinite(self.r_c):
-            raise ValueError(f"r_c must be finite, got {self.r_c}")
         if not (0 < self.t_f < math.inf and 0 < self.dt < math.inf):
-            raise ValueError(f"t_f and dt must be finite and > 0, got {self.t_f} and {self.dt}")
+            key = "dt" if 0 < self.t_f < math.inf else "t_f"
+            raise SettingError(f"t_f and dt must be finite and > 0, got {self.t_f} and {self.dt}", key)
         n = self.plant.n
         if self.x0.shape != (n,):
             raise ValueError("initial state dimension disagrees with the plant")
@@ -85,24 +80,28 @@ class Scenario:
         if self.qp_h.shape != (n, n):
             raise ValueError(f"qp_h must be {n}x{n}, got shape {self.qp_h.shape}")
         if self.qp_f.shape != (n,) or not np.isfinite(self.qp_f).all():
-            raise ValueError(f"qp_f must be {n} finite values, got {self.qp_f.tolist()}")
+            raise SettingError(f"qp_f must be {n} finite values, got {self.qp_f.tolist()}", "qp_f")
         # QpInputError unless H is PD
         object.__setattr__(self, "qp_cost", _cost(self.qp_h.shape, self.qp_h.tobytes(), self.qp_f.tobytes()))
         if len(self.alphas) != self.barrier_count:
             raise ValueError(
                 f"need {self.barrier_count} class-K slopes, got {len(self.alphas)}"
             )
-        if abs(self.shrink.t_f - self.t_f) > 1e-12 * max(1.0, self.t_f):
-            raise ValueError("shrink schedule horizon disagrees with t_f")
-        if abs(self.confinement.r_c - self.r_c) > 1e-12 * max(1.0, self.r_c):
-            raise ValueError("confinement law radius disagrees with r_c")
         expected_sign = POSITIVE_DEFINITE if self.confinement.gain > 0 else NEGATIVE_DEFINITE
         if self.plant.sign_class != expected_sign:
-            raise ValueError("confinement gain sign disagrees with plant sign class")
+            raise SettingError("confinement gain sign disagrees with plant sign class", "gain")
 
     @property
     def n(self) -> int:
         return self.plant.n
+
+    @property
+    def r_c(self) -> float:
+        return self.confinement.r_c
+
+    @property
+    def t_f(self) -> float:
+        return self.shrink.t_f
 
     @functools.cached_property
     def rows_kernel(self):
@@ -119,13 +118,14 @@ class Scenario:
         return len(self.obstacles) + 1
 
     def with_overrides(self, **kwargs) -> "Scenario":
-        if "t_f" in kwargs and "shrink" not in kwargs:
-            kwargs["shrink"] = replace(self.shrink, t_f=kwargs["t_f"])
+        """replace(), where t_f sets the shrink schedule's horizon."""
+        if "t_f" in kwargs:
+            kwargs["shrink"] = replace(kwargs.get("shrink", self.shrink), t_f=kwargs.pop("t_f"))
         return replace(self, **kwargs)
 
 
-def uniform_alphas(count: int, slope: float = 1.0) -> tuple[ClassKappa, ...]:
-    return tuple(ClassKappa(slope) for _ in range(count))
+def uniform_alphas(count: int) -> tuple[ClassKappa, ...]:
+    return tuple(ClassKappa(1.0) for _ in range(count))
 
 
 @dataclass(frozen=True)
@@ -164,14 +164,14 @@ class ValidationReport:
         return "\n".join(lines + [verdict])
 
 
-def workspace_box(scenario: Scenario, pad: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned box covering everything the run can touch."""
+def workspace_box(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Axis-aligned box covering everything the run can touch, padded by at least 2."""
     pts = [scenario.x0, scenario.target.center]
     for obs in scenario.obstacles:
         pts.extend(obs.centers(np.linspace(0.0, scenario.t_f, 16)))
     pts = np.array(pts)
     spread = max(
-        pad,
+        2.0,
         scenario.r_c,
         scenario.target.radius,
         max((o.radius for o in scenario.obstacles), default=0.0),

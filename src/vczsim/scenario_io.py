@@ -19,10 +19,10 @@ from importlib import resources
 
 import numpy as np
 
-from .barriers import CUSTOM, LINEAR, STATIC, ClassKappa, Obstacle, ShrinkSchedule, TargetSet
+from .barriers import CUSTOM, LINEAR, STATIC, ClassKappa, Obstacle, SettingError, ShrinkSchedule, TargetSet
 from .confinement import DEFAULT_EPSILON_SAT, ConfinementLaw
 from .exprs import ExprError, compile_exprs, eval_expr, expr_to_str, parse_expr_rows, parse_expr_sequence
-from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantSpecError, catalog_plant, tree_plant
+from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, catalog_plant, tree_plant
 from .scenario import Scenario
 
 # Each section with the keys the parser reads from it.
@@ -166,8 +166,8 @@ def _parse_plant(body: dict, n_state: int):
         raise ScenarioParseError(f"f must have {n_state} components", body["f"].line, "f")
     try:
         return tree_plant(parsed["f"], parsed["g"], parsed["omega"], sign)
-    except PlantSpecError as exc:
-        raise ScenarioParseError(str(exc), body[exc.field].line, exc.field) from None
+    except SettingError as exc:
+        raise ScenarioParseError(str(exc), body[exc.key].line, exc.key) from None
 
 
 def _parse_obstacle(body: dict, n_state: int) -> Obstacle:
@@ -238,14 +238,8 @@ def parse_scenario(text: str) -> Scenario:
     t_f = _one_float(_require(hor, "t_f", "horizon"), "t_f", finite=False)
     dt = _one_float(_require(hor, "dt", "horizon"), "dt", finite=False)
     shr = grouped["shrink"][0]
-    try:
-        shrink = ShrinkSchedule(
-            _one_float(_require(shr, "r_start", "shrink"), "r_start"),
-            _one_float(_require(shr, "r_end", "shrink"), "r_end"),
-            t_f,
-        )
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc), _require(shr, "r_start", "shrink").line, "shrink") from None
+    r_start = _one_float(_require(shr, "r_start", "shrink"), "r_start")
+    r_end = _one_float(_require(shr, "r_end", "shrink"), "r_end")
 
     ctl = grouped["controller"][0]
     gain = _one_float(_require(ctl, "gain", "controller"), "gain")
@@ -278,15 +272,16 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioParseError("seed must be a non-negative integer", entry.line, "seed")
         seed = int(seed_f)
 
+    # The constructors check these settings. No key repeats across their
+    # sections, so the key that a SettingError names has one line.
+    settings = {**grouped["vcz"][0], **hor, **shr, **ctl}
     try:
         return Scenario(
             plant=plant,
             obstacles=obstacles,
             target=target,
-            r_c=r_c,
-            t_f=t_f,
             x0=x0,
-            shrink=shrink,
+            shrink=ShrinkSchedule(r_start, r_end, t_f),
             alphas=alphas,
             qp_h=qp_h,
             qp_f=qp_f,
@@ -294,6 +289,8 @@ def parse_scenario(text: str) -> Scenario:
             dt=dt,
             seed=seed,
         )
+    except SettingError as exc:
+        raise ScenarioParseError(str(exc), settings[exc.key].line, exc.key) from None
     except ValueError as exc:
         raise ScenarioParseError(str(exc)) from None
 

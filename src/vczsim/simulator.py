@@ -18,7 +18,7 @@ code. File IO is in trace_io.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import sub
 
 import numpy as np
@@ -80,19 +80,7 @@ class RunMetrics:
     failure_reason: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "min_true_clearance": self.min_true_clearance,
-            "min_center_clearance": self.min_center_clearance,
-            "terminal_distance": self.terminal_distance,
-            "max_e_hat": self.max_e_hat,
-            "max_u_c_norm": self.max_u_c_norm,
-            "max_u_norm": self.max_u_norm,
-            "min_barrier_value": self.min_barrier_value,
-            "all_qp_optimal": self.all_qp_optimal,
-            "u_c_within_ceiling": self.u_c_within_ceiling,
-            "ptra_verdict": self.ptra_verdict,
-            "failure_reason": self.failure_reason,
-        }
+        return asdict(self)
 
 
 class SimulationAbort(RuntimeError):
@@ -147,6 +135,7 @@ class _Recorder:
     def __init__(self, scenario: Scenario, scenario_hash: str, rows: int):
         n, d = scenario.n, scenario.barrier_count
         self.scenario = scenario
+        self.r_c = scenario.r_c
         self.hash = scenario_hash
         self.k = 0
         self.t = np.zeros(rows)
@@ -167,7 +156,7 @@ class _Recorder:
         self.u[k] = u
         self.u_c[k] = u_c
         self.h[k] = h
-        self.e_hat[k] = gap / self.scenario.r_c
+        self.e_hat[k] = gap / self.r_c
         self.status[k] = solution.status
         self.kkt[k] = solution.kkt_residual
         self.k = k + 1
@@ -202,6 +191,7 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
             raise ScenarioInvalidError(report)
     from .scenario_io import scenario_hash  # local import to avoid a cycle
 
+    r_c = scenario.r_c
     schedule = _step_schedule(scenario.t_f, scenario.dt)
     recorder = _Recorder(scenario, scenario_hash(scenario), len(schedule) + 1)
     x, c = scenario.x0.tolist(), scenario.x0.tolist()
@@ -222,12 +212,12 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
             break
         x, c = _rk4(scenario, x, c, u, u_c, t_k, dt_k)
         e, gap = _error(x, c)
-        if gap >= scenario.r_c:
+        if gap >= r_c:
             raise SimulationAbort(
                 BREACH,
                 t_k + dt_k,
                 recorder.trace(),
-                f"||x - c|| = {gap:.6g} >= r_c = {scenario.r_c:.6g}",
+                f"||x - c|| = {gap:.6g} >= r_c = {r_c:.6g}",
             )
     trace = recorder.trace()
     return trace, compute_metrics(trace, scenario)

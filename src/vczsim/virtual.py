@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .barriers import eval_avoidance, eval_reach  # noqa: F401  (references; bench/layers.py traces them here)
-from .qp import INFEASIBLE, KKT_TOL, QpProblem, QpSolution, _feasible_start, solve_qp
+from .qp import INFEASIBLE, QpProblem, QpSolution, _feasible_start, solve_qp
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -57,7 +57,7 @@ def _conflicting_rows(problem: QpProblem) -> tuple[int, ...]:
         trial = [j for j in keep if j != i]
         if not trial:
             break
-        if _feasible_start([rows[j] for j in trial], [rhs[j] for j in trial], 0.5 * KKT_TOL) is None:
+        if _feasible_start([rows[j] for j in trial], [rhs[j] for j in trial]) is None:
             keep.remove(i)
     return tuple(keep)
 

@@ -143,6 +143,14 @@ def test_nesting_beyond_the_limit_is_an_error_at_its_column():
     assert "nested deeper" in str(exc_info.value)
 
 
+def test_matrix_error_column_counts_from_the_start_of_the_value():
+    text = "1.0 0.0 ; 0.0 (foo 1)"
+    with pytest.raises(ExprError) as exc_info:
+        parse_expr_rows(text)
+    assert exc_info.value.position == text.index("foo")
+    assert str(exc_info.value) == "unknown operator 'foo' (column 16)"
+
+
 def test_nesting_far_beyond_the_limit_is_an_error_not_a_recursion_error():
     with pytest.raises(ExprError):
         parse_expr_sequence(_nested(600))

@@ -43,8 +43,6 @@ def scenario_of(plant, obstacles, t_f=10.0, slopes=None, r_c=0.5, target=None, s
         plant=plant,
         obstacles=tuple(obstacles),
         target=TargetSet(target or [10.0] * n, 1.1),
-        r_c=r_c,
-        t_f=t_f,
         x0=np.zeros(n),
         shrink=ShrinkSchedule(*shrink, t_f),
         alphas=tuple(ClassKappa(s) for s in slopes),

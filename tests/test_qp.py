@@ -58,6 +58,10 @@ class TestSolveQp:
         assert sol.active_set == (0,)
         assert sol.kkt_residual <= KKT_TOL
 
+    def test_certificate_tolerance_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            solve_qp(halfspace_problem(1.0), kkt_tol=1e-3)
+
     def test_scaled_halfspace(self):
         problem = QpProblem(np.eye(2), np.zeros(2), [[20.0, 20.0]], [18.5])
         sol = solve_qp(problem)
@@ -642,7 +646,7 @@ class TestReferenceSolver:
             assert np.linalg.norm(np.asarray(got.u_star) - ref.u_star) <= 1e-12 * scale, k
 
 
-EMPTINESS_TOL = 0.5 * KKT_TOL  # what solve_qp and _conflicting_rows pass to _feasible_start
+EMPTINESS_TOL = 0.5 * KKT_TOL  # the slack that _feasible_start forgives every row
 
 
 def well_separated(A) -> bool:
@@ -722,7 +726,7 @@ def feasible_start_solving(A, b):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qp, "_eqp", recorded)
-        return qp._feasible_start(A.tolist(), b.tolist(), EMPTINESS_TOL), solved
+        return qp._feasible_start(A.tolist(), b.tolist()), solved
 
 
 class TestEmptinessProof:
@@ -747,7 +751,7 @@ class TestEmptinessProof:
     def test_nearly_parallel_rows_are_decided_exactly(self, rows):
         # Here float candidates would call some nonempty polyhedra empty.
         A, b = rows
-        assert_sound(qp._feasible_start(A.tolist(), b.tolist(), EMPTINESS_TOL), A, b)
+        assert_sound(qp._feasible_start(A.tolist(), b.tolist()), A, b)
 
     def test_wedge_that_rounding_hides_is_not_empty(self):
         # Two rows 2e-4 rad from antiparallel (cond(A_W A_W') = 3.9e7) bound a
@@ -760,7 +764,7 @@ class TestEmptinessProof:
         slacks = [min(slack) for _, _, _, slack in qp._candidates(identity, [0.0, 0.0], A.tolist(), b.tolist())]
         assert max(slacks) < -EMPTINESS_TOL
         assert fraction_nonempty(A, b, 0.0)
-        assert qp._feasible_start(A.tolist(), b.tolist(), EMPTINESS_TOL) is not None
+        assert qp._feasible_start(A.tolist(), b.tolist()) is not None
         with pytest.raises(QpCertificationError):
             solve_qp(QpProblem(np.eye(2), np.zeros(2), A, b))
 
@@ -783,7 +787,7 @@ class TestEmptinessProof:
         # The polyhedron is nonempty: solve_qp must raise QpCertificationError
         # rather than call UNCERTIFIABLE_QP infeasible.
         problem = UNCERTIFIABLE_QP
-        assert qp._feasible_start(problem.rows, problem.rhs, EMPTINESS_TOL) is not None
+        assert qp._feasible_start(problem.rows, problem.rhs) is not None
         assert reference_feasible_start(problem.A, problem.b, EMPTINESS_TOL) is not None
         with pytest.raises(QpCertificationError):
             solve_qp(problem)
@@ -792,7 +796,7 @@ class TestEmptinessProof:
         # |a|^2 underflows to 0 on floats, and the least-norm point, 5e309,
         # lies beyond the float range; the polyhedron is still nonempty.
         problem = QpProblem(np.eye(2), np.zeros(2), [[1e-310, 1e-310]], [1.0])
-        assert qp._feasible_start(problem.rows, problem.rhs, EMPTINESS_TOL) is not None
+        assert qp._feasible_start(problem.rows, problem.rhs) is not None
         with pytest.raises(QpCertificationError):
             solve_qp(problem)
 
@@ -800,7 +804,7 @@ class TestEmptinessProof:
     def test_exactly_antiparallel_pair_is_empty(self, a):
         # a u >= 1 and -a u >= -0.5; the Schur complement of {0, 1} is singular.
         A, b = np.array([a, [-x for x in a]]), np.array([1.0, -0.5])
-        assert qp._feasible_start(A.tolist(), b.tolist(), EMPTINESS_TOL) is None
+        assert qp._feasible_start(A.tolist(), b.tolist()) is None
         assert reference_feasible_start(A, b, EMPTINESS_TOL) is None
         assert not fraction_nonempty(A, b, 0.0)
 

@@ -121,5 +121,5 @@ def test_uncertified_seed_is_counted_and_the_others_kept(monkeypatch):
 
 def test_invariance_excludes_only_infeasible_runs():
     low = CampaignRun(1, 1, QP_UNCERTIFIED, True, -1.0, 0.0, "fail")
-    assert not CampaignSummary((low,), 1e-3).invariance_holds()
-    assert CampaignSummary((replace(low, status=QP_INFEASIBLE),), 1e-3).invariance_holds()
+    assert not CampaignSummary((low,)).invariance_holds()
+    assert CampaignSummary((replace(low, status=QP_INFEASIBLE),)).invariance_holds()

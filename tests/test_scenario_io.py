@@ -1,5 +1,7 @@
 """Scenario text format: parsing, canonical serialization, error reporting."""
 
+import dataclasses
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +9,11 @@ import pytest
 
 from conftest import bundled_benchmark_text
 from vczsim import plant
+from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet
+from vczsim.confinement import ConfinementLaw
 from vczsim.exprs import MAX_DEPTH
-from vczsim.plant import POSITIVE_DEFINITE, PlantModel, expression_plant
-from vczsim.scenario import validate
+from vczsim.plant import POSITIVE_DEFINITE, PlantModel, catalog_plant, expression_plant
+from vczsim.scenario import Scenario, validate
 from vczsim.scenario_io import (
     ScenarioParseError,
     SerializationError,
@@ -186,20 +190,30 @@ class TestParseErrors:
             ("radius = 0.5", "radius = 0.0", "radius"),
             ("radius = 1.5", "radius = -2.0", "radius"),
             ("radius = 1.1", "radius = -1.0", "radius"),
+            ("r_c = 0.5", "r_c = 0.0", "r_c"),
+            ("gain = 10.0", "gain = -1.0", "gain"),
+            ("epsilon_sat = 1e-09", "epsilon_sat = -1", "epsilon_sat"),
+            ("dt = 0.001", "dt = 0", "dt"),
+            ("t_f = 10.0", "t_f = -1", "t_f"),
+            ("r_end = 0.5", "r_end = abc", "r_end"),
         ],
         ids=["seed-negative", "obstacle-radius-nan", "alpha-nan", "target-radius-inf", "target-center-inf"]
-        + ["velocity-inf", "x0-nan", "static-radius-zero", "linear-radius-negative", "target-radius-negative"],
+        + ["velocity-inf", "x0-nan", "static-radius-zero", "linear-radius-negative", "target-radius-negative"]
+        + ["r_c-zero", "gain-sign", "epsilon_sat-negative", "dt-zero", "t_f-negative", "r_end-malformed"],
     )
     def test_bad_number_names_key_and_line(self, old, new, key):
         # Unchecked, the NaNs passed validation and the run died with a
         # QpInputError; inf and the x0 NaN raised OverflowError in validation;
         # a negative seed raised numpy's ValueError; a radius <= 0 raised the
-        # obstacle's or target's own ValueError, without line or key.
+        # obstacle's or target's own ValueError, without line or key. A bad
+        # r_c, gain, epsilon_sat or dt once came without line or key, a bad
+        # t_f under the section name, and a malformed r_end with two suffixes.
         text = bundled_benchmark_text().replace(old, new, 1)
         line = text.splitlines().index(new.partition("\n")[0]) + 1
         with pytest.raises(ScenarioParseError) as exc_info:
             parse_scenario(text)
         assert (exc_info.value.key, exc_info.value.line) == (key, line)
+        assert str(exc_info.value).count("(line ") == 1
 
     def test_path_obstacle_radius_names_key_and_line(self):
         text = CUSTOM_TEXT.replace("radius = 1.5", "radius = 0.0")
@@ -279,6 +293,27 @@ class TestHash:
         a = parse_scenario(bundled_benchmark_text())
         b = a.with_overrides(t_f=8.0)
         assert scenario_hash(a) != scenario_hash(b)
+
+    def test_every_init_field_but_dt_reaches_the_hash(self):
+        # A setting that the file does not carry would share its hash with
+        # every other value: each init field must change the hash.
+        base = parse_scenario(bundled_benchmark_text())
+        perturbed = {
+            "plant": catalog_plant("integrator", 2),
+            "obstacles": (Obstacle.static([1.5, 2.0], 0.6), base.obstacles[1]),
+            "target": TargetSet([10.0, 10.0], 1.2),
+            "x0": np.array([0.0, 0.1]),
+            "shrink": ShrinkSchedule(15.0, 0.4, 10.0),
+            "alphas": (ClassKappa(2.0),) + base.alphas[1:],
+            "qp_h": 2.0 * np.eye(2),
+            "qp_f": np.array([0.1, 0.0]),
+            "confinement": ConfinementLaw(11.0, 0.5),
+            "seed": 1,
+        }
+        init = {f.name for f in dataclasses.fields(Scenario) if f.init}
+        assert init - {"dt"} == set(perturbed)
+        for name, value in perturbed.items():
+            assert scenario_hash(replace(base, **{name: value})) != scenario_hash(base), name
 
     def test_opaque_plant_falls_back_to_structural_digest(self):
         base = benchmark_scenario()

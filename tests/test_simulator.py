@@ -83,8 +83,6 @@ def quiet_scenario(**overrides):
         plant=catalog_plant("integrator", 2),
         obstacles=(),
         target=TargetSet([0.0, 0.0], 1.1),
-        r_c=0.1,
-        t_f=10.0,
         x0=np.zeros(2),
         shrink=ShrinkSchedule(5.0, 1.0, 10.0),
         alphas=uniform_alphas(1),
@@ -139,7 +137,6 @@ def short_scenario(t_f: float):
     drives it through the target center where the reach gradient vanishes.
     """
     return quiet_scenario(
-        t_f=t_f,
         x0=np.array([2.0, 0.0]),
         shrink=ShrinkSchedule(2.1, 0.9, t_f),
     )
@@ -249,8 +246,6 @@ class TestRun:
             plant=catalog_plant("integrator", 2),
             obstacles=(Obstacle.static([5.0, 0.0], 0.8),),
             target=TargetSet([10.0, 0.0], 1.2),
-            r_c=0.3,
-            t_f=4.0,
             x0=np.zeros(2),
             shrink=ShrinkSchedule(10.5, 0.8, 4.0),
             alphas=uniform_alphas(2),

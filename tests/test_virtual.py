@@ -26,8 +26,6 @@ def make_scenario(obstacles, shrink, target=None, r_c=0.5, alphas=None):
         plant=catalog_plant("integrator", 2),
         obstacles=tuple(obstacles),
         target=target,
-        r_c=r_c,
-        t_f=shrink.t_f,
         x0=np.zeros(2),
         shrink=shrink,
         alphas=alphas or uniform_alphas(d),
@@ -41,16 +39,19 @@ def make_scenario(obstacles, shrink, target=None, r_c=0.5, alphas=None):
 BENCH = benchmark_scenario()
 
 
+REGULARITY_BAND = 0.5
+
+
 def regularity_margin(c, t: float, scenario: Scenario) -> float:
     """Smallest input-coefficient norm among rows near their barrier boundary.
 
-    Rows with |h| >= the configured regularity band are ignored; +inf when no
-    row is in the band.
+    Rows with |h| >= REGULARITY_BAND are ignored; +inf when no row is in the
+    band.
     """
     margin = math.inf
     A, _, h = assemble_rows(c, t, scenario)
     for a_j, h_j in zip(A, h):
-        if abs(h_j) < scenario.regularity_band:
+        if abs(h_j) < REGULARITY_BAND:
             margin = min(margin, float(np.linalg.norm(a_j)))
     return margin
 
