@@ -9,11 +9,11 @@ external parser. Nesting deeper than MAX_DEPTH parentheses is a parse error.
 
 ``compile_exprs`` turns the trees of one field into one Python function,
 once per scenario; the step loop calls only these. It emits one assignment
-per node with the operations of ``eval_expr``, so the values are bitwise
-equal. ``eval_expr`` is the reference interpreter, and it also takes a 1-D
-array for ``t`` when the expression uses no state variable. Each element of
-the result is bitwise equal to evaluating the expression at that element
-alone: ``+`` applies ``math.fsum`` and ``sin``/``cos`` apply
+per distinct subtree with the operations of ``eval_expr``, so the values
+are bitwise equal. ``eval_expr`` is the reference interpreter, and it also
+takes a 1-D array for ``t`` when the expression uses no state variable.
+Each element of the result is bitwise equal to evaluating the expression at
+that element alone: ``+`` applies ``math.fsum`` and ``sin``/``cos`` apply
 ``math.sin``/``math.cos`` element by element, and ``-`` and ``*`` are
 already exact elementwise. A subexpression without ``t`` stays a float, so
 the result may be a float for an array ``t``.
@@ -187,36 +187,61 @@ def compile_exprs(exprs, params, packed: bool = False):
     a tree or nested lists of trees, as tuples of the same nesting. When
     `packed`, it takes one sequence `x` of the params' values instead and
     unpacks it in its first line. Only `_VAR_RE` names and fixed operator text
-    reach `compile()`; literals are closure constants."""
+    reach `compile()`; literals are closure constants.
+
+    Each structurally equal subtree is computed once, a product is the left
+    fold of its factors without eval_expr's leading 1.0 (1.0 * x is x for
+    every float), and a tuple of constants is built once, as a constant."""
     if not all(_VAR_RE.fullmatch(p) for p in params):
         raise ExprError(f"bad argument names {list(params)}")
     consts, lines = [], [unpack(params, "x")] if packed else []
+    names = {}  # structural key -> generated name
+
+    def const(value) -> str:
+        consts.append(value)
+        return f"k{len(consts) - 1}"
 
     def node(e):
         tag, arg = e
-        if tag == "num":
-            consts.append(float(arg))
-            return f"k{len(consts) - 1}"
         if tag == "var":
             if arg not in params:
                 raise ExprError(f"may only use {', '.join(params)}, found '{arg}'")
             return arg
+        if tag == "num":
+            key = (tag, float(arg), math.copysign(1.0, arg))  # 0.0 and -0.0 stay apart
+            if key not in names:
+                names[key] = const(float(arg))
+            return names[key]
         if tag not in _NARY_OPS and tag not in _UNARY_FUNCS:
             raise ExprError(f"unknown operator {tag!r}")
         args = [node(a) for a in arg]
+        key = (tag, *args)
+        if key in names:
+            return names[key]
         if tag == "+":
             rhs = f"fsum(({', '.join(args)},))"
         elif tag == "-" and len(args) == 1:
             rhs = f"-{args[0]}"
-        elif tag in _NARY_OPS:  # left folds, the product from 1.0
-            rhs = f" {tag} ".join(["1.0"] * (tag == "*") + args)
+        elif tag in _NARY_OPS:  # left folds
+            rhs = f" {tag} ".join(args)
         else:
             rhs = f"{tag}({args[0]})"
-        lines.append(f"v{len(lines)} = {rhs}")
-        return f"v{len(lines) - 1}"
+        names[key] = f"v{len(lines)}"
+        lines.append(f"{names[key]} = {rhs}")
+        return names[key]
+
+    def constant(item):
+        """The value of a nest of lists of number trees, else None."""
+        if isinstance(item, tuple):
+            return float(item[1]) if item[0] == "num" else None
+        values = [constant(i) for i in item]
+        return None if None in values else tuple(values)
 
     def out(item):
-        return node(item) if isinstance(item, tuple) else f"({''.join(out(i) + ', ' for i in item)})"
+        if isinstance(item, tuple):
+            return node(item)
+        value = constant(item)
+        return const(value) if value is not None else f"({''.join(out(i) + ', ' for i in item)})"
 
     return straight_line(("x",) if packed else params, lines, out(exprs), consts)
 

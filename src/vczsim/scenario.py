@@ -19,7 +19,7 @@ import numpy as np
 from .barriers import ClassKappa, Obstacle, SettingError, ShrinkSchedule, TargetSet, compile_rows
 from .confinement import ConfinementLaw
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, compile_rk4, sign_class_margin
-from .qp import QpCost, _cost
+from .qp import QpCost, QpInputError, _cost, compile_solver
 
 MANDATORY_CHECKS = ("V1", "V2", "V3", "V4", "V5")
 
@@ -81,8 +81,11 @@ class Scenario:
             raise ValueError(f"qp_h must be {n}x{n}, got shape {self.qp_h.shape}")
         if self.qp_f.shape != (n,) or not np.isfinite(self.qp_f).all():
             raise SettingError(f"qp_f must be {n} finite values, got {self.qp_f.tolist()}", "qp_f")
-        # QpInputError unless H is PD
-        object.__setattr__(self, "qp_cost", _cost(self.qp_h.shape, self.qp_h.tobytes(), self.qp_f.tobytes()))
+        try:
+            cost = _cost(self.qp_h.shape, self.qp_h.tobytes(), self.qp_f.tobytes())
+        except QpInputError as exc:  # H not finite, symmetric and positive definite
+            raise SettingError(str(exc), "qp_h") from None
+        object.__setattr__(self, "qp_cost", cost)
         if len(self.alphas) != self.barrier_count:
             raise ValueError(
                 f"need {self.barrier_count} class-K slopes, got {len(self.alphas)}"
@@ -107,6 +110,12 @@ class Scenario:
     def rows_kernel(self):
         """(c, t) -> (A, b, h), the CBF rows; see barriers.compile_rows."""
         return compile_rows(self.obstacles, self.r_c, self.target.point, self.shrink, self.slopes)
+
+    @functools.cached_property
+    def qp_kernel(self):
+        """hint -> solve(A, b): the compiled CBF-QP solve of the hint's working
+        set, None where solve_qp must decide; see qp.compile_solver."""
+        return compile_solver(self.qp_cost, self.barrier_count)
 
     @functools.cached_property
     def rk4_kernel(self):

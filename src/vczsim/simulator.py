@@ -2,11 +2,11 @@
 
 Both controls are computed once per step and held constant (zero-order
 hold) while a classical fixed-step RK4 advances true state and center
-jointly. A step runs on Python floats: the scenario's compiled rows, the QP
-on its checked cost, the confinement law, the compiled RK4 step of the plant
+jointly. A step runs on Python floats: the scenario's compiled rows and QP
+solve (virtual_control), the confinement law, the compiled RK4 step of the plant
 (plant.compile_rk4, bitwise the RK4 step through plant_derivative) with the
 centre's own update, and ||x - c||, on 2- and 3-vectors where a numpy call
-costs more than its arithmetic. Every step is recorded into preallocated arrays;
+costs more than its arithmetic. Every step is appended to growing float arrays;
 metrics and the reach-avoid verdict are computed from the full-resolution
 trace, and verify_trace re-derives all safety claims from raw states rather than
 trusting logged values. Both work on whole-trace arrays: obstacle centres
@@ -18,6 +18,7 @@ code. File IO is in trace_io.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from operator import sub
 
@@ -130,49 +131,40 @@ def _error(x, c) -> tuple[list[float], float]:
 
 
 class _Recorder:
-    """Trace columns preallocated for `rows` records, filled in step order."""
+    """Trace columns as float arrays that grow by one record per step, in step
+    order; a step appends Python floats without numpy. trace() views them
+    without a copy, after which no record may be added."""
 
-    def __init__(self, scenario: Scenario, scenario_hash: str, rows: int):
-        n, d = scenario.n, scenario.barrier_count
+    def __init__(self, scenario: Scenario, scenario_hash: str):
         self.scenario = scenario
         self.r_c = scenario.r_c
         self.hash = scenario_hash
-        self.k = 0
-        self.t = np.zeros(rows)
-        self.x = np.zeros((rows, n))
-        self.c = np.zeros((rows, n))
-        self.u = np.zeros((rows, n))
-        self.u_c = np.zeros((rows, n))
-        self.h = np.zeros((rows, d))
-        self.e_hat = np.zeros(rows)
-        self.status = [""] * rows
-        self.kkt = np.zeros(rows)
+        self.t, self.x, self.c, self.u, self.u_c, self.h, self.e_hat, self.kkt = (array("d") for _ in range(8))
+        self.status = []
 
     def add(self, t: float, x, c, gap: float, u, u_c, solution, h):
-        k = self.k
-        self.t[k] = t
-        self.x[k] = x
-        self.c[k] = c
-        self.u[k] = u
-        self.u_c[k] = u_c
-        self.h[k] = h
-        self.e_hat[k] = gap / self.r_c
-        self.status[k] = solution.status
-        self.kkt[k] = solution.kkt_residual
-        self.k = k + 1
+        self.t.append(t)
+        self.x.extend(x)
+        self.c.extend(c)
+        self.u.extend(u)
+        self.u_c.extend(u_c)
+        self.h.extend(h)
+        self.e_hat.append(gap / self.r_c)
+        self.status.append(solution.status)
+        self.kkt.append(solution.kkt_residual)
 
     def trace(self) -> SimTrace:
-        k = self.k
+        n, d = self.scenario.n, self.scenario.barrier_count
         return SimTrace(
-            t=self.t[:k],
-            x=self.x[:k],
-            c=self.c[:k],
-            u=self.u[:k],
-            u_c=self.u_c[:k],
-            h=self.h[:k],
-            e_hat=self.e_hat[:k],
-            qp_status=tuple(self.status[:k]),
-            qp_kkt=self.kkt[:k],
+            t=np.frombuffer(self.t),
+            x=np.frombuffer(self.x).reshape(-1, n),
+            c=np.frombuffer(self.c).reshape(-1, n),
+            u=np.frombuffer(self.u).reshape(-1, n),
+            u_c=np.frombuffer(self.u_c).reshape(-1, n),
+            h=np.frombuffer(self.h).reshape(-1, d),
+            e_hat=np.frombuffer(self.e_hat),
+            qp_status=tuple(self.status),
+            qp_kkt=np.frombuffer(self.kkt),
             scenario_hash=self.hash,
             dt=self.scenario.dt,
         )
@@ -193,7 +185,7 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
 
     r_c = scenario.r_c
     schedule = _step_schedule(scenario.t_f, scenario.dt)
-    recorder = _Recorder(scenario, scenario_hash(scenario), len(schedule) + 1)
+    recorder = _Recorder(scenario, scenario_hash(scenario))
     x, c = scenario.x0.tolist(), scenario.x0.tolist()
     scenario.plant.check_shapes(x, 0.0)
     e, gap = _error(x, c)

@@ -4,10 +4,15 @@ The center is a single integrator, cdot = u_c, so each barrier h_j gives one
 linear row grad h_j' u_c >= -alpha_j(h_j) - dh_j/dt on the virtual input.
 Stacking all rows under a strictly convex cost yields the QP whose
 minimizer steers the center. The rows come from the scenario's compiled
-rows_kernel (barriers.compile_rows) and the QP is built on the scenario's
-checked cost, qp_cost, so a step neither re-evaluates barriers one call at a
-time nor re-checks the cost. Rows, the QP and its answer stay Python floats
-through a step: A by rows, b and h as float lists, u_c as a float tuple.
+rows_kernel (barriers.compile_rows). The QP first goes to the scenario's
+compiled qp_kernel (qp.compile_solver), which solves the hint's working set
+in straight-line code and certifies it. Only when that returns None (a
+skipped or failing hint, or non-finite rows) does a step build a QpProblem
+on the scenario's checked cost, qp_cost, and call solve_qp, which enumerates
+the working sets, proves the polyhedron empty or raises QpInputError. Both
+paths return the same QpSolution, bitwise. Rows, the QP and its answer stay
+Python floats through a step: A by rows, b and h as float lists, u_c as a
+float tuple.
 """
 
 from __future__ import annotations
@@ -67,13 +72,16 @@ def virtual_control(
 ) -> tuple[tuple[float, ...], QpSolution, list[float]]:
     """Solve the stacked CBF-QP at (c, t); raises QpInfeasibleError if empty.
 
-    `hint` is passed to solve_qp: the previous step's `solution.support`.
+    `hint` is the previous step's `solution.support`: the compiled solve of
+    its working set runs first, and solve_qp gets it on a fallback.
     Returns u_c, the QP solution and the barrier values of the solved rows,
     in row order, so callers need not evaluate the barriers again.
     """
     A, b, h = assemble_rows(c, t, scenario)
-    problem = QpProblem(scenario.qp_cost, None, A, b)
-    solution = solve_qp(problem, hint=hint)
-    if solution.status == INFEASIBLE:
-        raise QpInfeasibleError(c, t, _conflicting_rows(problem))
+    solution = scenario.qp_kernel[tuple(hint)](A, b)
+    if solution is None:
+        problem = QpProblem(scenario.qp_cost, None, A, b)
+        solution = solve_qp(problem, hint=hint)
+        if solution.status == INFEASIBLE:
+            raise QpInfeasibleError(c, t, _conflicting_rows(problem))
     return solution.u_star, solution, h

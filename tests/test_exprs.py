@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vczsim import exprs
 from vczsim.exprs import (
     MAX_DEPTH,
     ExprError,
@@ -177,6 +178,32 @@ class TestCompile:
     def test_rejects_argument_names_outside_the_grammar(self, params):
         with pytest.raises(ExprError):
             compile_exprs([("num", 1.0)], params)
+
+    def test_equal_subtrees_are_computed_once(self, monkeypatch):
+        lines = []
+        real = exprs.straight_line
+
+        def spy(params, body, result, consts):
+            lines.extend(body)
+            return real(params, body, result, consts)
+
+        monkeypatch.setattr(exprs, "straight_line", spy)
+        drift = parse_expr_sequence("(* 5.0 (sin (* x1 x2))) (* 5.0 (cos (* x1 x2)))")
+        fn = compile_exprs(drift, ("x1", "x2"), packed=True)
+        assert [line for line in lines if "x1 * x2" in line] == ["v1 = x1 * x2"]
+        assert not [line for line in lines if "1.0" in line]  # no product starts from 1.0
+        assert fn([0.3, 0.7]) == tuple(eval_expr(e, 0.0, [0.3, 0.7]) for e in drift)
+
+    def test_signed_zero_literals_stay_apart(self):
+        fn = compile_exprs(parse_expr_sequence("(* -0.0 x1) (* 0.0 x1) (- -0.0) (- 0.0)"), ("x1",))
+        assert [math.copysign(1.0, v) for v in fn(1.0)] == [-1.0, 1.0, 1.0, -1.0]
+
+    def test_constant_outputs_are_built_once(self):
+        fn = compile_exprs(parse_expr_rows("0.8 0.0 ; 0.0 0.5"), ("x1", "x2"), packed=True)
+        assert fn([1.0, 2.0]) is fn([3.0, 4.0]) == ((0.8, 0.0), (0.0, 0.5))
+        mixed = compile_exprs(parse_expr_rows("0.8 x1 ; 0.0 0.5"), ("x1", "x2"), packed=True)
+        assert mixed([1.0, 2.0]) == ((0.8, 1.0), (0.0, 0.5))
+        assert mixed([1.0, 2.0])[1] is mixed([3.0, 4.0])[1]
 
     def test_literals_are_not_source_text(self):
         fn = compile_exprs([("num", v) for v in (math.inf, math.nan, 1e999, -0.0)], ())

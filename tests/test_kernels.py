@@ -157,10 +157,10 @@ def test_rk4_kernel_is_bitwise_the_plant_derivative_steps(case):
 def test_kernels_are_compiled_in_the_first_step_not_when_parsed():
     scenario = load_scenario(CROWDED_3D)
     assert validate(scenario).all_passed
-    assert "rows_kernel" not in vars(scenario) and "rk4_kernel" not in vars(scenario)
+    assert not {"rows_kernel", "qp_kernel", "rk4_kernel"} & set(vars(scenario))
     short = scenario.with_overrides(dt=0.01)
     run(short, check=False)
-    assert {"rows_kernel", "rk4_kernel"} <= set(vars(short))
+    assert {"rows_kernel", "qp_kernel", "rk4_kernel"} <= set(vars(short))
 
 
 def test_kernels_hold_no_input_text():
@@ -171,3 +171,18 @@ def test_kernels_hold_no_input_text():
         code = kernel.__code__
         assert code.co_names == ()
         assert set(code.co_consts) <= {None, 0, 2, 0.5, 2.0, -2.0, 6.0}
+
+
+def test_qp_kernel_holds_no_input_text_and_shares_code_by_shape():
+    # The cost's numbers are closure constants: the literals are the fixed
+    # ones of the templates, and a cost of the same shape reuses the code.
+    scenario = benchmark_scenario().with_overrides(qp_h=np.array([[2.0, 0.3], [0.3, 1.5]]), qp_f=np.array([0.7, -0.2]))
+    other = benchmark_scenario()
+    sets = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    for fn in [scenario.qp_kernel[w] for w in sets] + [scenario.qp_kernel.certificate]:
+        code = fn.__code__
+        assert code.co_names == ()
+        for c in code.co_consts:
+            assert c in (None, 0, 1.0, -1.0) or isinstance(c, tuple) and all(x in range(3) for x in c), c
+    for w in sets:
+        assert scenario.qp_kernel[w].__code__ is other.qp_kernel[w].__code__

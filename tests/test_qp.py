@@ -220,16 +220,27 @@ def kkt_error_bound(problem, u, lam) -> tuple[Fraction, Fraction]:
     return max(errors), (1 + g) ** 3 * max(sizes)
 
 
+def draw_kkt_data(data, m, d, nan_in):
+    """(problem, u, lam) of raw float data, with one NaN in the array `nan_in`."""
+    shapes = {"H": (m, m), "F": (m,), "A": (d, m), "b": (d,), "u": (m,), "lam": (d,)}
+    elements = data.draw(st.sampled_from([KKT_ENTRIES, MODERATE_ENTRIES]), label="elements")
+    arrays = {k: data.draw(hnp.arrays(float, shape, elements=elements), label=k) for k, shape in shapes.items()}
+    if nan_in is not None and arrays[nan_in].size:
+        i = data.draw(st.integers(0, arrays[nan_in].size - 1), label="nan position")
+        arrays[nan_in].flat[i] = math.nan
+    return raw_problem(arrays["H"], arrays["F"], arrays["A"], arrays["b"]), arrays["u"], arrays["lam"]
+
+
 class TestCheckKktMatchesNumpy:
     """check_kkt on Python floats against the reference certificates: the
     exact one within a forward-error bound, and numpy's NaN for NaN."""
 
     @staticmethod
-    def assert_near_exact(problem, u, lam):
+    def assert_near_exact(problem, u, lam, certificate=check_kkt):
         """NaN data give NaN and other non-finite data never pass; on finite
         data the residual is within kkt_error_bound of the exact one, or, when
         an intermediate can overflow, inf or NaN."""
-        got = check_kkt(problem, u, lam)
+        got = certificate(problem, u, lam)
         data = np.concatenate([np.ravel(x) for x in (problem.H, problem.F, problem.A, problem.b, u, lam)])
         if np.isnan(data).any():
             assert math.isnan(got)
@@ -251,14 +262,26 @@ class TestCheckKktMatchesNumpy:
         nan_in=st.sampled_from([None, None, None, "H", "F", "A", "b", "u", "lam"]),
     )
     def test_within_error_bound_of_the_exact_certificate(self, data, m, d, nan_in):
-        shapes = {"H": (m, m), "F": (m,), "A": (d, m), "b": (d,), "u": (m,), "lam": (d,)}
-        elements = data.draw(st.sampled_from([KKT_ENTRIES, MODERATE_ENTRIES]), label="elements")
-        arrays = {k: data.draw(hnp.arrays(float, shape, elements=elements), label=k) for k, shape in shapes.items()}
-        if nan_in is not None and arrays[nan_in].size:
-            i = data.draw(st.integers(0, arrays[nan_in].size - 1), label="nan position")
-            arrays[nan_in].flat[i] = math.nan
-        problem = raw_problem(arrays["H"], arrays["F"], arrays["A"], arrays["b"])
-        self.assert_near_exact(problem, arrays["u"], arrays["lam"])
+        problem, u, lam = draw_kkt_data(data, m, d, nan_in)
+        self.assert_near_exact(problem, u, lam)
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 3),
+        d=st.integers(1, 7),
+        nan_in=st.sampled_from([None, None, None, "H", "F", "A", "b", "u", "lam"]),
+    )
+    def test_generated_certificate_is_bitwise_check_kkt(self, data, m, d, nan_in):
+        # The compiled solver's certificate, generated from H and F alone.
+        problem, u, lam = draw_kkt_data(data, m, d, nan_in)
+        certificate = qp.compile_certificate(problem.cost.H, problem.cost.F, d)
+
+        def generated(problem, u, lam):
+            return certificate(problem.rows, problem.rhs, tuple(u.tolist()), tuple(lam.tolist()))
+
+        assert generated(problem, u, lam).hex() == check_kkt(problem, u, lam).hex()
+        self.assert_near_exact(problem, u, lam, generated)
 
     @pytest.mark.parametrize("d", range(8))
     def test_nan_at_every_position(self, d):
@@ -370,6 +393,41 @@ class TestWarmStart:
         assert sol.status == DEGENERATE
         np.testing.assert_allclose(sol.u_star, [1.0, 0.0], atol=1e-10)
         assert sol.kkt_residual <= KKT_TOL
+
+
+class TestCompiledSolver:
+    """qp.compile_solver's working-set functions keep the enumeration's skip
+    rule and gates: each case below certifies under the KKT tolerance alone,
+    but solve_qp passes over the hinted working set."""
+
+    @pytest.mark.parametrize(
+        "A, b, hint, support",
+        [
+            # Row 0 is tight, not violated, at u0 = 0: skipped, though lam = 0 certifies.
+            ([[1.0, 0.0]], [0.0], (0,), ()),
+            # lam_1 = -7e-10 is below the -KKT_TOL/2 gate, within KKT_TOL.
+            ([[1.0, 0.0], [0.0, 1.0]], [1.0, -7e-10], (0, 1), (0,)),
+            # Row 1's slack, -7e-10, is below the gate, within KKT_TOL.
+            ([[1.0, 0.0], [0.0, 1.0]], [1.0, 7e-10], (0,), (0, 1)),
+        ],
+        ids=["skip-rule", "multiplier-gate", "slack-gate"],
+    )
+    def test_hint_that_solve_qp_passes_over_falls_back(self, A, b, hint, support):
+        problem = QpProblem(np.eye(2), np.zeros(2), A, b)
+        assert check_kkt(problem, *self.candidate(problem, hint)) <= KKT_TOL
+        kernel = qp.compile_solver(problem.cost, len(b))
+        assert kernel[hint](A, b) is None
+        solution = solve_qp(problem, hint)
+        assert solution.support == support
+        assert kernel[support](A, b) == solution
+
+    @staticmethod
+    def candidate(problem, working):
+        u, lam_w = qp._eqp(problem.cost.H_inv, problem.cost.v, problem.rows, problem.rhs, working)
+        lam = [0.0] * problem.d
+        for i, x in zip(working, lam_w):
+            lam[i] = x
+        return u, lam
 
 
 def near_parallel(kind, k):

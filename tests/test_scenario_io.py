@@ -196,10 +196,14 @@ class TestParseErrors:
             ("dt = 0.001", "dt = 0", "dt"),
             ("t_f = 10.0", "t_f = -1", "t_f"),
             ("r_end = 0.5", "r_end = abc", "r_end"),
+            ("epsilon_sat = 1e-09", "qp_h = 1 0 ; 0 -1\nepsilon_sat = 1e-09", "qp_h"),
+            ("epsilon_sat = 1e-09", "qp_h = 1 0.5 ; 0 1\nepsilon_sat = 1e-09", "qp_h"),
+            ("epsilon_sat = 1e-09", "qp_h = 1 nan ; nan 1\nepsilon_sat = 1e-09", "qp_h"),
         ],
         ids=["seed-negative", "obstacle-radius-nan", "alpha-nan", "target-radius-inf", "target-center-inf"]
         + ["velocity-inf", "x0-nan", "static-radius-zero", "linear-radius-negative", "target-radius-negative"]
-        + ["r_c-zero", "gain-sign", "epsilon_sat-negative", "dt-zero", "t_f-negative", "r_end-malformed"],
+        + ["r_c-zero", "gain-sign", "epsilon_sat-negative", "dt-zero", "t_f-negative", "r_end-malformed"]
+        + ["qp_h-not-pd", "qp_h-asymmetric", "qp_h-nan"],
     )
     def test_bad_number_names_key_and_line(self, old, new, key):
         # Unchecked, the NaNs passed validation and the run died with a
@@ -207,7 +211,9 @@ class TestParseErrors:
         # a negative seed raised numpy's ValueError; a radius <= 0 raised the
         # obstacle's or target's own ValueError, without line or key. A bad
         # r_c, gain, epsilon_sat or dt once came without line or key, a bad
-        # t_f under the section name, and a malformed r_end with two suffixes.
+        # t_f under the section name, a malformed r_end with two suffixes, and
+        # a qp_h that is not finite, symmetric and positive definite without
+        # line or key.
         text = bundled_benchmark_text().replace(old, new, 1)
         line = text.splitlines().index(new.partition("\n")[0]) + 1
         with pytest.raises(ScenarioParseError) as exc_info:

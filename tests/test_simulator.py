@@ -345,45 +345,60 @@ class TestBarrierPass:
             assert np.array_equal(trace.h[k], barrier_values(trace.c[k], trace.t[k], scenario))
 
 
+def cold_control(c, t, scenario, hint=()):
+    """virtual_control without the hint or the compiled solver: the full
+    enumeration of solve_qp on every step."""
+    A, b, h = virtual.assemble_rows(c, t, scenario)
+    solution = qp.solve_qp(qp.QpProblem(scenario.qp_cost, None, A, b))
+    return solution.u_star, solution, h
+
+
 class TestWarmStart:
-    """run() hands each QP the previous step's support; that changes no output."""
+    """run() hands each QP the previous step's support, which the compiled
+    solver tries alone; that changes no output."""
 
-    def test_eqp_calls_per_solve(self, monkeypatch):
-        # A count, not a timing: without the hint the benchmark needs 2.4
-        # subproblems per solve, with it about one.
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
         calls = []
-        real = qp._eqp
-
-        def counted(*args):
-            calls.append(None)
-            return real(*args)
-
-        monkeypatch.setattr(qp, "_eqp", counted)
-        trace, _ = run(benchmark_scenario().with_overrides(dt=1e-2))
-        assert len(calls) <= 1.1 * len(trace)
-
-    def test_no_rank_test_on_the_benchmark(self, monkeypatch):
-        # A count, not a timing: every tight set here is the certified
-        # support, whose independence _eqp's Cholesky has shown.
-        calls = []
-        real = np.linalg.matrix_rank
+        real = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls.append(None)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_eqp_calls_per_solve(self, monkeypatch):
+        # A count, not a timing: the working sets tried per solve. Warm, each
+        # step tries the hint's compiled working set and, when it does not
+        # certify, solve_qp's (counted by _eqp); cold, the benchmark needs
+        # about 2.4.
+        scenario = benchmark_scenario().with_overrides(dt=1e-2)
+        eqp = self.count_calls(monkeypatch, qp, "_eqp")
+        trace, _ = run(scenario)
+        assert len(trace) + len(eqp) <= 1.1 * len(trace)
+        eqp.clear()
+        monkeypatch.setattr(simulator, "virtual_control", cold_control)
+        trace, _ = run(scenario)
+        assert len(eqp) >= 2 * len(trace)
+
+    def test_no_rank_test_on_the_benchmark(self, monkeypatch):
+        # A count, not a timing: every tight set here is the certified
+        # support, whose independence _eqp's Cholesky has shown.
+        calls = self.count_calls(monkeypatch, np.linalg, "matrix_rank")
         trace, _ = run(benchmark_scenario().with_overrides(dt=1e-2))
         assert len(trace) == 1001 and calls == []
 
     def test_trace_is_bitwise_the_cold_start_trace(self, monkeypatch):
         scenario = benchmark_scenario().with_overrides(dt=1e-2)
+        fallbacks = self.count_calls(monkeypatch, virtual, "solve_qp")
         warm, _ = run(scenario)
-        real = virtual.solve_qp
-        monkeypatch.setattr(virtual, "solve_qp", lambda problem, hint: real(problem))
+        assert len(fallbacks) <= 0.01 * len(warm)  # the warm run took the compiled path
+        monkeypatch.setattr(simulator, "virtual_control", cold_control)
         cold, _ = run(scenario)
         for name in ("x", "c", "u", "u_c", "h", "qp_kkt"):
-            assert np.array_equal(getattr(warm, name), getattr(cold, name)), name
+            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
         assert warm.qp_status == cold.qp_status
 
 
@@ -556,3 +571,20 @@ class TestTraceIo:
         _, trace, _, _ = benchmark_run
         with pytest.raises(ValueError):
             write_trace(trace, tmp_path / "x.csv", decimate=0)
+
+
+def test_recorder_trace_views_its_columns():
+    # The columns are appended to as floats and viewed, not copied, by trace().
+    scenario = benchmark_scenario()
+    recorder = simulator._Recorder(scenario, "hash")
+    assert recorder.trace().x.shape == (0, 2) and recorder.trace().h.shape == (0, 3)
+    recorder = simulator._Recorder(scenario, "hash")
+    solution = qp.QpSolution((1.0, 2.0), (), 0.0, qp.OPTIMAL, (0.0, 0.0, 0.0))
+    for k in range(3):
+        recorder.add(0.1 * k, [k, 2.0], [0.5, -0.0], 0.25, [0.0, k], (1.0, 2.0), solution, [1.0, 2.0, k])
+    first, second = recorder.trace(), recorder.trace()
+    assert first.x.tolist() == [[0.0, 2.0], [1.0, 2.0], [2.0, 2.0]]
+    assert first.h[:, 2].tolist() == [0.0, 1.0, 2.0] and first.e_hat.tolist() == [0.5] * 3
+    assert first.qp_status == (qp.OPTIMAL,) * 3 and math.copysign(1.0, first.c[2, 1]) == -1.0
+    for name in ("t", "x", "c", "u", "u_c", "h", "e_hat", "qp_kkt"):
+        assert np.shares_memory(getattr(first, name), getattr(second, name)), name

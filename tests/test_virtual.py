@@ -1,15 +1,19 @@
 """Constraint-row assembly and the stacked CBF-QP controller."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import barrier_values, brute_force_qp
 from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, eval_avoidance, eval_reach
 from vczsim.confinement import ConfinementLaw
 from vczsim.plant import catalog_plant
-from vczsim.qp import QpProblem
+from vczsim import qp
+from vczsim.qp import INFEASIBLE, QpCertificationError, QpInputError, QpProblem, compile_solver, solve_qp
+from vczsim.simulator import run
 from vczsim.scenario import Scenario, uniform_alphas
 from vczsim.scenario_io import benchmark_scenario
 from vczsim.virtual import (
@@ -175,3 +179,100 @@ def test_barrier_values_order_and_content():
     values = barrier_values([0.0, 0.0], 0.0, BENCH)
     np.testing.assert_allclose(values, [5.25, 46.0, 25.0])
 
+
+
+def solution_bits(solution):
+    """A QpSolution with every float as its hex text, so -0.0 and 0.0 differ."""
+    def floats(values):
+        return None if values is None else tuple(x.hex() for x in values)
+
+    return (solution.status, solution.support, solution.active_set, floats(solution.u_star),
+            floats(solution.multipliers), solution.kkt_residual.hex())
+
+
+def outcome(solve):
+    """solution_bits of what `solve` returns, INFEASIBLE for an infeasible QP
+    however reported, or the type of the QP error it raises."""
+    try:
+        solution = solve()
+    except (QpInfeasibleError, QpInputError, QpCertificationError) as exc:
+        return INFEASIBLE if isinstance(exc, QpInfeasibleError) else type(exc)
+    return INFEASIBLE if solution.status == INFEASIBLE else solution_bits(solution)
+
+
+@st.composite
+def cbf_qps(draw):
+    """(cost, A, b): a strictly convex QP with m 1-3 inputs and d 1-7 rows, some
+    of them nearly parallel, some data non-finite, some polyhedra empty."""
+    m, d = draw(st.integers(1, 3), label="m"), draw(st.integers(1, 7), label="d")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    L = rng.normal(size=(m, m))
+    H, F = L.T @ L + 0.1 * np.eye(m), rng.normal(size=m)
+    A = rng.normal(size=(d, m))
+    b = A @ rng.uniform(-1.0, 1.0, size=m) - rng.uniform(-0.5, 2.0, size=d)
+    for _ in range(draw(st.integers(0, 2), label="parallel pairs") if d > 1 else 0):
+        i, j = rng.choice(d, size=2, replace=False)
+        eps = 10.0 ** -draw(st.integers(4, 16), label="log10 angle")
+        A[j], b[j] = A[i] + eps * rng.normal(size=m), b[i] + eps * rng.normal()
+    if draw(st.integers(0, 9), label="non-finite") == 0:
+        data = draw(st.sampled_from([A, b]), label="array")
+        data.flat[draw(st.integers(0, data.size - 1), label="at")] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
+    return qp._cost(H.shape, H.tobytes(), F.tobytes()), A.tolist(), b.tolist()
+
+
+class TestCompiledPath:
+    """virtual_control solves the hint's working set in compiled code and
+    falls back to solve_qp when it does not certify: the outcome is bitwise
+    solve_qp's."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(problem=cbf_qps(), hint=st.lists(st.integers(-2, 8), max_size=5).map(tuple))
+    def test_same_solution_as_solve_qp(self, problem, hint):
+        # Hints may be empty, duplicated, out of range, larger than min(m, d),
+        # skipped or failing; each gives solve_qp's answer.
+        cost, A, b = problem
+        kernel = compile_solver(cost, len(A))
+        scenario = SimpleNamespace(rows_kernel=lambda c, t: (A, b, []), qp_cost=cost, qp_kernel=kernel)
+        reference = outcome(lambda: solve_qp(QpProblem(cost, None, A, b), hint))
+        assert outcome(lambda: virtual_control(None, 0.0, scenario, hint)[1]) == reference
+        compiled = kernel[hint](A, b)
+        assert compiled is None or solution_bits(compiled) == reference
+        if isinstance(reference, tuple) and reference[0] != INFEASIBLE:
+            # The certified working set, as a hint, certifies in compiled code.
+            support = reference[1]
+            assert solution_bits(kernel[support](A, b)) == reference
+
+    def test_non_finite_rows_raise_through_the_fallback(self):
+        cost = BENCH.qp_cost
+        kernel = compile_solver(cost, 2)
+        for A, b in (([[1.0, math.nan], [0.0, 1.0]], [0.0, 0.0]), ([[1.0, 0.0], [0.0, 1.0]], [math.inf, 0.0])):
+            assert kernel[(0,)](A, b) is None and kernel[()](A, b) is None
+            scenario = SimpleNamespace(rows_kernel=lambda c, t: (A, b, []), qp_cost=cost, qp_kernel=kernel)
+            with pytest.raises(QpInputError, match="finite"):
+                virtual_control(None, 0.0, scenario, (0,))
+
+    def test_invalid_hints_share_the_empty_sets_function(self):
+        kernel = compile_solver(BENCH.qp_cost, 3)
+        for hint in ((), (5,), (-1,), (0, 1, 2), (2, 0, 2)):
+            kernel[hint]
+        assert sorted(kernel) == [(), (0, 2)]
+        assert kernel[(5,)] is kernel[()] and kernel[(2, 0, 2)] is kernel[(0, 2)]
+        u_c, solution, _ = virtual_control([0.0, 0.0], 0.0, BENCH, [2])  # any sequence is a hint
+        assert solution.support == (2,) and (2,) in BENCH.qp_kernel
+
+    def test_a_benchmark_run_compiles_only_the_working_sets_it_uses(self, monkeypatch):
+        scenario = benchmark_scenario().with_overrides(dt=1e-2)
+        hints = []
+        real = virtual_control
+
+        def recording(c, t, scenario, hint=()):
+            hints.append(hint)
+            return real(c, t, scenario, hint)
+
+        monkeypatch.setattr("vczsim.simulator.virtual_control", recording)
+        run(scenario, check=False)
+        # m = 2 and d = 3 allow 7 working sets; the run's hints are the
+        # supports it certified, the first step's empty set included.
+        assert set(scenario.qp_kernel) == set(hints)
+        assert len(scenario.qp_kernel) < 7
