@@ -76,6 +76,8 @@ class Obstacle:
             raise ValueError(f"unknown obstacle kind '{self.kind}'")
         if self.kind != CUSTOM and not len(self.point) == len(self.rate) > 0:
             raise ValueError(f"a {self.kind} obstacle needs its point and rate")
+        if not all(map(math.isfinite, (*self.point, *self.rate))):
+            raise ValueError(f"obstacle point and rate must be finite, got {list(self.point)} and {list(self.rate)}")
 
     @staticmethod
     def static(center, radius: float) -> "Obstacle":

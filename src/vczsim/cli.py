@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .randomized import run_campaign
 from .scenario import Scenario, validate
-from .scenario_io import ScenarioParseError, benchmark_scenario, load_scenario, scenario_hash
+from .scenario_io import benchmark_scenario, load_scenario, scenario_hash
 from .simulator import SimulationAbort, run, verify_trace
 from .svgplot import render_figure
 from .trace_io import read_trace, write_trace
@@ -115,7 +115,7 @@ def cmd_run(args) -> int:
 def cmd_plot(args) -> int:
     try:
         scenario = _load(args.scenario)
-    except (ScenarioParseError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -247,8 +247,8 @@ def compile_exprs(exprs, params, packed: bool = False):
 
 
 def unpack(names, value: str) -> str:
-    """The statement `n0, n1, ... = value`, which also unpacks one value."""
-    return f"{''.join(f'{name}, ' for name in names)}= {value}"
+    """The statement `[n0, n1, ...] = value`, which also unpacks one value or none."""
+    return f"[{', '.join(names)}] = {value}"
 
 
 def straight_line(params, lines, result, consts):

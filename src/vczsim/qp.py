@@ -7,11 +7,11 @@ A feasible strictly convex QP has exactly one KKT point, its minimizer u*.
 There H u* + F = A_W' lam_W with lam_W >= 0 on the tight rows W, and by
 Caratheodory's theorem that conic combination can be carried by a linearly
 independent subset of W, of size at most min(m, d). So the solver takes the
-independent subsets smallest first (the empty set is the unconstrained
-minimum u0), solves the equality-constrained subproblem on each, and returns
-the first candidate that is primal and dual feasible and passes check_kkt.
-That is at most sum_{k <= min(m, d)} C(d, k) subproblems: 7 for m = 2, d = 3
-and 64 for m = 3, d = 7. Subsets holding no row that u0 violates are skipped,
+subsets smallest first (the empty set is the unconstrained minimum u0),
+solves the equality-constrained subproblem on each, and returns the first
+candidate that is primal and dual feasible and passes the certificate. That
+is at most sum_{k <= min(m, d)} C(d, k) subproblems: 7 for m = 2, d = 3 and
+64 for m = 3, d = 7. Subsets holding no row that u0 violates are skipped,
 since on a support with lam_W > 0, lam_W'(b_W - A_W u0) = |u* - u0|_H^2 > 0.
 
 Only when no candidate certifies is the polyhedron checked for emptiness,
@@ -31,27 +31,20 @@ hint passes the same gates as any candidate or falls through to the
 unchanged enumeration.
 
 Each step solves one such QP with m <= 3 and a handful of rows, where a
-numpy call costs more than its arithmetic, so a solve runs on Python floats:
-the cost (H, F) is checked once per pair and kept as floats (QpCost), each
-working set's Schur complement (at most m x m) is factored with a
-hand-written Cholesky, u0's violations are tested on the working sets tried
-only, and the gates and the tight set read the solver's own slacks.
-check_kkt, the certificate, recomputes its residual on floats and shares no
-code with the solver. numpy is left to the cost check and to the rare rank
-test of dependent tight rows. Every float sum here is a left fold from 0, as
-sum() compensates float sums from Python 3.12 on: the arithmetic does not
-depend on the interpreter.
-
-A run's steps go through compile_solver first: per working set of size
-<= min(m, d), one straight-line function, compiled through
-exprs.straight_line on the set's first use, tries that set alone, with the
-skip rule, _eqp's and _cholesky_solve's operations in their order (H^-1 and
-v as closure constants), the same gates, the tight set and the rank test.
-Its certificate comes from a separate generator, compile_certificate, which
-unrolls check_kkt from H and F, never H^-1, and so is bitwise check_kkt.
-When the hint's set certifies, the function returns solve_qp's QpSolution
-bitwise; otherwise it returns None and the caller falls back to solve_qp,
-which also owns the emptiness proof and QpInputError.
+numpy call costs more than its arithmetic. So the cost (H, F) is checked
+once per pair and kept as floats (QpCost), and compile_solver generates the
+float solve: per working set of size <= min(m, d), one straight-line
+function, compiled through exprs.straight_line on the set's first use. It
+holds the skip rule, the Schur complement A_W H^-1 A_W' (at most m x m)
+factored by an unrolled Cholesky with H^-1 and v as closure constants, the
+finiteness test of each value, the gates, the certificate, the tight set and
+the rank test. These functions are the only float solve: a run's step calls
+its hint's function, and solve_qp walks them in the enumeration order. The
+certificate comes from a separate generator, compile_certificate, which
+unrolls check_kkt from H and F, never H^-1: it is bitwise check_kkt and
+shares no code with the solver. numpy is left to the cost check and the rank
+test. Every float sum is a left fold from 0, as sum() compensates float sums
+from Python 3.12 on: the arithmetic does not depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -59,7 +52,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
 from typing import NamedTuple
@@ -164,8 +156,7 @@ class QpProblem:
         return np.array(self.rhs, dtype=float)
 
 
-@dataclass(frozen=True)
-class QpSolution:
+class QpSolution(NamedTuple):
     """Certified minimizer; u_star/multipliers are float tuples, None when infeasible.
 
     active_set holds the tight rows; support is the working set whose
@@ -202,35 +193,21 @@ def check_kkt(problem: QpProblem, candidate, multipliers) -> float:
     return max(0.0, stationarity, -min(slack, default=0.0), -min(lam, default=0.0), max(products, default=0.0))
 
 
-def _cholesky_solve(S, r):
-    """x with S x = r for a symmetric S = L L', given by its lower triangle
-    (row i holds S[i][:i + 1]); None when a pivot is not > 0, NaN included,
-    i.e. S is not numerically positive definite."""
-    L, x = [], []  # rows of L; x first solves L y = r, then L' x = y in place
-    for S_i, r_i in zip(S, r):
-        row = []
-        for j, L_j in enumerate(L):
-            row.append((S_i[j] - _dot(row, L_j)) / L_j[j])
-        pivot = S_i[-1] - _dot(row, row)
-        if not pivot > 0.0:
-            return None
-        diagonal = math.sqrt(pivot)
-        x.append((r_i - _dot(row, x)) / diagonal)
-        row.append(diagonal)
-        L.append(row)
-    n = len(L)
-    for i in range(n - 1, -1, -1):
-        acc = x[i]
-        for k in range(i + 1, n):
-            acc -= L[k][i] * x[k]
-        x[i] = acc / L[i][i]
-    return x
+def _working_sets(m: int, d: int, hint=()):
+    """The enumeration order over working sets of d rows and m inputs: the
+    hint first when valid (its rows, sorted and without repeats, a nonempty
+    set of at most min(m, d) of range(d)), then every set of at most
+    min(m, d) rows, smallest first, as sorted tuples."""
+    max_size = min(m, d)
+    hint = tuple(sorted(set(hint)))
+    first = [hint] if 0 < len(hint) <= max_size and hint[0] >= 0 and hint[-1] < d else []
+    return itertools.chain(first, (w for k in range(max_size + 1) for w in itertools.combinations(range(d), k)))
 
 
 def _ldl_solve(S, r):
-    """Exact x with S x = r for a positive semidefinite S of rationals, given as
-    _cholesky_solve takes it, via S = L D L' with a unit lower L; None when a
-    pivot is not > 0, i.e. S is singular."""
+    """Exact x with S x = r for a positive semidefinite S of rationals, given by
+    its lower triangle (row i holds S[i][:i + 1]), via S = L D L' with a unit
+    lower L; None when a pivot is not > 0, i.e. S is singular."""
     L, D, y = [], [], []  # y solves L y = r
     for S_i, r_i in zip(S, r):
         row = []
@@ -248,58 +225,25 @@ def _ldl_solve(S, r):
     return x
 
 
-def _eqp(H_inv, v, A, b, working, solve=_cholesky_solve):
-    """Equality-constrained subproblem on the working set via Schur complement; v = H^-1 F.
-
-    Returns (u, lam_W), or None when the working set is rank-deficient: the
-    Schur complement S = A_W H^-1 A_W' (at most m x m) has a pivot that is not > 0.
-    `solve` factors S: the float Cholesky, or _ldl_solve on rational data.
-    Plain loops: on 1 to 3 rows they beat nested comprehensions.
-    """
-    if not working:
-        return [-x for x in v], []
-    Y, S, r = [], [], []  # columns y_i = H^-1 a_i, lower triangle of S, right-hand side
-    for i in working:
-        a = A[i]
-        y = [_dot(h, a) for h in H_inv]
-        S_i = []
-        for y_j in Y:
-            S_i.append(_dot(a, y_j))
-        S_i.append(_dot(a, y))
-        S.append(S_i)
-        Y.append(y)
-        r.append(b[i] + _dot(a, v))
-    lam = solve(S, r)
-    if lam is None:
-        return None
-    u = []
-    for Y_row, v_i in zip(zip(*Y), v):
-        u.append(_dot(Y_row, lam) - v_i)
-    return u, lam
+def _eqp(A, b, working):
+    """The projection QP's subproblem on a working set, exactly for rational A
+    and b: the least-norm point u = A_W' lam of A_W u = b_W, with
+    (A_W A_W') lam = b_W, the origin for the empty set. None when A_W is
+    dependent."""
+    rows = [A[i] for i in working]
+    lam = _ldl_solve([[_dot(a, rows[q]) for q in range(p + 1)] for p, a in enumerate(rows)], [b[i] for i in working])
+    return None if lam is None else [_dot([column[i] for i in working], lam) for column in zip(*A)]
 
 
-def _candidates(H_inv, v, A, b, hint=(), solve=_cholesky_solve):
-    """The solver's one enumeration: a valid hint first, then independent working sets, smallest first.
-
-    Skips a set holding no row that the unconstrained minimum u0 = -v violates,
-    and one whose Schur complement _eqp, factoring with `solve`, rejects.
-    Yields (working, u, lam_W, slack) per candidate, slack = A u - b over all
-    rows, unfiltered.
-    """
-    d = len(A)
-    max_size = min(len(v), d)
-    hint = sorted(set(hint))
-    first = [hint] if 0 < len(hint) <= max_size and hint[0] >= 0 and hint[-1] < d else []
-    sets = (list(w) for k in range(max_size + 1) for w in itertools.combinations(range(d), k))
-    for working in itertools.chain(first, sets):
-        # Not a support unless it holds a row that u0 violates.
-        if working and not any(-_dot(A[i], v) < b[i] for i in working):
-            continue
-        candidate = _eqp(H_inv, v, A, b, working, solve)
-        if candidate is None:
-            continue
-        u, lam_w = candidate
-        yield working, u, lam_w, [_dot(a, u) - b_i for a, b_i in zip(A, b)]
+def _candidates(A, b):
+    """The projection QP's candidates, exactly: for each working set of
+    _working_sets that _eqp solves, its point u and the slacks A u - b."""
+    for working in _working_sets(len(A[0]) if A else 0, len(A)):
+        if working and not any(b[i] > 0 for i in working):
+            continue  # not a support: it holds no row that u0 = 0 violates
+        u = _eqp(A, b, working)
+        if u is not None:
+            yield u, [_dot(a, u) - b_i for a, b_i in zip(A, b)]
 
 
 def _feasible_start(rows, rhs):
@@ -309,52 +253,47 @@ def _feasible_start(rows, rhs):
     data. The point may lie beyond the float range."""
     from fractions import Fraction  # imports decimal; only this rare path needs it
 
-    m = len(rows[0]) if rows else 0
     A, b = [[Fraction(x) for x in row] for row in rows], [Fraction(x) for x in rhs]
-    identity = [[int(i == j) for j in range(m)] for i in range(m)]  # integers keep products exact
     floor = -0.5 * KKT_TOL
-    for _, u, _, slack in _candidates(identity, [0] * m, A, b, solve=_ldl_solve):
+    for u, slack in _candidates(A, b):
         if min(slack, default=0) >= floor:
             return u
     return None
 
 
-def _exhaustive(problem: QpProblem, hint=()) -> QpSolution | None:
-    """The first candidate of _candidates that passes the gates and check_kkt."""
-    A, b = problem.rows, problem.rhs
-    gate = -0.5 * KKT_TOL
-    for working, u, lam_w, slack in _candidates(problem.cost.H_inv, problem.cost.v, A, b, hint):
-        # A non-finite u, lam_W or slack has a non-finite or NaN residual;
-        # rejecting it first keeps overflowed arithmetic out of the certificate.
-        if not all(map(math.isfinite, itertools.chain(u, lam_w, slack))):
+def _exhaustive(problem: QpProblem, hint=(), kernel=None) -> QpSolution | None:
+    """The first answer of the working-set functions of `kernel`, that is
+    compile_solver(problem.cost, problem.d) (generated here when None), in
+    the order of _working_sets; None when none certifies. A set holding no
+    row that u0 = -v violates is skipped and so never compiled."""
+    if kernel is None:
+        kernel = compile_solver(problem.cost, problem.d)
+    A, b, v = problem.rows, problem.rhs, problem.cost.v
+    violated = [-_dot(a, v) < b_i for a, b_i in zip(A, b)]
+    for working in _working_sets(problem.m, problem.d, hint):
+        if working and not any(violated[i] for i in working):
             continue
-        if min(lam_w, default=gate) < gate or min(slack, default=gate) < gate:
-            continue
-        lam = [0.0] * len(A)
-        for i, x in zip(working, lam_w):
-            lam[i] = x
-        residual = check_kkt(problem, u, lam)
-        if not residual <= KKT_TOL:  # also rejects NaN
-            continue
-        tight = tuple(i for i, (s, b_i) in enumerate(zip(slack, b)) if s <= 1e-7 * max(1.0, abs(b_i)))
-        working = tuple(working)
-        status = DEGENERATE if tight != working and _dependent(A, tight) else OPTIMAL
-        return QpSolution(tuple(u), tight, residual, status, tuple(lam), working)
+        solution = kernel[working](A, b)
+        if solution is not None:
+            return solution
     return None
 
 
 def _dependent(A, tight) -> bool:
     """Whether the tight rows of A are linearly dependent. The solver asks only
-    when they differ from the certified working set, which passed _eqp's
-    Cholesky and so is independent."""
+    when they differ from the certified working set, whose Cholesky factor
+    has shown it independent."""
     return len(tight) > 1 and np.linalg.matrix_rank([A[i] for i in tight]) < len(tight)
 
 
-def solve_qp(problem: QpProblem, hint=()) -> QpSolution:
-    """Certified minimizer: the first candidate active set that passes check_kkt.
+def solve_qp(problem: QpProblem, hint=(), kernel=None) -> QpSolution:
+    """Certified minimizer: the first candidate active set that passes the certificate.
 
     `hint`, typically the previous solution's `support`, is tried before the
     enumeration: the QP has one KKT point and the hint passes the same gates.
+    `kernel` is compile_solver(problem.cost, problem.d), such as a scenario's
+    qp_kernel, whose working-set functions are then reused; without it they
+    are generated for this call.
 
     Returns status ``optimal`` (certified minimizer), ``degenerate``
     (certified minimizer with linearly dependent tight rows), or
@@ -363,7 +302,7 @@ def solve_qp(problem: QpProblem, hint=()) -> QpSolution:
     raises QpCertificationError; see the module docstring for why the first
     certified candidate of the enumeration is the minimizer.
     """
-    sol = _exhaustive(problem, hint)
+    sol = _exhaustive(problem, hint, kernel)
     if sol is not None:
         return sol
     if _feasible_start(problem.rows, problem.rhs) is None:
@@ -372,14 +311,13 @@ def solve_qp(problem: QpProblem, hint=()) -> QpSolution:
 
 
 def compile_solver(cost: QpCost, d: int) -> "_Solvers":
-    """The compiled solver of QPs on `cost` with d >= 1 rows: a dict from a
-    hint to a function solve(A, b) of A by rows and b as float lists. It
-    returns what solve_qp(QpProblem(cost, None, A, b), hint) returns when
-    the hint's first candidate certifies, and None otherwise: a failing or
-    skipped hint, a hint's failing empty set, non-finite data or an
-    overflowing sum. One function per working set of size <= min(m, d), compiled
-    on the first lookup; an invalid hint, as in _candidates, gets the empty
-    set's."""
+    """The float solver of QPs on `cost` with d rows: a dict from a hint to a
+    function solve(A, b) of A by rows and b as float lists. It returns the
+    QpSolution of the hint's working set when that set certifies, and None
+    otherwise: a skipped or failing set, a non-finite value, data included.
+    One function per working set of size <= min(m, d), compiled on the first
+    lookup; an invalid hint gets the empty set's, as _working_sets orders
+    them. solve_qp returns the first non-None answer in that order."""
     return _Solvers(cost, d)
 
 
@@ -393,9 +331,7 @@ class _Solvers(dict):
         self.certificate = compile_certificate(cost.H, cost.F, d)
 
     def __missing__(self, hint):
-        working = tuple(sorted(set(hint)))
-        if not (0 < len(working) <= min(len(self.cost.F), self.d) and working[0] >= 0 and working[-1] < self.d):
-            working = ()
+        working = next(_working_sets(len(self.cost.F), self.d, hint))
         if working not in self:
             self[working] = _compile_working_set(self.cost, self.d, working, self.certificate)
         return self[working]
@@ -407,17 +343,17 @@ def _fold(terms) -> str:
 
 
 def _compile_working_set(cost: QpCost, d: int, working: tuple, certificate):
-    """solve(A, b) for one working set W, in _exhaustive's order on W alone:
-    _candidates' skip rule; _eqp and _cholesky_solve with their operations in
-    their order, H^-1 and v as constants; u, lam_W and the slacks finite; the
-    -KKT_TOL/2 gates; `certificate` at KKT_TOL; the tight set and, when it
-    is not W, the rank test. Any failure returns None.
+    """solve(A, b) for one working set W: the skip rule (W holds a row that
+    u0 = -v violates); the Schur complement S = A_W H^-1 A_W' and r = b_W +
+    A_W v, with H^-1 and v as constants; S's Cholesky factor, then lam_W; u,
+    lam_W and every slack finite; the -KKT_TOL/2 gates; `certificate` at
+    KKT_TOL; the tight set and, when it is not W, the rank test. Any failure
+    returns None.
 
-    The finiteness test is 0 * (u + lam_W + slacks) == 0, which fails for a
-    non-finite value and also for an overflowing sum; then the fallback
-    decides. A and b need no test of their own: with u finite, a non-finite
-    entry makes its row's slack non-finite, and no step before can raise.
-    A difference x - 0 of an empty sum is written x, which is exact."""
+    Each value's finiteness test is 0.0 * x == 0.0, false for inf and NaN. A
+    and b need no test of their own: with u finite, a non-finite entry makes
+    its row's slack non-finite, and no step before can raise. A difference
+    x - 0 of an empty sum is written x, which is exact."""
     m, size = len(cost.F), len(working)
     consts = []
 
@@ -432,7 +368,7 @@ def _compile_working_set(cost: QpCost, d: int, working: tuple, certificate):
     lines += [f"av{w} = {_fold(f'{x} * {y}' for x, y in zip(a[w], v))}" for w in working]
     if working:  # not a support unless it holds a row that u0 = -v violates
         lines.append(f"if not ({' or '.join(f'-av{w} < b{w}' for w in working)}): return None")
-    # _eqp: y_p = H^-1 a_w, the lower triangle of S = A_W H^-1 A_W', r = b_W + A_W v.
+    # y_p = H^-1 a_w, the lower triangle of S = A_W H^-1 A_W', r = b_W + A_W v.
     for p, w in enumerate(working):
         lines += [f"y{p}_{j} = {_fold(f'{h} * {x}' for h, x in zip(row, a[w]))}" for j, row in enumerate(h_inv)]
         lines += [f"S{p}_{q} = {_fold(f'{x} * y{q}_{j}' for j, x in enumerate(a[w]))}" for q in range(p + 1)]
@@ -441,7 +377,7 @@ def _compile_working_set(cost: QpCost, d: int, working: tuple, certificate):
     def minus(x, terms) -> str:
         return f"({x} - {_fold(terms)})" if terms else x
 
-    # _cholesky_solve: S = L L' row by row (L's diagonal g), L z = r, then L' l = z.
+    # S = L L' row by row (L's diagonal g), L z = r, then L' l = z.
     for p in range(size):
         lines += [f"L{p}_{q} = {minus(f'S{p}_{q}', [f'L{p}_{e} * L{q}_{e}' for e in range(q)])} / g{q}"
                   for q in range(p)]
@@ -456,8 +392,9 @@ def _compile_working_set(cost: QpCost, d: int, working: tuple, certificate):
     else:
         lines += [f"{u[j]} = {k(-x)}" for j, x in enumerate(cost.v)]
     lines += [f"{s} = {_fold(f'{x} * {y}' for x, y in zip(row, u))} - {b_i}" for s, row, b_i in zip(slack, a, b)]
-    lines += [f"if not 0.0 * ({' + '.join(u + lam_w + slack)}) == 0.0: return None",
-              f"if {' or '.join(f'{x} < {gate}' for x in lam_w + slack)}: return None"]
+    lines.append(f"if not ({' and '.join(f'0.0 * {x} == 0.0' for x in u + lam_w + slack)}): return None")
+    if lam_w + slack:
+        lines.append(f"if {' or '.join(f'{x} < {gate}' for x in lam_w + slack)}: return None")
     lam = ["0.0"] * d
     for p, w in enumerate(working):
         lam[w] = lam_w[p]
@@ -474,7 +411,7 @@ def _compile_working_set(cost: QpCost, d: int, working: tuple, certificate):
 
 def compile_certificate(H, F, d: int):
     """certificate(A, b, u, lam) -> check_kkt's residual for the cost (H, F),
-    by rows, and d >= 1 rows: check_kkt's operations in its order, unrolled,
+    by rows, and d rows: check_kkt's operations in its order, unrolled,
     so bitwise equal on any floats. It reads H and F, never H^-1, and
     recomputes its own slacks: it shares no code with the solver."""
     m = len(F)
@@ -507,6 +444,8 @@ def compile_certificate(H, F, d: int):
         return f"({''.join(x + ', ' for x in names)})"
 
     minimum, maximum = k(min), k(max)
-    result = (f"{maximum}(0.0, stationarity, -{minimum}({tuple_of(slack)}), -{minimum}({tuple_of(lam)}), "
-              f"{maximum}({tuple_of(products)}))")
+    result = f"{maximum}(0.0, stationarity)"
+    if d:  # min and max of no rows are check_kkt's defaults, which max(0.0, ...) already covers
+        result = (f"{maximum}(0.0, stationarity, -{minimum}({tuple_of(slack)}), -{minimum}({tuple_of(lam)}), "
+                  f"{maximum}({tuple_of(products)}))")
     return straight_line(("A", "b", "u", "lam"), lines, result, consts)

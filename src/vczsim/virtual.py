@@ -4,13 +4,13 @@ The center is a single integrator, cdot = u_c, so each barrier h_j gives one
 linear row grad h_j' u_c >= -alpha_j(h_j) - dh_j/dt on the virtual input.
 Stacking all rows under a strictly convex cost yields the QP whose
 minimizer steers the center. The rows come from the scenario's compiled
-rows_kernel (barriers.compile_rows). The QP first goes to the scenario's
-compiled qp_kernel (qp.compile_solver), which solves the hint's working set
-in straight-line code and certifies it. Only when that returns None (a
-skipped or failing hint, or non-finite rows) does a step build a QpProblem
-on the scenario's checked cost, qp_cost, and call solve_qp, which enumerates
-the working sets, proves the polyhedron empty or raises QpInputError. Both
-paths return the same QpSolution, bitwise. Rows, the QP and its answer stay
+rows_kernel (barriers.compile_rows), and the QP's float solve is the
+scenario's qp_kernel (qp.compile_solver): one generated, certified function
+per working set. A step calls its hint's function. Only when that returns
+None (a skipped or failing hint, or non-finite rows) does it build a
+QpProblem on the scenario's checked cost, qp_cost, and call solve_qp with
+the same qp_kernel, which walks the other working sets, proves the
+polyhedron empty or raises QpInputError. Rows, the QP and its answer stay
 Python floats through a step: A by rows, b and h as float lists, u_c as a
 float tuple.
 """
@@ -78,10 +78,11 @@ def virtual_control(
     in row order, so callers need not evaluate the barriers again.
     """
     A, b, h = assemble_rows(c, t, scenario)
-    solution = scenario.qp_kernel[tuple(hint)](A, b)
+    kernel = scenario.qp_kernel
+    solution = kernel[tuple(hint)](A, b)
     if solution is None:
         problem = QpProblem(scenario.qp_cost, None, A, b)
-        solution = solve_qp(problem, hint=hint)
+        solution = solve_qp(problem, hint, kernel)
         if solution.status == INFEASIBLE:
             raise QpInfeasibleError(c, t, _conflicting_rows(problem))
     return solution.u_star, solution, h

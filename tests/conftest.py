@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 import pytest
 
-from oracles import objective
-from vczsim import run
-from vczsim.qp import QpProblem, solve_qp
+from oracles import loop_exhaustive, objective
+from vczsim import qp, run
+from vczsim.qp import INFEASIBLE, QpCertificationError, QpProblem, QpSolution, solve_qp
 from vczsim.scenario_io import parse_scenario
 
 # Feasible and strictly convex, but its multiplier (about 5e316) overflows, so
@@ -29,6 +30,26 @@ def uncertified_from(step: int, real_control):
         return real_control(c, t, scenario, hint)
 
     return control
+
+
+def loop_solve_qp(problem: QpProblem, hint=()) -> QpSolution:
+    """solve_qp on tests/oracles.py's loop solver: its answer, else the verdict
+    of the solver's own exact emptiness proof."""
+    solution = loop_exhaustive(problem, hint)
+    if solution is not None:
+        return solution
+    if qp._feasible_start(problem.rows, problem.rhs) is None:
+        return QpSolution(None, (), math.inf, INFEASIBLE, None)
+    raise QpCertificationError("feasible, but no candidate certifies")
+
+
+def solution_bits(solution):
+    """A QpSolution with every float as its hex text, so -0.0 and 0.0 differ."""
+    def floats(values):
+        return None if values is None else tuple(x.hex() for x in values)
+
+    return (solution.status, solution.support, solution.active_set, floats(solution.u_star),
+            floats(solution.multipliers), solution.kkt_residual.hex())
 
 
 def random_qp_problem(rng: np.random.Generator, m: int = 2, d: int | None = None):

@@ -21,8 +21,11 @@ replaced, kept as the reference it is compared with; its emptiness proof,
 reference_feasible_start, is the numpy least-norm search over independent
 row subsets that the solver's float emptiness proof replaced.
 fraction_nonempty decides the same question exactly, by Fourier-Motzkin
-elimination, which shares nothing with a least-norm search. None of these
-imports a private name of vczsim.qp.
+elimination, which shares nothing with a least-norm search. loop_exhaustive
+is the hand-looped float enumeration (loop_candidates, loop_eqp and a
+hand-written Cholesky per working set, check_kkt as its certificate) that the
+generated working-set functions of qp.compile_solver replaced, kept as their
+bitwise reference. None of these imports a private name of vczsim.qp.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 from typing import Callable
 
 import numpy as np
@@ -48,6 +53,7 @@ from vczsim.qp import (
     QpInputError,
     QpProblem,
     QpSolution,
+    check_kkt,
 )
 
 
@@ -406,3 +412,115 @@ def reference_solve_qp(problem: QpProblem, kkt_tol: float = KKT_TOL, hint=()) ->
     if reference_feasible_start(problem.A, problem.b, 0.5 * kkt_tol) is None:
         return QpSolution(None, (), math.inf, INFEASIBLE, None)
     raise QpCertificationError(f"feasible, but no candidate certifies at {kkt_tol:.1e}")
+
+
+def _dot(a, b):
+    """0 + a0 b0 + a1 b1 + ..., left to right (sum() compensates float sums from Python 3.12 on)."""
+    return reduce(add, map(mul, a, b), 0)
+
+
+def _cholesky_solve(S, r):
+    """x with S x = r for a symmetric S = L L', given by its lower triangle
+    (row i holds S[i][:i + 1]); None when a pivot is not > 0, NaN included,
+    i.e. S is not numerically positive definite."""
+    L, x = [], []  # rows of L; x first solves L y = r, then L' x = y in place
+    for S_i, r_i in zip(S, r):
+        row = []
+        for j, L_j in enumerate(L):
+            row.append((S_i[j] - _dot(row, L_j)) / L_j[j])
+        pivot = S_i[-1] - _dot(row, row)
+        if not pivot > 0.0:
+            return None
+        diagonal = math.sqrt(pivot)
+        x.append((r_i - _dot(row, x)) / diagonal)
+        row.append(diagonal)
+        L.append(row)
+    n = len(L)
+    for i in range(n - 1, -1, -1):
+        acc = x[i]
+        for k in range(i + 1, n):
+            acc -= L[k][i] * x[k]
+        x[i] = acc / L[i][i]
+    return x
+
+
+def loop_eqp(H_inv, v, A, b, working):
+    """Equality-constrained subproblem on the working set via Schur complement; v = H^-1 F.
+
+    Returns (u, lam_W), or None when the working set is rank-deficient: the
+    Schur complement S = A_W H^-1 A_W' (at most m x m) has a pivot that is not > 0.
+    """
+    if not working:
+        return [-x for x in v], []
+    Y, S, r = [], [], []  # columns y_i = H^-1 a_i, lower triangle of S, right-hand side
+    for i in working:
+        a = A[i]
+        y = [_dot(h, a) for h in H_inv]
+        S_i = []
+        for y_j in Y:
+            S_i.append(_dot(a, y_j))
+        S_i.append(_dot(a, y))
+        S.append(S_i)
+        Y.append(y)
+        r.append(b[i] + _dot(a, v))
+    lam = _cholesky_solve(S, r)
+    if lam is None:
+        return None
+    u = []
+    for Y_row, v_i in zip(zip(*Y), v):
+        u.append(_dot(Y_row, lam) - v_i)
+    return u, lam
+
+
+def loop_candidates(H_inv, v, A, b, hint=()):
+    """The enumeration: a valid hint first, then independent working sets, smallest first.
+
+    Skips a set holding no row that the unconstrained minimum u0 = -v violates,
+    and one whose Schur complement loop_eqp rejects. Yields (working, u, lam_W,
+    slack) per candidate, slack = A u - b over all rows, unfiltered.
+    """
+    d = len(A)
+    max_size = min(len(v), d)
+    hint = sorted(set(hint))
+    first = [hint] if 0 < len(hint) <= max_size and hint[0] >= 0 and hint[-1] < d else []
+    sets = (list(w) for k in range(max_size + 1) for w in itertools.combinations(range(d), k))
+    for working in itertools.chain(first, sets):
+        # Not a support unless it holds a row that u0 violates.
+        if working and not any(-_dot(A[i], v) < b[i] for i in working):
+            continue
+        candidate = loop_eqp(H_inv, v, A, b, working)
+        if candidate is None:
+            continue
+        u, lam_w = candidate
+        yield working, u, lam_w, [_dot(a, u) - b_i for a, b_i in zip(A, b)]
+
+
+def loop_exhaustive(problem: QpProblem, hint=()) -> QpSolution | None:
+    """The first candidate of loop_candidates that passes the gates and check_kkt."""
+    A, b = problem.rows, problem.rhs
+    gate = -0.5 * KKT_TOL
+    for working, u, lam_w, slack in loop_candidates(problem.cost.H_inv, problem.cost.v, A, b, hint):
+        # A non-finite u, lam_W or slack has a non-finite or NaN residual;
+        # rejecting it first keeps overflowed arithmetic out of the certificate.
+        if not all(map(math.isfinite, itertools.chain(u, lam_w, slack))):
+            continue
+        if min(lam_w, default=gate) < gate or min(slack, default=gate) < gate:
+            continue
+        lam = [0.0] * len(A)
+        for i, x in zip(working, lam_w):
+            lam[i] = x
+        residual = check_kkt(problem, u, lam)
+        if not residual <= KKT_TOL:  # also rejects NaN
+            continue
+        tight = tuple(i for i, (s, b_i) in enumerate(zip(slack, b)) if s <= 1e-7 * max(1.0, abs(b_i)))
+        working = tuple(working)
+        status = DEGENERATE if tight != working and _dependent(A, tight) else OPTIMAL
+        return QpSolution(tuple(u), tight, residual, status, tuple(lam), working)
+    return None
+
+
+def _dependent(A, tight) -> bool:
+    """Whether the tight rows of A are linearly dependent. The solver asks only
+    when they differ from the certified working set, which passed loop_eqp's
+    Cholesky and so is independent."""
+    return len(tight) > 1 and np.linalg.matrix_rank([A[i] for i in tight]) < len(tight)

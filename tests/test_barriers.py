@@ -309,11 +309,14 @@ def test_target_set_rejects_nonpositive_radius():
         lambda: ShrinkSchedule(math.inf, 1.0, 10.0),
         lambda: ShrinkSchedule(2.0, math.nan, 10.0),
         lambda: Obstacle.static([0.0, 0.0], math.inf),
+        lambda: Obstacle.static([math.nan, 0.0], 1.0),
+        lambda: Obstacle.linear([1.0, 0.0], [math.inf, 0.0], 1.0),
+        lambda: Obstacle.linear([1.0, -math.inf], [0.0, 0.0], 1.0),
         lambda: ClassKappa(math.inf),
     ],
     ids=["target-radius-nan", "target-radius-inf", "target-center-nan", "target-center-inf",
          "shrink-horizon-nan", "shrink-start-nan", "shrink-start-inf", "shrink-end-nan",
-         "obstacle-radius-inf", "slope-inf"],
+         "obstacle-radius-inf", "obstacle-point-nan", "obstacle-rate-inf", "obstacle-point-inf", "slope-inf"],
 )
 def test_rejects_non_finite_geometry(make):
     # The compiled rows take these numbers as constants, once per scenario.

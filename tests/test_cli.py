@@ -239,6 +239,15 @@ class TestPlotCommand:
         assert "key 'radius'" in capsys.readouterr().err
         assert not (tmp_path / "f.svg").exists()
 
+    def test_undecodable_scenario_exits_two(self, tmp_path, capsys):
+        # validate and run report it the same way.
+        bad = tmp_path / "bad.scn"
+        bad.write_bytes(b"\xff\xfe not utf-8\n")
+        code = main(["plot", str(tmp_path / "trace.csv"), str(bad), "--out", str(tmp_path / "f.svg")])
+        assert code == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
+        assert not (tmp_path / "f.svg").exists()
+
     @pytest.mark.parametrize("times", ["0,abc", "0,inf", "nan", ""])
     def test_bad_snapshot_times_rejected_while_parsing(self, times, monkeypatch, capsys):
         def no_work(*args, **kwargs):

@@ -12,11 +12,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import UNCERTIFIABLE_QP, minimizer_box_bound, random_qp_problem
+from conftest import UNCERTIFIABLE_QP, loop_solve_qp, minimizer_box_bound, random_qp_problem, solution_bits
 from oracles import (
     GridInfeasibleError,
     brute_force_qp,
     fraction_check_kkt,
+    loop_candidates,
+    loop_eqp,
+    loop_exhaustive,
     numpy_check_kkt,
     fraction_nonempty,
     objective,
@@ -66,6 +69,21 @@ class TestSolveQp:
         problem = QpProblem(np.eye(2), np.zeros(2), [[20.0, 20.0]], [18.5])
         sol = solve_qp(problem)
         np.testing.assert_allclose(sol.u_star, [0.4625, 0.4625], atol=1e-10)
+
+    def test_no_rows(self):
+        # Zero rows generate valid code; the certificate is max(0, stationarity).
+        problem = QpProblem(np.eye(2), [1.0, -1.0], np.zeros((0, 2)), [])
+        sol = solve_qp(problem)
+        assert (sol.status, sol.u_star, sol.active_set, sol.support, sol.multipliers) == (OPTIMAL, (-1.0, 1.0), (), (), ())
+        assert solution_bits(sol) == solution_bits(loop_solve_qp(problem))
+
+    def test_values_near_the_float_limit_certify(self):
+        # u* = (1e308, 1e308) and the slack 1e8 are each finite, though their
+        # sum overflows: finiteness is tested per value, not on a sum.
+        problem = QpProblem(np.eye(2), [-1e308, -1e308], [[1e-300, 0.0]], [0.0])
+        sol = solve_qp(problem)
+        assert (sol.status, sol.u_star, sol.kkt_residual) == (OPTIMAL, (1e308, 1e308), 0.0)
+        assert solution_bits(sol) == solution_bits(loop_solve_qp(problem))
 
     def test_infeasible_pair(self):
         problem = QpProblem([[1.0]], [0.0], [[1.0], [-1.0]], [1.0, 1.0])
@@ -419,11 +437,13 @@ class TestCompiledSolver:
         assert kernel[hint](A, b) is None
         solution = solve_qp(problem, hint)
         assert solution.support == support
-        assert kernel[support](A, b) == solution
+        assert solution_bits(solution) == solution_bits(loop_exhaustive(problem, hint))
+        assert solution_bits(kernel[support](A, b)) == solution_bits(solution)
 
     @staticmethod
     def candidate(problem, working):
-        u, lam_w = qp._eqp(problem.cost.H_inv, problem.cost.v, problem.rows, problem.rhs, working)
+        """The loop solver's float candidate of the working set."""
+        u, lam_w = loop_eqp(problem.cost.H_inv, problem.cost.v, problem.rows, problem.rhs, working)
         lam = [0.0] * problem.d
         for i, x in zip(working, lam_w):
             lam[i] = x
@@ -778,9 +798,9 @@ def feasible_start_solving(A, b):
     """_feasible_start on float lists, and the working sets that it passed to _eqp."""
     solved, real = [], qp._eqp
 
-    def recorded(H_inv, v, rows, rhs, working, *solve):
+    def recorded(rows, rhs, working):
         solved.append(list(working))
-        return real(H_inv, v, rows, rhs, working, *solve)
+        return real(rows, rhs, working)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qp, "_eqp", recorded)
@@ -813,13 +833,14 @@ class TestEmptinessProof:
 
     def test_wedge_that_rounding_hides_is_not_empty(self):
         # Two rows 2e-4 rad from antiparallel (cond(A_W A_W') = 3.9e7) bound a
-        # nonempty wedge. The float candidate of {0, 1} misses a row by 8.8e-10,
-        # more than the tolerance; the exact one finds the point, and solve_qp
-        # reports an uncertified QP, not an infeasible one.
+        # nonempty wedge. The float candidate of {0, 1} (the loop solver's, on
+        # the projection QP) misses a row by 8.8e-10, more than the tolerance;
+        # the exact one finds the point, and solve_qp reports an uncertified
+        # QP, not an infeasible one.
         A = np.array([[-1.2261539134436839, 1.1738885903120326], [0.5550569838852342, -0.5318534102343234]])
         b = np.array([-1.6587947019106561, 4.286096556114419])
         identity = [[1, 0], [0, 1]]
-        slacks = [min(slack) for _, _, _, slack in qp._candidates(identity, [0.0, 0.0], A.tolist(), b.tolist())]
+        slacks = [min(slack) for _, _, _, slack in loop_candidates(identity, [0.0, 0.0], A.tolist(), b.tolist())]
         assert max(slacks) < -EMPTINESS_TOL
         assert fraction_nonempty(A, b, 0.0)
         assert qp._feasible_start(A.tolist(), b.tolist()) is not None

@@ -369,23 +369,34 @@ class TestWarmStart:
         monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_eqp_calls_per_solve(self, monkeypatch):
-        # A count, not a timing: the working sets tried per solve. Warm, each
-        # step tries the hint's compiled working set and, when it does not
-        # certify, solve_qp's (counted by _eqp); cold, the benchmark needs
-        # about 2.4.
+    def test_working_set_calls_per_solve(self, monkeypatch):
+        # A count, not a timing: the generated working-set functions called
+        # per solve. Warm, each step calls the hint's and, when it does not
+        # certify, solve_qp calls those it enumerates; cold, the benchmark
+        # needs about 2.4.
+        calls, real = [], qp._compile_working_set
+
+        def counting(*args):
+            solve = real(*args)
+
+            def counted(A, b):
+                calls.append(None)
+                return solve(A, b)
+
+            return counted
+
+        monkeypatch.setattr(qp, "_compile_working_set", counting)
         scenario = benchmark_scenario().with_overrides(dt=1e-2)
-        eqp = self.count_calls(monkeypatch, qp, "_eqp")
         trace, _ = run(scenario)
-        assert len(trace) + len(eqp) <= 1.1 * len(trace)
-        eqp.clear()
+        assert len(trace) <= len(calls) <= 1.1 * len(trace)
+        calls.clear()
         monkeypatch.setattr(simulator, "virtual_control", cold_control)
         trace, _ = run(scenario)
-        assert len(eqp) >= 2 * len(trace)
+        assert len(calls) >= 2 * len(trace)
 
     def test_no_rank_test_on_the_benchmark(self, monkeypatch):
         # A count, not a timing: every tight set here is the certified
-        # support, whose independence _eqp's Cholesky has shown.
+        # support, whose independence its Cholesky factor has shown.
         calls = self.count_calls(monkeypatch, np.linalg, "matrix_rank")
         trace, _ = run(benchmark_scenario().with_overrides(dt=1e-2))
         assert len(trace) == 1001 and calls == []

@@ -1,26 +1,30 @@
 """Constraint-row assembly and the stacked CBF-QP controller."""
 
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import loop_solve_qp, solution_bits
 from oracles import barrier_values, brute_force_qp
 from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, eval_avoidance, eval_reach
 from vczsim.confinement import ConfinementLaw
 from vczsim.plant import catalog_plant
-from vczsim import qp
+from vczsim import qp, virtual
 from vczsim.qp import INFEASIBLE, QpCertificationError, QpInputError, QpProblem, compile_solver, solve_qp
 from vczsim.simulator import run
 from vczsim.scenario import Scenario, uniform_alphas
-from vczsim.scenario_io import benchmark_scenario
+from vczsim.scenario_io import benchmark_scenario, load_scenario
 from vczsim.virtual import (
     QpInfeasibleError,
     assemble_rows,
     virtual_control,
 )
+
+CROWDED_3D = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / "crowded_3d.scn"
 
 
 def make_scenario(obstacles, shrink, target=None, r_c=0.5, alphas=None):
@@ -180,16 +184,6 @@ def test_barrier_values_order_and_content():
     np.testing.assert_allclose(values, [5.25, 46.0, 25.0])
 
 
-
-def solution_bits(solution):
-    """A QpSolution with every float as its hex text, so -0.0 and 0.0 differ."""
-    def floats(values):
-        return None if values is None else tuple(x.hex() for x in values)
-
-    return (solution.status, solution.support, solution.active_set, floats(solution.u_star),
-            floats(solution.multipliers), solution.kkt_residual.hex())
-
-
 def outcome(solve):
     """solution_bits of what `solve` returns, INFEASIBLE for an infeasible QP
     however reported, or the type of the QP error it raises."""
@@ -202,9 +196,10 @@ def outcome(solve):
 
 @st.composite
 def cbf_qps(draw):
-    """(cost, A, b): a strictly convex QP with m 1-3 inputs and d 1-7 rows, some
-    of them nearly parallel, some data non-finite, some polyhedra empty."""
-    m, d = draw(st.integers(1, 3), label="m"), draw(st.integers(1, 7), label="d")
+    """(cost, A, b): a strictly convex QP with m 1-3 inputs and d 0-7 rows, some
+    of them nearly parallel, some scaled by 1e-155 or 1e152, some data
+    non-finite, some polyhedra empty."""
+    m, d = draw(st.integers(1, 3), label="m"), draw(st.integers(0, 7), label="d")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     L = rng.normal(size=(m, m))
     H, F = L.T @ L + 0.1 * np.eye(m), rng.normal(size=m)
@@ -214,7 +209,10 @@ def cbf_qps(draw):
         i, j = rng.choice(d, size=2, replace=False)
         eps = 10.0 ** -draw(st.integers(4, 16), label="log10 angle")
         A[j], b[j] = A[i] + eps * rng.normal(size=m), b[i] + eps * rng.normal()
-    if draw(st.integers(0, 9), label="non-finite") == 0:
+    for i in range(d):
+        scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1e-155, 1e152]), label=f"scale of row {i}")
+        A[i], b[i] = scale * A[i], scale * b[i]
+    if d and draw(st.integers(0, 9), label="non-finite") == 0:
         data = draw(st.sampled_from([A, b]), label="array")
         data.flat[draw(st.integers(0, data.size - 1), label="at")] = draw(
             st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
@@ -224,17 +222,18 @@ def cbf_qps(draw):
 class TestCompiledPath:
     """virtual_control solves the hint's working set in compiled code and
     falls back to solve_qp when it does not certify: the outcome is bitwise
-    solve_qp's."""
+    that of the loop solver of tests/oracles.py."""
 
     @settings(max_examples=400, deadline=None)
     @given(problem=cbf_qps(), hint=st.lists(st.integers(-2, 8), max_size=5).map(tuple))
     def test_same_solution_as_solve_qp(self, problem, hint):
         # Hints may be empty, duplicated, out of range, larger than min(m, d),
-        # skipped or failing; each gives solve_qp's answer.
+        # skipped or failing; each gives the loop solver's answer.
         cost, A, b = problem
         kernel = compile_solver(cost, len(A))
         scenario = SimpleNamespace(rows_kernel=lambda c, t: (A, b, []), qp_cost=cost, qp_kernel=kernel)
-        reference = outcome(lambda: solve_qp(QpProblem(cost, None, A, b), hint))
+        reference = outcome(lambda: loop_solve_qp(QpProblem(cost, None, A, b), hint))
+        assert outcome(lambda: solve_qp(QpProblem(cost, None, A, b), hint)) == reference
         assert outcome(lambda: virtual_control(None, 0.0, scenario, hint)[1]) == reference
         compiled = kernel[hint](A, b)
         assert compiled is None or solution_bits(compiled) == reference
@@ -260,6 +259,34 @@ class TestCompiledPath:
         assert kernel[(5,)] is kernel[()] and kernel[(2, 0, 2)] is kernel[(0, 2)]
         u_c, solution, _ = virtual_control([0.0, 0.0], 0.0, BENCH, [2])  # any sequence is a hint
         assert solution.support == (2,) and (2,) in BENCH.qp_kernel
+
+    def test_enumeration_compiles_no_skipped_working_set(self, monkeypatch):
+        # A working set that holds no row u0 = -v violates is skipped and
+        # never compiled: every key of qp_kernel is a hint, or holds such a
+        # row of the fallback QP that compiled it.
+        scenario = load_scenario(CROWDED_3D).with_overrides(dt=1e-2)
+        hints, compiled_by = [], {}
+        real_control, real_solve = virtual_control, virtual.solve_qp
+
+        def control(c, t, scenario, hint=()):
+            hints.append(tuple(hint))
+            return real_control(c, t, scenario, hint)
+
+        def solve(problem, hint, kernel):
+            before = set(kernel)
+            try:
+                return real_solve(problem, hint, kernel)
+            finally:
+                compiled_by.update(dict.fromkeys(set(kernel) - before, problem))
+
+        monkeypatch.setattr("vczsim.simulator.virtual_control", control)
+        monkeypatch.setattr(virtual, "solve_qp", solve)
+        run(scenario, check=False)
+        assert compiled_by  # the run enumerates working sets on its fallbacks
+        v = scenario.qp_cost.v
+        for working in set(scenario.qp_kernel) - set(hints):
+            problem = compiled_by[working]
+            assert any(-qp._dot(problem.rows[i], v) < problem.rhs[i] for i in working), working
 
     def test_a_benchmark_run_compiles_only_the_working_sets_it_uses(self, monkeypatch):
         scenario = benchmark_scenario().with_overrides(dt=1e-2)
