@@ -14,7 +14,8 @@ so its rows are bitwise theirs; the tests compare the two. A static or
 linear obstacle's path enters it as the float constants point and rate,
 a custom obstacle's as calls of its center_path and velocity_path.
 Obstacle.center, Obstacle.velocity and Obstacle.centers give numpy arrays
-for whole-trace work.
+for whole-trace work, from the same path: centers is point and rate as
+array formulas, or a custom obstacle's center_path called at every time.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import add, mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exprs import straight_line, unpack
+from .exprs import Constants, fold, straight_line, unpack
 
 STATIC = "static"
 LINEAR = "linear"
@@ -52,10 +54,8 @@ class TimeDomainError(ValueError):
 class Obstacle:
     """Open-ball obstacle with a known center path and velocity.
 
-    center_path and velocity_path map a time to n floats. centers_path, when
-    given, maps a 1-D array of times to the (len, n) array of centres, row k
-    bitwise equal to center_path(ts[k]). A static or linear obstacle also
-    holds its path as floats: centre point + rate * t.
+    center_path and velocity_path map a time to n floats. A static or linear
+    obstacle also holds its path as floats: centre point + rate * t.
     """
 
     center_path: Callable[[float], Sequence[float]]
@@ -63,7 +63,6 @@ class Obstacle:
     radius: float
     kind: str
     path_source: tuple[str, ...] | None = None
-    centers_path: Callable[[np.ndarray], np.ndarray] | None = None
     point: tuple[float, ...] = ()
     rate: tuple[float, ...] = ()
 
@@ -81,17 +80,9 @@ class Obstacle:
 
     @staticmethod
     def static(center, radius: float) -> "Obstacle":
-        p0 = np.array(center, dtype=float)
-        point, zero = tuple(p0.tolist()), (0.0,) * p0.size
-        return Obstacle(
-            lambda t: point,
-            lambda t: zero,
-            float(radius),
-            STATIC,
-            centers_path=lambda ts: np.broadcast_to(p0, (len(ts),) + p0.shape),
-            point=point,
-            rate=zero,
-        )
+        point = tuple(np.array(center, dtype=float).tolist())
+        zero = (0.0,) * len(point)
+        return Obstacle(lambda t: point, lambda t: zero, float(radius), STATIC, point=point, rate=zero)
 
     @staticmethod
     def linear(p0, velocity, radius: float) -> "Obstacle":
@@ -105,7 +96,6 @@ class Obstacle:
             lambda t: rate,
             float(radius),
             LINEAR,
-            centers_path=lambda ts: p0 + v * ts[:, None],
             point=start,
             rate=rate,
         )
@@ -115,7 +105,6 @@ class Obstacle:
         path: Callable[[float], Sequence[float]],
         radius: float,
         path_source: tuple[str, ...] | None = None,
-        centers_path: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> "Obstacle":
         step = CUSTOM_VELOCITY_FD_STEP
         width = 2.0 * step
@@ -124,19 +113,36 @@ class Obstacle:
             # Central difference, elementwise (hi - lo) / (2 step).
             return [d / width for d in map(sub, path(t + step), path(t - step))]
 
-        return Obstacle(path, velocity, float(radius), CUSTOM, path_source, centers_path)
+        return Obstacle(path, velocity, float(radius), CUSTOM, path_source)
 
     def center(self, t: float) -> np.ndarray:
         return np.asarray(self.center_path(t), dtype=float)
 
     def centers(self, ts) -> np.ndarray:
         """Centres at every time in ts as a (len(ts), n) array; row k equals
-        center(ts[k]) bitwise. A path without centers_path is sampled one
-        time at a time."""
+        center(ts[k]) bitwise. A static obstacle's point is broadcast and a
+        linear one's is point + rate * t; a custom path is called at each
+        time, its values streamed into one array; a row whose length differs
+        from the first's raises ValueError. n is the first row's length, or
+        for no times the path's source count (0 for a plain callable)."""
         ts = np.asarray(ts, dtype=float)
-        if self.centers_path is None:
-            return np.array([self.center(t_k) for t_k in ts])
-        return np.asarray(self.centers_path(ts), dtype=float)
+        if self.kind == STATIC:
+            return np.broadcast_to(self.point, (len(ts), len(self.point)))
+        if self.kind == LINEAR:
+            return np.array(self.point) + np.array(self.rate) * ts[:, None]
+        rows = map(self.center_path, ts.tolist())
+        first = next(rows, None)
+        if first is None:
+            return np.empty((0, len(self.path_source or ())))
+        n = len(first)
+
+        def checked(row):
+            if len(row) != n:
+                raise ValueError(f"custom path rows have {n} and {len(row)} values")
+            return row
+
+        values = chain.from_iterable(map(checked, chain((first,), rows)))
+        return np.fromiter(values, float, count=len(ts) * n).reshape(len(ts), n)
 
     def velocity(self, t: float) -> np.ndarray:
         return np.asarray(self.velocity_path(t), dtype=float)
@@ -245,13 +251,7 @@ def compile_rows(obstacles, r_c: float, target_point, schedule: ShrinkSchedule, 
     (r + r_c)^2 and -slope, are taken here, once. A static or linear
     obstacle's centre is point + rate * t from its fields, a custom one calls
     center_path and velocity_path once each."""
-    consts = []
-
-    def k(value) -> str:
-        consts.append(value)
-        return f"k{len(consts) - 1}"
-
-    n = len(target_point)
+    k, n = Constants(), len(target_point)
     lines = [unpack((f"c{i}" for i in range(n)), "c")]
     grads = []
     for j, (obs, slope) in enumerate(zip(obstacles, slopes)):
@@ -267,17 +267,17 @@ def compile_rows(obstacles, r_c: float, target_point, schedule: ShrinkSchedule, 
         delta = [f"d{j}_{i}" for i in range(n)]
         lines += [f"{d} = c{i} - {q}" for i, (d, q) in enumerate(zip(delta, center))]
         inflated = obs.radius + r_c
-        lines.append(f"h{j} = 0{''.join(f' + {d} * {d}' for d in delta)} - {k(inflated * inflated)}")
-        lines.append(f"dt{j} = -2.0 * (0{''.join(f' + {d} * {w}' for d, w in zip(delta, velocity))})")
+        lines.append(f"h{j} = {fold(f'{d} * {d}' for d in delta)} - {k(inflated * inflated)}")
+        lines.append(f"dt{j} = -2.0 * {fold(f'{d} * {w}' for d, w in zip(delta, velocity))}")
         lines.append(f"b{j} = {k(-slope)} * h{j} - dt{j}")
         grads.append(f"[{', '.join(f'2.0 * {d}' for d in delta)}]")
     j = len(obstacles)
     delta = [f"d{j}_{i}" for i in range(n)]
     lines += [f"{d} = c{i} - {k(p)}" for i, (d, p) in enumerate(zip(delta, target_point))]
     lines.append(f"r = {k(schedule.radius_at)}(t)")
-    lines.append(f"h{j} = r * r - (0{''.join(f' + {d} * {d}' for d in delta)})")
+    lines.append(f"h{j} = r * r - {fold(f'{d} * {d}' for d in delta)}")
     lines.append(f"dt{j} = 2.0 * r * {k(schedule.rate_of())}")
     lines.append(f"b{j} = {k(-slopes[j])} * h{j} - dt{j}")
     grads.append(f"[{', '.join(f'-2.0 * {d}' for d in delta)}]")
     result = ", ".join(f"[{', '.join(f'{x}{i}' for i in range(j + 1))}]" for x in "bh")
-    return straight_line(("c", "t"), lines, f"[{', '.join(grads)}], {result}", consts)
+    return straight_line(("c", "t"), lines, f"[{', '.join(grads)}], {result}", k)

@@ -8,21 +8,19 @@ input map, disturbance, and obstacle path the toolkit needs without an
 external parser. Nesting deeper than MAX_DEPTH parentheses is a parse error.
 
 ``compile_exprs`` turns the trees of one field into one Python function,
-once per scenario; the step loop calls only these. It emits one assignment
-per distinct subtree with the operations of ``eval_expr``, so the values
-are bitwise equal. ``eval_expr`` is the reference interpreter, and it also
-takes a 1-D array for ``t`` when the expression uses no state variable.
-Each element of the result is bitwise equal to evaluating the expression at
-that element alone: ``+`` applies ``math.fsum`` and ``sin``/``cos`` apply
-``math.sin``/``math.cos`` element by element, and ``-`` and ``*`` are
-already exact elementwise. A subexpression without ``t`` stays a float, so
-the result may be a float for an array ``t``.
+once per scenario; every evaluation in the package, per step or over a whole
+trace, calls only these. It emits one assignment per distinct subtree with
+the operations of ``eval_expr``, so the values are bitwise equal.
+``eval_expr`` is the reference interpreter on a float ``t``, which the tests
+compare the compiled functions against.
 
-``straight_line`` compiles generated code, for ``compile_exprs`` and for the
-step kernels of barriers.compile_rows and plant.compile_rk4. It is the
-package's only call of ``compile()``: the text it gets is made of generated
-names and fixed operator text, and every number and callable of the input
-reaches the code as a closure constant.
+``straight_line`` compiles generated code, for ``compile_exprs``, the step
+kernels of barriers.compile_rows and plant.compile_rk4, and the QP solve of
+qp.compile_solver. It is the package's only call of ``compile()``: the text
+it gets is made of generated names and fixed operator text, and every number
+and callable of the input reaches the code as a closure constant, named
+through a ``Constants`` table. ``fold`` and ``tuple_of`` give the generators'
+shared text for a sum and a tuple.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-
-import numpy as np
 
 _NARY_OPS = ("+", "-", "*")
 _UNARY_FUNCS = ("sin", "cos")
@@ -137,11 +133,7 @@ def _parse_rows(text: str, rows: bool) -> list[list]:
 
 
 def eval_expr(expr, t, x=None):
-    """Evaluate an expression at time t and (optionally) state vector x.
-
-    t is a float, or a 1-D array for expressions in t alone (see the module
-    docstring).
-    """
+    """Evaluate an expression at time t and (optionally) state vector x."""
     tag = expr[0]
     if tag == "num":
         return expr[1]
@@ -155,31 +147,20 @@ def eval_expr(expr, t, x=None):
         return float(x[idx])
     args = [eval_expr(a, t, x) for a in expr[1]]
     if tag == "+":
-        try:
-            return math.fsum(args)
-        except TypeError:
-            return _elementwise(math.fsum, zip(*np.broadcast_arrays(*args)))
+        return math.fsum(args)
     if tag == "-":
         if len(args) == 1:
             return -args[0]
         acc = args[0]
         for a in args[1:]:
-            acc = acc - a  # not -=, which would write into an array t
+            acc -= a
         return acc
     if tag == "*":
         acc = 1.0
         for a in args:
             acc *= a
         return acc
-    fn = math.sin if tag == "sin" else math.cos
-    try:
-        return fn(args[0])
-    except TypeError:
-        return _elementwise(fn, args[0])
-
-
-def _elementwise(fn, items) -> np.ndarray:
-    return np.fromiter(map(fn, items), dtype=float)
+    return (math.sin if tag == "sin" else math.cos)(args[0])
 
 
 def compile_exprs(exprs, params, packed: bool = False):
@@ -194,12 +175,8 @@ def compile_exprs(exprs, params, packed: bool = False):
     every float), and a tuple of constants is built once, as a constant."""
     if not all(_VAR_RE.fullmatch(p) for p in params):
         raise ExprError(f"bad argument names {list(params)}")
-    consts, lines = [], [unpack(params, "x")] if packed else []
+    const, lines = Constants(), [unpack(params, "x")] if packed else []
     names = {}  # structural key -> generated name
-
-    def const(value) -> str:
-        consts.append(value)
-        return f"k{len(consts) - 1}"
 
     def node(e):
         tag, arg = e
@@ -219,7 +196,7 @@ def compile_exprs(exprs, params, packed: bool = False):
         if key in names:
             return names[key]
         if tag == "+":
-            rhs = f"fsum(({', '.join(args)},))"
+            rhs = f"fsum({tuple_of(args)})"
         elif tag == "-" and len(args) == 1:
             rhs = f"-{args[0]}"
         elif tag in _NARY_OPS:  # left folds
@@ -241,9 +218,29 @@ def compile_exprs(exprs, params, packed: bool = False):
         if isinstance(item, tuple):
             return node(item)
         value = constant(item)
-        return const(value) if value is not None else f"({''.join(out(i) + ', ' for i in item)})"
+        return const(value) if value is not None else tuple_of(map(out, item))
 
-    return straight_line(("x",) if packed else params, lines, out(exprs), consts)
+    return straight_line(("x",) if packed else params, lines, out(exprs), const)
+
+
+class Constants(list):
+    """The closure constants of one generated function: calling the table
+    with a value appends it and returns its name, k0, k1, ... in order."""
+
+    def __call__(self, value) -> str:
+        self.append(value)
+        return f"k{len(self) - 1}"
+
+
+def fold(terms) -> str:
+    """(0 + t0 + t1 + ...), a sum from 0, left to right, as sum() compensates
+    float sums from Python 3.12 on."""
+    return f"(0{''.join(f' + {t}' for t in terms)})"
+
+
+def tuple_of(names) -> str:
+    """The tuple display (n0, n1, ...,), which is also right for one name or none."""
+    return f"({''.join(f'{x}, ' for x in names)})"
 
 
 def unpack(names, value: str) -> str:
@@ -266,10 +263,11 @@ def straight_line(params, lines, result, consts):
     return namespace["make"](*consts)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache
 def _code(source: str):
     """Compiled `source`; trees of one shape share it, as their numbers are
-    closure constants and not part of the text."""
+    closure constants and not part of the text. Never evicted, so functions
+    of one shape share one code object however long they are kept."""
     return compile(source, "<generated>", "exec")
 
 

@@ -26,10 +26,12 @@ from .exprs import (
     ExprError,
     compile_exprs,
     expr_to_str,
+    fold,
     parse_expr,
     parse_expr_rows,
     parse_expr_sequence,
     straight_line,
+    tuple_of,
     unpack,
 )
 from .exprs import eval_expr  # noqa: F401  (bench/layers.py traces plant.eval_expr)
@@ -103,15 +105,14 @@ def compile_rk4(model: PlantModel):
     x + dt/6 (k1 + 2 k2 + 2 k3 + k4) elementwise."""
     n = model.n
     xs, us = [f"x{i}" for i in range(n)], [f"u{j}" for j in range(n)]
-    g_rows = [f"({', '.join(f'g{i}_{j}' for j in range(n))},)" for i in range(n)]
+    g_rows = [tuple_of(f"g{i}_{j}" for j in range(n)) for i in range(n)]
     lines = [unpack(xs, "x"), unpack(us, "u"), "half = 0.5 * dt", "mid = t + half", "end = t + dt"]
     stages = (("x", "t", "half"), ("y", "mid", "half"), ("y", "mid", "dt"), ("y", "end", None))
     for s, (state, time, step) in enumerate(stages):
         lines += [unpack((f"f{i}" for i in range(n)), f"k0({state})"), unpack(g_rows, f"k1({state})"),
                   unpack((f"w{i}" for i in range(n)), f"k2({time})")]
-        for i in range(n):
-            gu = "".join(f" + g{i}_{j} * {u}" for j, u in enumerate(us))
-            lines.append(f"s{s}_{i} = f{i} + (0{gu}) + w{i}")
+        lines += [f"s{s}_{i} = f{i} + {fold(f'g{i}_{j} * {u}' for j, u in enumerate(us))} + w{i}"
+                  for i in range(n)]
         if step is not None:
             lines.append(f"y = [{', '.join(f'{x} + {step} * s{s}_{i}' for i, x in enumerate(xs))}]")
     lines.append("sixth = dt / 6.0")

@@ -33,12 +33,12 @@ unchanged enumeration.
 Each step solves one such QP with m <= 3 and a handful of rows, where a
 numpy call costs more than its arithmetic. So the cost (H, F) is checked
 once per pair and kept as floats (QpCost), and compile_solver generates the
-float solve: per working set of size <= min(m, d), one straight-line
-function, compiled through exprs.straight_line on the set's first use. It
-holds the skip rule, the Schur complement A_W H^-1 A_W' (at most m x m)
-factored by an unrolled Cholesky with H^-1 and v as closure constants, the
-finiteness test of each value, the gates, the certificate, the tight set and
-the rank test. These functions are the only float solve: a run's step calls
+float solve, once per cost: per working set of size <= min(m, d), one
+straight-line function, compiled through exprs.straight_line on the set's
+first use. It holds the skip rule, the Schur complement A_W H^-1 A_W' (at
+most m x m) factored by an unrolled Cholesky with H^-1 and v as closure
+constants, the finiteness test of each value, the gates, the certificate,
+the tight set and the rank test. These functions are the only float solve: a run's step calls
 its hint's function, and solve_qp walks them in the enumeration order. The
 certificate comes from a separate generator, compile_certificate, which
 unrolls check_kkt from H and F, never H^-1: it is bitwise check_kkt and
@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exprs import straight_line, unpack
+from .exprs import Constants, fold, straight_line, tuple_of, unpack
 
 KKT_TOL = 1e-9
 
@@ -263,7 +263,7 @@ def _feasible_start(rows, rhs):
 
 def _exhaustive(problem: QpProblem, hint=(), kernel=None) -> QpSolution | None:
     """The first answer of the working-set functions of `kernel`, that is
-    compile_solver(problem.cost, problem.d) (generated here when None), in
+    compile_solver(problem.cost, problem.d) (looked up here when None), in
     the order of _working_sets; None when none certifies. A set holding no
     row that u0 = -v violates is skipped and so never compiled."""
     if kernel is None:
@@ -292,8 +292,8 @@ def solve_qp(problem: QpProblem, hint=(), kernel=None) -> QpSolution:
     `hint`, typically the previous solution's `support`, is tried before the
     enumeration: the QP has one KKT point and the hint passes the same gates.
     `kernel` is compile_solver(problem.cost, problem.d), such as a scenario's
-    qp_kernel, whose working-set functions are then reused; without it they
-    are generated for this call.
+    qp_kernel; without it solve_qp looks that up, so repeated calls on one
+    cost reuse its generated functions.
 
     Returns status ``optimal`` (certified minimizer), ``degenerate``
     (certified minimizer with linearly dependent tight rows), or
@@ -317,8 +317,15 @@ def compile_solver(cost: QpCost, d: int) -> "_Solvers":
     otherwise: a skipped or failing set, a non-finite value, data included.
     One function per working set of size <= min(m, d), compiled on the first
     lookup; an invalid hint gets the empty set's, as _working_sets orders
-    them. solve_qp returns the first non-None answer in that order."""
-    return _Solvers(cost, d)
+    them. solve_qp returns the first non-None answer in that order.
+
+    Memoized on the bytes of H and F (so -0.0 and 0.0 stay apart) and d: one
+    solver per cost, shared by every scenario and solve_qp call on it."""
+    H, F, _ = cost.arrays
+    key = (H.tobytes(), F.tobytes(), d)
+    if key not in _SOLVERS:
+        _SOLVERS[key] = _Solvers(cost, d)
+    return _SOLVERS[key]
 
 
 class _Solvers(dict):
@@ -337,9 +344,7 @@ class _Solvers(dict):
         return self[working]
 
 
-def _fold(terms) -> str:
-    """(0 + t0 + t1 + ...), a dot product's sum from 0, left to right."""
-    return f"(0{''.join(f' + {t}' for t in terms)})"
+_SOLVERS: dict[tuple, _Solvers] = {}  # compile_solver's memo, unbounded as exprs._code is
 
 
 def _compile_working_set(cost: QpCost, d: int, working: tuple, certificate):
@@ -355,27 +360,22 @@ def _compile_working_set(cost: QpCost, d: int, working: tuple, certificate):
     its row's slack non-finite, and no step before can raise. A difference
     x - 0 of an empty sum is written x, which is exact."""
     m, size = len(cost.F), len(working)
-    consts = []
-
-    def k(value) -> str:
-        consts.append(value)
-        return f"k{len(consts) - 1}"
-
+    k = Constants()
     h_inv, v = [[k(x) for x in row] for row in cost.H_inv], [k(x) for x in cost.v]
     sqrt, gate = k(math.sqrt), k(-0.5 * KKT_TOL)
     a, b = [[f"a{i}_{j}" for j in range(m)] for i in range(d)], [f"b{i}" for i in range(d)]
-    lines = [unpack((f"({', '.join(row)},)" for row in a), "A"), unpack(b, "b")]
-    lines += [f"av{w} = {_fold(f'{x} * {y}' for x, y in zip(a[w], v))}" for w in working]
+    lines = [unpack(map(tuple_of, a), "A"), unpack(b, "b")]
+    lines += [f"av{w} = {fold(f'{x} * {y}' for x, y in zip(a[w], v))}" for w in working]
     if working:  # not a support unless it holds a row that u0 = -v violates
         lines.append(f"if not ({' or '.join(f'-av{w} < b{w}' for w in working)}): return None")
     # y_p = H^-1 a_w, the lower triangle of S = A_W H^-1 A_W', r = b_W + A_W v.
     for p, w in enumerate(working):
-        lines += [f"y{p}_{j} = {_fold(f'{h} * {x}' for h, x in zip(row, a[w]))}" for j, row in enumerate(h_inv)]
-        lines += [f"S{p}_{q} = {_fold(f'{x} * y{q}_{j}' for j, x in enumerate(a[w]))}" for q in range(p + 1)]
+        lines += [f"y{p}_{j} = {fold(f'{h} * {x}' for h, x in zip(row, a[w]))}" for j, row in enumerate(h_inv)]
+        lines += [f"S{p}_{q} = {fold(f'{x} * y{q}_{j}' for j, x in enumerate(a[w]))}" for q in range(p + 1)]
         lines.append(f"r{p} = b{w} + av{w}")
 
     def minus(x, terms) -> str:
-        return f"({x} - {_fold(terms)})" if terms else x
+        return f"({x} - {fold(terms)})" if terms else x
 
     # S = L L' row by row (L's diagonal g), L z = r, then L' l = z.
     for p in range(size):
@@ -388,17 +388,17 @@ def _compile_working_set(cost: QpCost, d: int, working: tuple, certificate):
         lines.append(f"l{p} = (z{p}{''.join(f' - L{q}_{p} * l{q}' for q in range(p + 1, size))}) / g{p}")
     u, lam_w, slack = [f"u{j}" for j in range(m)], [f"l{p}" for p in range(size)], [f"s{i}" for i in range(d)]
     if working:
-        lines += [f"{u[j]} = {_fold(f'y{p}_{j} * l{p}' for p in range(size))} - {v[j]}" for j in range(m)]
+        lines += [f"{u[j]} = {fold(f'y{p}_{j} * l{p}' for p in range(size))} - {v[j]}" for j in range(m)]
     else:
         lines += [f"{u[j]} = {k(-x)}" for j, x in enumerate(cost.v)]
-    lines += [f"{s} = {_fold(f'{x} * {y}' for x, y in zip(row, u))} - {b_i}" for s, row, b_i in zip(slack, a, b)]
+    lines += [f"{s} = {fold(f'{x} * {y}' for x, y in zip(row, u))} - {b_i}" for s, row, b_i in zip(slack, a, b)]
     lines.append(f"if not ({' and '.join(f'0.0 * {x} == 0.0' for x in u + lam_w + slack)}): return None")
     if lam_w + slack:
         lines.append(f"if {' or '.join(f'{x} < {gate}' for x in lam_w + slack)}: return None")
     lam = ["0.0"] * d
     for p, w in enumerate(working):
         lam[w] = lam_w[p]
-    lines += [f"u = ({''.join(x + ', ' for x in u)})", f"lam = ({''.join(x + ', ' for x in lam)})",
+    lines += [f"u = {tuple_of(u)}", f"lam = {tuple_of(lam)}",
               f"residual = {k(certificate)}(A, b, u, lam)", f"if not residual <= {k(KKT_TOL)}: return None",
               "tight = ()"]
     scale = k(1e-7)  # s_i <= 1e-7 max(1, |b_i|)
@@ -406,7 +406,7 @@ def _compile_working_set(cost: QpCost, d: int, working: tuple, certificate):
               for i in range(d)]
     support = k(working)
     status = f"{k(DEGENERATE)} if tight != {support} and {k(_dependent)}(A, tight) else {k(OPTIMAL)}"
-    return straight_line(("A", "b"), lines, f"{k(QpSolution)}(u, tight, residual, {status}, lam, {support})", consts)
+    return straight_line(("A", "b"), lines, f"{k(QpSolution)}(u, tight, residual, {status}, lam, {support})", k)
 
 
 def compile_certificate(H, F, d: int):
@@ -414,38 +414,26 @@ def compile_certificate(H, F, d: int):
     by rows, and d rows: check_kkt's operations in its order, unrolled,
     so bitwise equal on any floats. It reads H and F, never H^-1, and
     recomputes its own slacks: it shares no code with the solver."""
-    m = len(F)
-    consts = []
-
-    def k(value) -> str:
-        consts.append(value)
-        return f"k{len(consts) - 1}"
-
-    def total(terms) -> str:
-        return f"(0{''.join(f' + {t}' for t in terms)})"
-
+    m, k = len(F), Constants()
     a = [[f"a{i}_{j}" for j in range(m)] for i in range(d)]
     u, lam = [f"u{j}" for j in range(m)], [f"l{i}" for i in range(d)]
     r, slack, products = [f"r{j}" for j in range(m)], [f"s{i}" for i in range(d)], [f"p{i}" for i in range(d)]
-    lines = [unpack((f"({', '.join(row)},)" for row in a), "A"), unpack((f"b{i}" for i in range(d)), "b"),
+    lines = [unpack(map(tuple_of, a), "A"), unpack((f"b{i}" for i in range(d)), "b"),
              unpack(u, "u"), unpack(lam, "lam")]
     for j in range(m):
-        hu = total(f"{k(H[j][c])} * {u[c]}" for c in range(m))
-        column = total(f"{a[i][j]} * {lam[i]}" for i in range(d))
+        hu = fold(f"{k(H[j][c])} * {u[c]}" for c in range(m))
+        column = fold(f"{a[i][j]} * {lam[i]}" for i in range(d))
         lines.append(f"{r[j]} = {hu} + {k(F[j])} - {column}")
-    lines.append(f"stationarity = {k(math.sqrt)}({total(f'{x} * {x}' for x in r)})")
-    lines += [f"{slack[i]} = {total(f'{x} * {y}' for x, y in zip(a[i], u))} - b{i}" for i in range(d)]
+    lines.append(f"stationarity = {k(math.sqrt)}({fold(f'{x} * {x}' for x in r)})")
+    lines += [f"{slack[i]} = {fold(f'{x} * {y}' for x, y in zip(a[i], u))} - b{i}" for i in range(d)]
     magnitude = k(abs)
     lines += [f"{products[i]} = {magnitude}({lam[i]} * {slack[i]})" for i in range(d)]
     terms = ["stationarity"] + slack + lam + products
     lines.append(f"if {' or '.join(f'{x} != {x}' for x in terms)}: return {k(math.nan)}")
-
-    def tuple_of(names) -> str:
-        return f"({''.join(x + ', ' for x in names)})"
 
     minimum, maximum = k(min), k(max)
     result = f"{maximum}(0.0, stationarity)"
     if d:  # min and max of no rows are check_kkt's defaults, which max(0.0, ...) already covers
         result = (f"{maximum}(0.0, stationarity, -{minimum}({tuple_of(slack)}), -{minimum}({tuple_of(lam)}), "
                   f"{maximum}({tuple_of(products)}))")
-    return straight_line(("A", "b", "u", "lam"), lines, result, consts)
+    return straight_line(("A", "b", "u", "lam"), lines, result, k)

@@ -10,9 +10,10 @@ costs more than its arithmetic. Every step is appended to growing float arrays;
 metrics and the reach-avoid verdict are computed from the full-resolution
 trace, and verify_trace re-derives all safety claims from raw states rather than
 trusting logged values. Both work on whole-trace arrays: obstacle centres
-come from Obstacle.centers for all recorded times at once, their margins are
-taken once per trace for both, and verify_trace calls no controller barrier
-code. File IO is in trace_io.
+come from Obstacle.centers for all recorded times at once, from the same
+compiled paths the steps call, their margins are taken once per trace for
+both, and neither calls controller barrier code or the expression
+interpreter. File IO is in trace_io.
 """
 
 from __future__ import annotations

@@ -85,6 +85,16 @@ def bundled_benchmark_text() -> str:
     return resources.files("vczsim.data").joinpath("benchmark.scn").read_text()
 
 
+@pytest.fixture
+def fresh_solvers():
+    """An empty compile_solver memo before and after the test: a test that
+    counts or lists compiled working sets sees only its own, and keeps none
+    of its patched functions for later tests."""
+    qp._SOLVERS.clear()
+    yield
+    qp._SOLVERS.clear()
+
+
 @pytest.fixture(scope="session")
 def benchmark_run():
     """Full bundled-benchmark run at dt = 1e-3: (scenario, trace, metrics, seconds)."""

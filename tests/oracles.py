@@ -178,7 +178,7 @@ def interpreted_scenario(scenario):
         def path(t):
             return np.array([eval_expr(e, t) for e in exprs])
 
-        return Obstacle.custom(path, obs.radius, path_source=obs.path_source, centers_path=obs.centers_path)
+        return Obstacle.custom(path, obs.radius, path_source=obs.path_source)
 
     return replace(scenario, plant=plant, obstacles=tuple(map(interpreted, scenario.obstacles)))
 

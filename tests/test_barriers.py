@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import fd_gradient
 from vczsim.barriers import (
@@ -267,7 +267,6 @@ class TestObstacleCenters:
 
     def test_crowded_scenario_has_two_path_obstacles(self):
         assert len(CROWDED_PATHS) == 2
-        assert all(obs.centers_path is not None for obs in CROWDED_PATHS)
 
     def test_constant_path_component_is_broadcast(self):
         (obs,) = parse_scenario(CONSTANT_COMPONENT_TEXT).obstacles
@@ -277,13 +276,38 @@ class TestObstacleCenters:
 
     def test_plain_callable_path_is_sampled(self):
         obs = Obstacle.custom(lambda t: np.array([np.sin(t), np.cos(2 * t)]), 0.4)
-        assert obs.centers_path is None
         assert np.array_equal(obs.centers(self.TIMES), self.per_sample(obs, self.TIMES))
+
+    @pytest.mark.parametrize("lengths", [(2, 3, 2), (2, 1, 3), (2, 2, 1)], ids=["longer", "shorter_then_longer", "last_shorter"])
+    def test_custom_rows_of_another_length_raise(self, lengths):
+        # A surplus value must not shift into the next row, even when a
+        # shorter row before it keeps the total count right.
+        obs = Obstacle.custom(lambda t: [t] * lengths[int(t)], 0.4)
+        with pytest.raises(ValueError, match="custom path rows"):
+            obs.centers([0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("obs", [STATIC_OBS, MOVING_OBS, *CROWDED_PATHS])
+    def test_no_times_give_no_rows_of_the_dimension(self, obs):
+        assert obs.centers(np.array([])).shape == (0, obs.center(0.0).size)
 
     @pytest.mark.parametrize("obs", [STATIC_OBS, MOVING_OBS, *CROWDED_PATHS])
     def test_single_time(self, obs):
         ts = np.array([3.7])
         assert np.array_equal(obs.centers(ts), self.per_sample(obs, ts))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_static_and_linear_centers_are_bitwise_per_sample(self, data):
+        # Signed zeros must survive: a static centre is the point itself,
+        # never point + 0.0 * t, which turns -0.0 into 0.0.
+        coord = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0]))
+        point = data.draw(st.lists(coord, min_size=1, max_size=3), label="point")
+        rate = data.draw(st.lists(coord, min_size=len(point), max_size=len(point)), label="rate")
+        ts = np.array(data.draw(st.lists(st.one_of(st.floats(-1e6, 1e6), st.just(-0.0)), min_size=1, max_size=20)))
+        for obs in (Obstacle.static(point, 1.0), Obstacle.linear(point, rate, 1.0)):
+            centers = obs.centers(ts)
+            assert centers.dtype == np.float64 and centers.shape == (len(ts), len(point))
+            assert centers.tobytes() == self.per_sample(obs, ts).tobytes(), obs.kind
 
     def test_does_not_write_into_times(self):
         ts = self.TIMES.copy()

@@ -440,6 +440,19 @@ class TestCompiledSolver:
         assert solution_bits(solution) == solution_bits(loop_exhaustive(problem, hint))
         assert solution_bits(kernel[support](A, b)) == solution_bits(solution)
 
+    @pytest.mark.usefixtures("fresh_solvers")
+    def test_one_solver_per_cost_bytes_and_row_count(self):
+        cost = QpProblem(np.eye(2), [0.0, 1.0], [[1.0, 0.0]], [0.5]).cost
+        kernel = qp.compile_solver(cost, 1)
+        assert len(kernel) == 0
+        twin = cost._replace(arrays=tuple(a.copy() for a in cost.arrays))
+        assert qp.compile_solver(twin, 1) is kernel
+        assert qp.compile_solver(cost, 2) is not kernel
+        signed = QpProblem(np.eye(2), [-0.0, 1.0], [[1.0, 0.0]], [0.5]).cost
+        assert signed.F == cost.F and qp.compile_solver(signed, 1) is not kernel  # -0.0 == 0.0, not as bytes
+        solution = solve_qp(QpProblem(cost, None, [[1.0, 0.0]], [0.5]))  # without a kernel: the memo's
+        assert solution.support == (0,) and sorted(kernel) == [(), (0,)]
+
     @staticmethod
     def candidate(problem, working):
         """The loop solver's float candidate of the working set."""

@@ -251,6 +251,7 @@ class TestCompiledPath:
             with pytest.raises(QpInputError, match="finite"):
                 virtual_control(None, 0.0, scenario, (0,))
 
+    @pytest.mark.usefixtures("fresh_solvers")
     def test_invalid_hints_share_the_empty_sets_function(self):
         kernel = compile_solver(BENCH.qp_cost, 3)
         for hint in ((), (5,), (-1,), (0, 1, 2), (2, 0, 2)):
@@ -260,6 +261,7 @@ class TestCompiledPath:
         u_c, solution, _ = virtual_control([0.0, 0.0], 0.0, BENCH, [2])  # any sequence is a hint
         assert solution.support == (2,) and (2,) in BENCH.qp_kernel
 
+    @pytest.mark.usefixtures("fresh_solvers")
     def test_enumeration_compiles_no_skipped_working_set(self, monkeypatch):
         # A working set that holds no row u0 = -v violates is skipped and
         # never compiled: every key of qp_kernel is a hint, or holds such a
@@ -288,6 +290,7 @@ class TestCompiledPath:
             problem = compiled_by[working]
             assert any(-qp._dot(problem.rows[i], v) < problem.rhs[i] for i in working), working
 
+    @pytest.mark.usefixtures("fresh_solvers")
     def test_a_benchmark_run_compiles_only_the_working_sets_it_uses(self, monkeypatch):
         scenario = benchmark_scenario().with_overrides(dt=1e-2)
         hints = []
