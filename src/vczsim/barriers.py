@@ -7,12 +7,14 @@ shrinks affinely to force arrival at the horizon. Both report value,
 spatial gradient, and time partial so a QP row can be assembled from them.
 
 eval_avoidance and eval_reach define the barriers on Python floats, one at a
-time. A step does not call them: compile_rows turns a scenario's barriers and
-class-K slopes into one straight-line function of (c, t) that performs the
-same operations in the same order, sums included (from 0, left to right),
-so its rows are bitwise theirs; the tests compare the two. A static or
-linear obstacle's path enters it as the float constants point and rate,
-a custom obstacle's as calls of its center_path and velocity_path.
+time. A step does not call them: emit_rows writes a scenario's barriers and
+class-K slopes as straight-line code at (c, t) that performs the same
+operations in the same order, sums included (from 0, left to right), so
+its rows are bitwise theirs; the step loop holds that code, and
+compile_rows makes it one function, which the tests compare with them. A
+static or linear obstacle's path enters it as the float constants point and
+rate, a path obstacle's as its expression trees written inline, and another
+custom obstacle's as calls of its center_path and velocity_path.
 Obstacle.center, Obstacle.velocity and Obstacle.centers give numpy arrays
 for whole-trace work, from the same path: centers is point and rate as
 array formulas, or a custom obstacle's center_path called at every time.
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exprs import Constants, fold, straight_line, unpack
+from .exprs import Constants, expr_to_str, fold, straight_line, tree_emitter, unpack
 
 STATIC = "static"
 LINEAR = "linear"
@@ -50,19 +52,35 @@ class TimeDomainError(ValueError):
     """Time outside the schedule horizon [0, t_f]."""
 
 
+class SampleError(RuntimeError):
+    """A map raised ValueError or ArithmeticError at a point validation
+    sampled; the message names the map."""
+
+
+def sampled(name: str, fn, *args):
+    """fn(*args), where a ValueError or ArithmeticError becomes a SampleError
+    naming the map `name`."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        raise SampleError(f"{name} raised {type(exc).__name__}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Obstacle:
     """Open-ball obstacle with a known center path and velocity.
 
     center_path and velocity_path map a time to n floats. A static or linear
-    obstacle also holds its path as floats: centre point + rate * t.
+    obstacle also holds its path as floats: centre point + rate * t. A custom
+    obstacle parsed from a scenario file holds its path's expression trees
+    in t, `trees`, which center_path is compiled from.
     """
 
     center_path: Callable[[float], Sequence[float]]
     velocity_path: Callable[[float], Sequence[float]]
     radius: float
     kind: str
-    path_source: tuple[str, ...] | None = None
+    trees: tuple | None = None
     point: tuple[float, ...] = ()
     rate: tuple[float, ...] = ()
 
@@ -101,11 +119,7 @@ class Obstacle:
         )
 
     @staticmethod
-    def custom(
-        path: Callable[[float], Sequence[float]],
-        radius: float,
-        path_source: tuple[str, ...] | None = None,
-    ) -> "Obstacle":
+    def custom(path: Callable[[float], Sequence[float]], radius: float, trees: tuple | None = None) -> "Obstacle":
         step = CUSTOM_VELOCITY_FD_STEP
         width = 2.0 * step
 
@@ -113,7 +127,12 @@ class Obstacle:
             # Central difference, elementwise (hi - lo) / (2 step).
             return [d / width for d in map(sub, path(t + step), path(t - step))]
 
-        return Obstacle(path, velocity, float(radius), CUSTOM, path_source)
+        return Obstacle(path, velocity, float(radius), CUSTOM, trees)
+
+    @property
+    def path_source(self) -> tuple[str, ...] | None:
+        """The path's expression text, one entry per coordinate, or None without trees."""
+        return None if self.trees is None else tuple(map(expr_to_str, self.trees))
 
     def center(self, t: float) -> np.ndarray:
         return np.asarray(self.center_path(t), dtype=float)
@@ -124,7 +143,7 @@ class Obstacle:
         linear one's is point + rate * t; a custom path is called at each
         time, its values streamed into one array; a row whose length differs
         from the first's raises ValueError. n is the first row's length, or
-        for no times the path's source count (0 for a plain callable)."""
+        for no times the path's tree count (0 for a plain callable)."""
         ts = np.asarray(ts, dtype=float)
         if self.kind == STATIC:
             return np.broadcast_to(self.point, (len(ts), len(self.point)))
@@ -133,7 +152,7 @@ class Obstacle:
         rows = map(self.center_path, ts.tolist())
         first = next(rows, None)
         if first is None:
-            return np.empty((0, len(self.path_source or ())))
+            return np.empty((0, len(self.trees or ())))
         n = len(first)
 
         def checked(row):
@@ -184,11 +203,16 @@ class ShrinkSchedule:
         if not math.isfinite(self.r_start):
             raise SettingError(f"r_start must be finite, got {self.r_start}", "r_start")
 
-    def radius_at(self, t: float) -> float:
-        # Integrator endpoints and finite-difference probes graze the horizon;
-        # the affine formula extrapolates exactly, so allow a small band.
+    def band(self) -> tuple[float, float]:
+        """The times radius_at accepts. Integrator endpoints and
+        finite-difference probes graze the horizon; the affine formula
+        extrapolates exactly, so the band is a little wider than [0, t_f]."""
         tol = 1e-5 * max(1.0, self.t_f)
-        if t < -tol or t > self.t_f + tol:
+        return -tol, self.t_f + tol
+
+    def radius_at(self, t: float) -> float:
+        lo, hi = self.band()
+        if t < lo or t > hi:
             raise TimeDomainError(f"t = {t} outside [0, {self.t_f}]")
         return (self.r_end - self.r_start) * (t / self.t_f) + self.r_start
 
@@ -244,40 +268,66 @@ def eval_reach(c, t: float, target_center, schedule: ShrinkSchedule) -> BarrierE
 
 
 def compile_rows(obstacles, r_c: float, target_point, schedule: ShrinkSchedule, slopes):
-    """rows(c, t) -> (A, b, h): the CBF rows of eval_avoidance per obstacle,
-    then eval_reach, with b_j = -slope_j h_j - dh_j/dt, as one straight-line
-    function over the n coordinates. Each value takes the operations of
-    those functions in their order; only products of scenario constants,
-    (r + r_c)^2 and -slope, are taken here, once. A static or linear
-    obstacle's centre is point + rate * t from its fields, a custom one calls
-    center_path and velocity_path once each."""
+    """rows(c, t) -> (A, b, h), with A by rows: emit_rows' lines as one
+    straight-line function over the n coordinates."""
     k, n = Constants(), len(target_point)
-    lines = [unpack((f"c{i}" for i in range(n)), "c")]
-    grads = []
+    c = [f"c{i}" for i in range(n)]
+    lines = [unpack(c, "c")]
+    A, b, h = emit_rows(lines, k, tree_emitter(lines, k), c, "t", obstacles, r_c, target_point, schedule, slopes)
+    return straight_line(("c", "t"), lines, f"{A}, [{', '.join(b)}], [{', '.join(h)}]", k)
+
+
+def emit_rows(lines, k, emit, c, t: str, obstacles, r_c: float, target_point, schedule: ShrinkSchedule, slopes):
+    """Append to `lines` the CBF rows at the centre names `c` and the time
+    name `t`: those of eval_avoidance per obstacle, then eval_reach, with
+    b_j = -slope_j h_j - dh_j/dt. Returns (A, b, h): A as a display of
+    lists by rows, b and h as lists of names. Each value takes the
+    operations of those functions in their order; only products of scenario
+    constants, (r + r_c)^2 and -slope, are taken here, once. A static or linear
+    obstacle's centre is point + rate * t from its fields. A custom one with
+    trees emits them (`emit`, a tree_emitter on `lines` and `k`) at t, t + h
+    and t - h, its velocity the central difference (hi - lo) / (2h) of
+    Obstacle.custom; one without calls center_path and velocity_path once
+    each. The reach radius is ShrinkSchedule.radius_at's formula, and
+    radius_at itself is called only outside its band, where it raises."""
+    n = len(target_point)
+    ahead, behind = f"{t}_ahead", f"{t}_behind"
+    if any(obs.trees is not None for obs in obstacles):
+        step = k(CUSTOM_VELOCITY_FD_STEP)
+        lines += [f"{ahead} = {t} + {step}", f"{behind} = {t} - {step}"]
+    A = []
     for j, (obs, slope) in enumerate(zip(obstacles, slopes)):
-        if obs.kind == CUSTOM:
-            center, velocity = [f"p{i}" for i in range(n)], [f"w{i}" for i in range(n)]
-            lines += [unpack(center, f"{k(obs.center_path)}(t)"), unpack(velocity, f"{k(obs.velocity_path)}(t)")]
+        if obs.trees is not None:
+            center = [emit(e, {"t": t}) for e in obs.trees]
+            hi, lo = ([emit(e, {"t": s}) for e in obs.trees] for s in (ahead, behind))
+            velocity = [f"q{j}_{i}" for i in range(n)]
+            width = k(2.0 * CUSTOM_VELOCITY_FD_STEP)
+            lines += [f"{q} = ({p} - {m}) / {width}" for q, p, m in zip(velocity, hi, lo)]
+        elif obs.kind == CUSTOM:
+            center, velocity = [f"p{j}_{i}" for i in range(n)], [f"q{j}_{i}" for i in range(n)]
+            lines += [unpack(center, f"{k(obs.center_path)}({t})"), unpack(velocity, f"{k(obs.velocity_path)}({t})")]
         else:
             if obs.kind == LINEAR:
-                center = [f"({k(p)} + {k(w)} * t)" for p, w in zip(obs.point, obs.rate)]
+                center = [f"({k(p)} + {k(w)} * {t})" for p, w in zip(obs.point, obs.rate)]
             else:
                 center = [k(p) for p in obs.point]
             velocity = [k(w) for w in obs.rate]
         delta = [f"d{j}_{i}" for i in range(n)]
-        lines += [f"{d} = c{i} - {q}" for i, (d, q) in enumerate(zip(delta, center))]
+        lines += [f"{d} = {c_i} - {q}" for d, c_i, q in zip(delta, c, center)]
         inflated = obs.radius + r_c
         lines.append(f"h{j} = {fold(f'{d} * {d}' for d in delta)} - {k(inflated * inflated)}")
-        lines.append(f"dt{j} = -2.0 * {fold(f'{d} * {w}' for d, w in zip(delta, velocity))}")
-        lines.append(f"b{j} = {k(-slope)} * h{j} - dt{j}")
-        grads.append(f"[{', '.join(f'2.0 * {d}' for d in delta)}]")
+        lines.append(f"dh{j} = -2.0 * {fold(f'{d} * {w}' for d, w in zip(delta, velocity))}")
+        lines.append(f"b{j} = {k(-slope)} * h{j} - dh{j}")
+        A.append(f"[{', '.join(f'2.0 * {d}' for d in delta)}]")
     j = len(obstacles)
     delta = [f"d{j}_{i}" for i in range(n)]
-    lines += [f"{d} = c{i} - {k(p)}" for i, (d, p) in enumerate(zip(delta, target_point))]
-    lines.append(f"r = {k(schedule.radius_at)}(t)")
+    lines += [f"{d} = {c_i} - {k(p)}" for d, c_i, p in zip(delta, c, target_point)]
+    lo, hi = schedule.band()
+    lines.append(f"if {t} < {k(lo)} or {t} > {k(hi)}: {k(schedule.radius_at)}({t})")
+    span, t_f, r_start = k(schedule.r_end - schedule.r_start), k(schedule.t_f), k(schedule.r_start)
+    lines.append(f"r = {span} * ({t} / {t_f}) + {r_start}")
     lines.append(f"h{j} = r * r - {fold(f'{d} * {d}' for d in delta)}")
-    lines.append(f"dt{j} = 2.0 * r * {k(schedule.rate_of())}")
-    lines.append(f"b{j} = {k(-slopes[j])} * h{j} - dt{j}")
-    grads.append(f"[{', '.join(f'-2.0 * {d}' for d in delta)}]")
-    result = ", ".join(f"[{', '.join(f'{x}{i}' for i in range(j + 1))}]" for x in "bh")
-    return straight_line(("c", "t"), lines, f"[{', '.join(grads)}], {result}", k)
+    lines.append(f"dh{j} = 2.0 * r * {k(schedule.rate_of())}")
+    lines.append(f"b{j} = {k(-slopes[j])} * h{j} - dh{j}")
+    A.append(f"[{', '.join(f'-2.0 * {d}' for d in delta)}]")
+    return f"[{', '.join(A)}]", [f"b{i}" for i in range(j + 1)], [f"h{i}" for i in range(j + 1)]

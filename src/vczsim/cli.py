@@ -3,7 +3,8 @@
 Subcommands: validate (precondition checks), run (simulate and export trace
 plus metrics), plot (SVG figure from a trace), suite (randomized invariance
 campaign). Exit codes are a stable contract: 0 pass, 1 verdict or
-validation failure, 2 parse error, 3 runtime abort.
+validation failure, 2 parse error or an output path that cannot be
+written, 3 runtime abort.
 """
 
 from __future__ import annotations
@@ -85,7 +86,11 @@ def cmd_run(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
     report = validate(scenario)
     (out / "validation.txt").write_text(report.format() + "\n")
@@ -130,7 +135,11 @@ def cmd_plot(args) -> int:
             file=sys.stderr,
         )
         return EXIT_FAIL
-    render_figure(trace, scenario, args.out, args.snapshots)
+    try:
+        render_figure(trace, scenario, args.out, args.snapshots)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"wrote {args.out}")
     return EXIT_PASS
 

@@ -7,16 +7,20 @@ or more arguments, ``-`` is unary negation or a left-folded difference, and
 input map, disturbance, and obstacle path the toolkit needs without an
 external parser. Nesting deeper than MAX_DEPTH parentheses is a parse error.
 
-``compile_exprs`` turns the trees of one field into one Python function,
-once per scenario; every evaluation in the package, per step or over a whole
-trace, calls only these. It emits one assignment per distinct subtree with
-the operations of ``eval_expr``, so the values are bitwise equal.
-``eval_expr`` is the reference interpreter on a float ``t``, which the tests
-compare the compiled functions against.
+``tree_emitter`` writes trees as straight-line code into a caller's lines:
+one assignment per distinct subtree with the operations of ``eval_expr``,
+so the values are bitwise equal, under the caller's names for the
+variables. ``compile_exprs`` turns the trees of one field into one Python
+function with it, once per scenario, and the step loop (through
+barriers.emit_rows and plant.emit_rk4) writes path and plant trees inline
+with it; no evaluation in the package, per step or over a whole trace,
+runs anything else. ``eval_expr`` is the reference interpreter on a float
+``t``, which the tests compare the compiled functions against.
 
-``straight_line`` compiles generated code, for ``compile_exprs``, the step
-kernels of barriers.compile_rows and plant.compile_rk4, and the QP solve of
-qp.compile_solver. It is the package's only call of ``compile()``: the text
+``straight_line`` compiles generated code, for ``compile_exprs``, the
+kernels of barriers.compile_rows, plant.compile_rk4 and
+simulator.compile_loop, and the QP solve of qp.compile_solver. It is the
+package's only call of ``compile()``: the text
 it gets is made of generated names and fixed operator text, and every number
 and callable of the input reaches the code as a closure constant, named
 through a ``Constants`` table. ``fold`` and ``tuple_of`` give the generators'
@@ -168,44 +172,12 @@ def compile_exprs(exprs, params, packed: bool = False):
     a tree or nested lists of trees, as tuples of the same nesting. When
     `packed`, it takes one sequence `x` of the params' values instead and
     unpacks it in its first line. Only `_VAR_RE` names and fixed operator text
-    reach `compile()`; literals are closure constants.
-
-    Each structurally equal subtree is computed once, a product is the left
-    fold of its factors without eval_expr's leading 1.0 (1.0 * x is x for
-    every float), and a tuple of constants is built once, as a constant."""
+    reach `compile()`; literals are closure constants. The body is
+    tree_emitter's, and a tuple of constants is built once, as a constant."""
     if not all(_VAR_RE.fullmatch(p) for p in params):
         raise ExprError(f"bad argument names {list(params)}")
     const, lines = Constants(), [unpack(params, "x")] if packed else []
-    names = {}  # structural key -> generated name
-
-    def node(e):
-        tag, arg = e
-        if tag == "var":
-            if arg not in params:
-                raise ExprError(f"may only use {', '.join(params)}, found '{arg}'")
-            return arg
-        if tag == "num":
-            key = (tag, float(arg), math.copysign(1.0, arg))  # 0.0 and -0.0 stay apart
-            if key not in names:
-                names[key] = const(float(arg))
-            return names[key]
-        if tag not in _NARY_OPS and tag not in _UNARY_FUNCS:
-            raise ExprError(f"unknown operator {tag!r}")
-        args = [node(a) for a in arg]
-        key = (tag, *args)
-        if key in names:
-            return names[key]
-        if tag == "+":
-            rhs = f"fsum({tuple_of(args)})"
-        elif tag == "-" and len(args) == 1:
-            rhs = f"-{args[0]}"
-        elif tag in _NARY_OPS:  # left folds
-            rhs = f" {tag} ".join(args)
-        else:
-            rhs = f"{tag}({args[0]})"
-        names[key] = f"v{len(lines)}"
-        lines.append(f"{names[key]} = {rhs}")
-        return names[key]
+    emit, args = tree_emitter(lines, const), {p: p for p in params}
 
     def constant(item):
         """The value of a nest of lists of number trees, else None."""
@@ -216,11 +188,55 @@ def compile_exprs(exprs, params, packed: bool = False):
 
     def out(item):
         if isinstance(item, tuple):
-            return node(item)
+            return emit(item, args)
         value = constant(item)
         return const(value) if value is not None else tuple_of(map(out, item))
 
     return straight_line(("x",) if packed else params, lines, out(exprs), const)
+
+
+def tree_emitter(lines: list, const: "Constants"):
+    """emit(tree, args) -> the name of the tree's value, after appending to
+    `lines` one assignment per structurally distinct subtree not yet emitted,
+    named v + line number, with the operations of eval_expr, so the
+    values are bitwise equal. `args` maps each variable the tree may use (t,
+    x1, ...) to the caller's name for its value; a number is a closure
+    constant of `const`. Subtrees are shared across the calls of one emitter,
+    keyed by the caller's names, so each of those must hold one value while
+    the lines run. A product is the left fold of its factors without
+    eval_expr's leading 1.0 (1.0 * x is x for every float)."""
+    names = {}  # structural key -> generated name
+
+    def emit(tree, args):
+        tag, arg = tree
+        if tag == "var":
+            if arg not in args:
+                raise ExprError(f"may only use {', '.join(args)}, found '{arg}'")
+            return args[arg]
+        if tag == "num":
+            key = (tag, float(arg), math.copysign(1.0, arg))  # 0.0 and -0.0 stay apart
+            if key not in names:
+                names[key] = const(float(arg))
+            return names[key]
+        if tag not in _NARY_OPS and tag not in _UNARY_FUNCS:
+            raise ExprError(f"unknown operator {tag!r}")
+        items = [emit(a, args) for a in arg]
+        key = (tag, *items)
+        if key in names:
+            return names[key]
+        if tag == "+":
+            rhs = f"fsum({tuple_of(items)})"
+        elif tag == "-" and len(items) == 1:
+            rhs = f"-{items[0]}"
+        elif tag in _NARY_OPS:  # left folds
+            rhs = f" {tag} ".join(items)
+        else:
+            rhs = f"{tag}({items[0]})"
+        names[key] = f"v{len(lines)}"
+        lines.append(f"{names[key]} = {rhs}")
+        return names[key]
+
+    return emit
 
 
 class Constants(list):
@@ -254,11 +270,12 @@ def straight_line(params, lines, result, consts):
     package's one call of compile(): callers build `lines` and `result` from
     their own generated names and fixed operator text, never from input
     text, and pass every input number and callable in `consts`. The code sees
-    no builtins, only fsum, sin and cos."""
+    no builtins, only fsum, sin, cos, log and hypot."""
     body = "".join(f"  {line}\n" for line in lines)
     source = (f"def make({', '.join(f'k{i}' for i in range(len(consts)))}):\n"
               f" def fn({', '.join(params)}):\n{body}  return {result}\n return fn\n")
-    namespace = {"__builtins__": {}, "fsum": math.fsum, "sin": math.sin, "cos": math.cos}
+    namespace = {"__builtins__": {}, "fsum": math.fsum, "sin": math.sin, "cos": math.cos, "log": math.log,
+                 "hypot": math.hypot}
     exec(_code(source), namespace)
     return namespace["make"](*consts)
 

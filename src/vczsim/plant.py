@@ -5,10 +5,11 @@ Every plant the package builds is compiled expression trees (tree_plant):
 CATALOG plants are expression text, and random plants carry their drawn
 numbers as literals. f and g take the state sequence, omega the time; each
 returns Python floats (g as rows), which is what a step integrates on;
-whole-sample checks wrap them with numpy. plant_derivative defines
-f(x) + g(x) u + omega(t); a step does not call it but the plant's compiled
-RK4 step (compile_rk4), which forms each stage's derivative with the same
-operations in the same order.
+whole-sample checks wrap them with numpy. A tree plant keeps its trees.
+plant_derivative defines f(x) + g(x) u + omega(t); a step does not call it
+but runs emit_rk4's RK4 step, which forms each stage's derivative with the
+same operations in the same order, a tree plant's maps written inline and a
+plain-callable plant's called; compile_rk4 makes that step one function.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .barriers import SettingError
+from .barriers import SettingError, sampled
 from .exprs import (
+    Constants,
     ExprError,
     compile_exprs,
     expr_to_str,
@@ -31,6 +33,7 @@ from .exprs import (
     parse_expr_rows,
     parse_expr_sequence,
     straight_line,
+    tree_emitter,
     tuple_of,
     unpack,
 )
@@ -59,20 +62,35 @@ CATALOG = {
 @dataclass(frozen=True)
 class PlantModel:
     """Control-affine plant xdot = f(x) + g(x) u + omega(t); f and omega give
-    n floats, g gives n rows of n floats."""
+    n floats, g gives n rows of n floats. A tree plant holds the expression
+    trees (f, g by rows, omega) its maps are compiled from, `trees`, and a
+    CATALOG plant also its name, `catalog`."""
 
     drift: Callable[[Sequence[float]], Sequence[float]]
     input_map: Callable[[Sequence[float]], Sequence[Sequence[float]]]
     disturbance: Callable[[float], Sequence[float]]
     sign_class: str
     n: int
-    descriptor: tuple | None = None
+    trees: tuple | None = None
+    catalog: str | None = None
 
     def __post_init__(self):
         if self.sign_class not in (POSITIVE_DEFINITE, NEGATIVE_DEFINITE):
             raise ValueError(f"unknown sign class '{self.sign_class}'")
         if self.n < 1:
             raise ValueError(f"state dimension must be >= 1, got {self.n}")
+
+    @property
+    def descriptor(self) -> tuple | None:
+        """("catalog", name), ("exprs", f, g, omega) with the trees as text, or
+        None for a plant of plain callables."""
+        if self.catalog is not None:
+            return ("catalog", self.catalog)
+        if self.trees is None:
+            return None
+        f, g, omega = self.trees
+        return ("exprs", tuple(map(expr_to_str, f)), tuple(tuple(map(expr_to_str, row)) for row in g),
+                tuple(map(expr_to_str, omega)))
 
     def check_shapes(self, x, t: float) -> None:
         """ValueError unless f(x) and omega(t) have n entries and g(x) is n x n.
@@ -98,37 +116,61 @@ def plant_derivative(model: PlantModel, x, u, t: float) -> list[float]:
 
 
 def compile_rk4(model: PlantModel):
-    """rk4(x, u, t, dt) -> x after one classical RK4 step with u held, as one
-    straight-line function over the n coordinates: four stages, each calling
-    drift, input_map and disturbance once and forming plant_derivative's
-    f_i + (0 + g_i1 u_1 + ... + g_in u_n) + omega_i, combined as
-    x + dt/6 (k1 + 2 k2 + 2 k3 + k4) elementwise."""
-    n = model.n
-    xs, us = [f"x{i}" for i in range(n)], [f"u{j}" for j in range(n)]
-    g_rows = [tuple_of(f"g{i}_{j}" for j in range(n)) for i in range(n)]
-    lines = [unpack(xs, "x"), unpack(us, "u"), "half = 0.5 * dt", "mid = t + half", "end = t + dt"]
-    stages = (("x", "t", "half"), ("y", "mid", "half"), ("y", "mid", "dt"), ("y", "end", None))
-    for s, (state, time, step) in enumerate(stages):
-        lines += [unpack((f"f{i}" for i in range(n)), f"k0({state})"), unpack(g_rows, f"k1({state})"),
-                  unpack((f"w{i}" for i in range(n)), f"k2({time})")]
-        lines += [f"s{s}_{i} = f{i} + {fold(f'g{i}_{j} * {u}' for j, u in enumerate(us))} + w{i}"
+    """rk4(x, u, t, dt) -> x after one classical RK4 step with u held: emit_rk4's
+    lines as one straight-line function over the n coordinates."""
+    k = Constants()
+    x, u = [f"x{i}" for i in range(model.n)], [f"u{j}" for j in range(model.n)]
+    lines = [unpack(x, "x"), unpack(u, "u")]
+    x_next = emit_rk4(lines, k, tree_emitter(lines, k), model, x, u, "t", "dt")
+    return straight_line(("x", "u", "t", "dt"), lines, f"[{', '.join(x_next)}]", k)
+
+
+def emit_rk4(lines, k, emit, model: PlantModel, x, u, t: str, dt: str) -> list[str]:
+    """Append to `lines` one classical RK4 step of the plant from the state
+    names `x` with the input names `u` held, at the time and step names `t`
+    and `dt`; returns the next state as expressions x_i + sixth * (k1_i +
+    2 k2_i + 2 k3_i + k4_i), with `sixth` = dt / 6.0 defined in the lines.
+    Each stage forms plant_derivative's f_i + (0 + g_i1 u_1 + ... + g_in
+    u_n) + omega_i. A tree plant's f, g and omega are emitted inline through
+    `emit`, a tree_emitter on `lines` and `k`, so omega at the midpoint is
+    computed once; a plant of plain callables calls each map once a stage."""
+    n, state = model.n, x
+    lines += [f"half = 0.5 * {dt}", f"mid = {t} + half", f"end = {t} + {dt}"]
+    if model.trees is None:
+        drift, input_map, disturbance = k(model.drift), k(model.input_map), k(model.disturbance)
+    else:
+        f_trees, g_trees, omega_trees = model.trees
+    stages = ((t, "half"), ("mid", "half"), ("mid", dt), ("end", None))
+    for s, (time, step) in enumerate(stages):
+        if model.trees is not None:
+            args = {f"x{i + 1}": y for i, y in enumerate(state)}
+            f = [emit(e, args) for e in f_trees]
+            g = [[emit(e, args) for e in row] for row in g_trees]
+            w = [emit(e, {"t": time}) for e in omega_trees]
+        else:
+            f, w = [f"f{s}_{i}" for i in range(n)], [f"w{s}_{i}" for i in range(n)]
+            g = [[f"g{s}_{i}_{j}" for j in range(n)] for i in range(n)]
+            point = f"[{', '.join(state)}]"
+            lines += [unpack(f, f"{drift}({point})"), unpack(map(tuple_of, g), f"{input_map}({point})"),
+                      unpack(w, f"{disturbance}({time})")]
+        lines += [f"s{s}_{i} = {f[i]} + {fold(f'{g[i][j]} * {u_j}' for j, u_j in enumerate(u))} + {w[i]}"
                   for i in range(n)]
         if step is not None:
-            lines.append(f"y = [{', '.join(f'{x} + {step} * s{s}_{i}' for i, x in enumerate(xs))}]")
-    lines.append("sixth = dt / 6.0")
-    x_next = ", ".join(f"{x} + sixth * (s0_{i} + 2 * s1_{i} + 2 * s2_{i} + s3_{i})" for i, x in enumerate(xs))
-    return straight_line(("x", "u", "t", "dt"), lines, f"[{x_next}]", (model.drift, model.input_map, model.disturbance))
+            state = [f"y{s + 1}_{i}" for i in range(n)]
+            lines += [f"{y} = {x_i} + {step} * s{s}_{i}" for i, (y, x_i) in enumerate(zip(state, x))]
+    lines.append(f"sixth = {dt} / 6.0")
+    return [f"{x_i} + sixth * (s0_{i} + 2 * s1_{i} + 2 * s2_{i} + s3_{i})" for i, x_i in enumerate(x)]
 
 
 def catalog_plant(name: str, n: int = 2) -> PlantModel:
     """The tree plant of CATALOG's text for `name` (n: the integrator's
-    dimension), described as ("catalog", name)."""
+    dimension), with `catalog` set to name."""
     if name not in CATALOG:
         raise ValueError(f"unknown catalog plant '{name}' (have {tuple(CATALOG)})")
     text = CATALOG[name]
     f, g, omega = text(n) if callable(text) else text
     plant = tree_plant(parse_expr_sequence(f), parse_expr_rows(g), parse_expr_sequence(omega), POSITIVE_DEFINITE)
-    return replace(plant, descriptor=("catalog", name))
+    return replace(plant, catalog=name)
 
 
 def expression_plant(f_sources, g_sources, omega_sources, sign_class: str) -> PlantModel:
@@ -152,28 +194,25 @@ def tree_plant(f_exprs, g_exprs, omega_exprs, sign_class: str) -> PlantModel:
             fns.append(compile_exprs(exprs, params, packed=field != "omega"))
         except ExprError as exc:
             raise SettingError(f"plant {field} {exc}", field) from None
-    descriptor = (
-        "exprs",
-        tuple(expr_to_str(e) for e in f_exprs),
-        tuple(tuple(expr_to_str(e) for e in row) for row in g_exprs),
-        tuple(expr_to_str(e) for e in omega_exprs),
-    )
-    return PlantModel(*fns, sign_class, n, descriptor)
+    trees = (tuple(f_exprs), tuple(map(tuple, g_exprs)), tuple(omega_exprs))
+    return PlantModel(*fns, sign_class, n, trees)
 
 
 def sign_class_margin(model: PlantModel, box_lo, box_hi, samples: int, seed: int) -> float:
     """Worst-case eigenvalue margin of (g+g')/2 toward the declared sign.
 
     Positive margin means every sampled symmetric part has eigenvalues of the
-    declared sign; NaN/inf anywhere in f, g, omega forces -inf.
+    declared sign; NaN/inf anywhere in f or g forces -inf. A ValueError or
+    ArithmeticError that f or g raises becomes a SampleError naming it.
     """
     rng = np.random.default_rng(seed)
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
     gs = []
-    for x in rng.uniform(lo, hi, size=(samples, lo.size)):  # the draws of one rng.uniform(lo, hi) per sample
-        g = np.asarray(model.input_map(x), dtype=float)
-        f = np.asarray(model.drift(x), dtype=float)
+    # The draws of one rng.uniform(lo, hi) per sample, as Python floats, the maps' input in a step.
+    for x in rng.uniform(lo, hi, size=(samples, lo.size)).tolist():
+        g = np.asarray(sampled("plant g", model.input_map, x), dtype=float)
+        f = np.asarray(sampled("plant f", model.drift, x), dtype=float)
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(f))):
             return -math.inf
         gs.append(g)

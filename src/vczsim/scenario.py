@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .barriers import ClassKappa, Obstacle, SettingError, ShrinkSchedule, TargetSet, compile_rows
+from .barriers import ClassKappa, Obstacle, SampleError, SettingError, ShrinkSchedule, TargetSet, compile_rows, sampled
 from .confinement import ConfinementLaw
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, compile_rk4, sign_class_margin
 from .qp import QpCost, QpInputError, _cost, compile_solver
@@ -38,8 +38,9 @@ class Scenario:
     """Complete problem instance; `slopes` are the class-K slopes of `alphas`
     as floats and `qp_cost` the checked QP cost of (qp_h, qp_f). r_c is the
     confinement law's radius and t_f the shrink schedule's horizon. The
-    verdict tolerances are constants of the class. The step kernels
-    `rows_kernel` and `rk4_kernel` are compiled on first use, so a scenario
+    verdict tolerances are constants of the class. The kernels, a run's
+    `loop_kernel` and `qp_kernel`, virtual_control's `rows_kernel` and the
+    reference step's `rk4_kernel`, are compiled on first use, so a scenario
     that is never run builds none."""
 
     # min_h and the T1/T2 margins may dip to -invariance_tol, true clearance
@@ -122,6 +123,14 @@ class Scenario:
         """(x, u, t, dt) -> x after one RK4 step of the plant; see plant.compile_rk4."""
         return compile_rk4(self.plant)
 
+    @functools.cached_property
+    def loop_kernel(self):
+        """(x, extend, status, miss) -> None or a breach: the run's step loop;
+        see simulator.compile_loop."""
+        from .simulator import compile_loop  # local import to avoid a cycle
+
+        return compile_loop(self)
+
     @property
     def barrier_count(self) -> int:
         return len(self.obstacles) + 1
@@ -176,8 +185,8 @@ class ValidationReport:
 def workspace_box(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned box covering everything the run can touch, padded by at least 2."""
     pts = [scenario.x0, scenario.target.center]
-    for obs in scenario.obstacles:
-        pts.extend(obs.centers(np.linspace(0.0, scenario.t_f, 16)))
+    for i, obs in enumerate(scenario.obstacles):
+        pts.extend(sampled(f"obstacle {i + 1} path", obs.centers, np.linspace(0.0, scenario.t_f, 16)))
     pts = np.array(pts)
     spread = max(
         2.0,
@@ -188,48 +197,70 @@ def workspace_box(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return pts.min(axis=0) - spread, pts.max(axis=0) + spread
 
 
+def _checked(check_id: str, detail: str, body) -> CheckResult:
+    """The check of body() -> (passed, worst margin, worst time). A map that
+    raises where the check samples it (SampleError) fails the check, at
+    margin -inf, and the detail names the map."""
+    try:
+        passed, margin, time = body()
+    except SampleError as exc:
+        return CheckResult(check_id, False, -math.inf, None, f"{detail}: {exc}")
+    return CheckResult(check_id, passed, margin, time, detail)
+
+
 def validate(scenario: Scenario, time_samples: int = 1001) -> ValidationReport:
     """Machine-check the assumptions behind the reach-avoid guarantee.
 
     V1 pairwise obstacle separation over the horizon, V2 target clear of
     obstacles at t_f, V3 initial state clear of inflated obstacles, V4 radius
     orderings between target, confinement, and shrink schedule, V5 sampled
-    sign-definiteness and finiteness of the plant maps.
+    sign-definiteness and finiteness of the plant maps. An obstacle path or
+    plant map that raises ValueError or ArithmeticError where a check samples
+    it fails that check.
     """
     if time_samples < 2:
         raise ValueError("time_samples must be >= 2")
     grid = np.linspace(0.0, scenario.t_f, time_samples)
     obstacles = scenario.obstacles
-    centers = [obs.centers(grid) for obs in obstacles]
-    checks = []
+    paths = [f"obstacle {i + 1} path" for i in range(len(obstacles))]
 
-    # V1: ||b_i(t) - b_j(t)|| >= 2 r_c + r_i + r_j for every pair, all t.
-    v1_margin, v1_time = math.inf, None
-    for i in range(len(obstacles)):
-        for j in range(i + 1, len(obstacles)):
-            need = 2 * scenario.r_c + obstacles[i].radius + obstacles[j].radius
-            dist = np.linalg.norm(centers[i] - centers[j], axis=1) - need
-            k = int(np.argmin(dist))
-            if dist[k] < v1_margin:
-                v1_margin, v1_time = float(dist[k]), float(grid[k])
-    checks.append(CheckResult("V1", v1_margin >= 0, v1_margin, v1_time, "obstacle separation"))
+    def separation():
+        # V1: ||b_i(t) - b_j(t)|| >= 2 r_c + r_i + r_j for every pair, all t.
+        centers = [sampled(path, obs.centers, grid) for path, obs in zip(paths, obstacles)]
+        margin, time = math.inf, None
+        for i in range(len(obstacles)):
+            for j in range(i + 1, len(obstacles)):
+                need = 2 * scenario.r_c + obstacles[i].radius + obstacles[j].radius
+                dist = np.linalg.norm(centers[i] - centers[j], axis=1) - need
+                k = int(np.argmin(dist))
+                if dist[k] < margin:
+                    margin, time = float(dist[k]), float(grid[k])
+        return margin >= 0, margin, time
 
-    # V2: at t_f the target ball is obstacle-free.
-    v2_margin, v2_detail = math.inf, "target obstacle-free at t_f"
-    for obs in obstacles:
-        need = obs.radius + scenario.target.radius
-        v2_margin = min(
-            v2_margin,
-            float(np.linalg.norm(obs.center(scenario.t_f) - scenario.target.center) - need),
-        )
-    checks.append(CheckResult("V2", v2_margin >= 0, v2_margin, scenario.t_f, v2_detail))
+    def target_clear():
+        # V2: at t_f the target ball is obstacle-free.
+        margin = math.inf
+        for path, obs in zip(paths, obstacles):
+            need = obs.radius + scenario.target.radius
+            center = sampled(path, obs.center, scenario.t_f)
+            margin = min(margin, float(np.linalg.norm(center - scenario.target.center) - need))
+        return margin >= 0, margin, scenario.t_f
 
-    # V3: initial state outside every inflated obstacle.
-    v3_margin = math.inf
-    for obs in obstacles:
-        need = obs.radius + scenario.r_c
-        v3_margin = min(v3_margin, float(np.linalg.norm(scenario.x0 - obs.center(0.0)) - need))
-    checks.append(CheckResult("V3", v3_margin >= 0, v3_margin, 0.0, "initial clearance"))
+    def initial_clearance():
+        # V3: initial state outside every inflated obstacle.
+        margin = math.inf
+        for path, obs in zip(paths, obstacles):
+            need = obs.radius + scenario.r_c
+            margin = min(margin, float(np.linalg.norm(scenario.x0 - sampled(path, obs.center, 0.0)) - need))
+        return margin >= 0, margin, 0.0
+
+    def sign_class():
+        # V5: sampled sign-definiteness of (g+g')/2 and finiteness of f, g, omega.
+        lo, hi = workspace_box(scenario)
+        margin = sign_class_margin(scenario.plant, lo, hi, 100, scenario.seed)
+        times = grid[:: max(1, time_samples // 50)].tolist()
+        omega_ok = all(np.all(np.isfinite(sampled("plant omega", scenario.plant.disturbance, t))) for t in times)
+        return margin > 0 and omega_ok, margin, None
 
     # V4: r_c < r_R, r_end <= r_R - r_c, r_start >= ||x0 - b_R||.
     gap_rc = scenario.target.radius - scenario.r_c
@@ -239,16 +270,10 @@ def validate(scenario: Scenario, time_samples: int = 1001) -> ValidationReport:
     )
     v4_margin = min(gap_rc, gap_end, gap_start)
     v4_pass = gap_rc > 0 and gap_end >= 0 and gap_start >= 0
-    checks.append(CheckResult("V4", v4_pass, v4_margin, None, "radius orderings"))
-
-    # V5: sampled sign-definiteness of (g+g')/2 and finiteness of f, g, omega.
-    lo, hi = workspace_box(scenario)
-    v5_margin = sign_class_margin(scenario.plant, lo, hi, 100, scenario.seed)
-    omega_ok = all(
-        np.all(np.isfinite(scenario.plant.disturbance(t))) for t in grid[:: max(1, time_samples // 50)]
-    )
-    v5_pass = v5_margin > 0 and omega_ok
-    checks.append(CheckResult("V5", v5_pass, v5_margin, None, "plant sign class"))
-
-    return ValidationReport(tuple(checks))
-
+    return ValidationReport((
+        _checked("V1", "obstacle separation", separation),
+        _checked("V2", "target obstacle-free at t_f", target_clear),
+        _checked("V3", "initial clearance", initial_clearance),
+        CheckResult("V4", v4_pass, v4_margin, None, "radius orderings"),
+        _checked("V5", "plant sign class", sign_class),
+    ))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .barriers import CUSTOM, LINEAR, STATIC, ClassKappa, Obstacle, SettingError, ShrinkSchedule, TargetSet
 from .confinement import DEFAULT_EPSILON_SAT, ConfinementLaw
-from .exprs import ExprError, compile_exprs, expr_to_str, parse_expr_rows, parse_expr_sequence
+from .exprs import ExprError, compile_exprs, parse_expr_rows, parse_expr_sequence
 from .exprs import eval_expr  # noqa: F401  (bench/layers.py traces scenario_io.eval_expr)
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, catalog_plant, tree_plant
 from .scenario import Scenario
@@ -186,8 +186,7 @@ def _parse_obstacle(body: dict, n_state: int) -> Obstacle:
             path_fn = compile_exprs(exprs, ("t",))
         except ExprError as exc:
             raise ScenarioParseError(f"obstacle path {exc}", entry.line, "path") from None
-        source = tuple(expr_to_str(e) for e in exprs)
-        build = functools.partial(Obstacle.custom, path_fn, path_source=source)
+        build = functools.partial(Obstacle.custom, path_fn, trees=tuple(exprs))
     else:
         center = _floats(_require(body, "center", "obstacle"), "center", n_state)
         if "velocity" in body:

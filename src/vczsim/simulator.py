@@ -2,18 +2,24 @@
 
 Both controls are computed once per step and held constant (zero-order
 hold) while a classical fixed-step RK4 advances true state and center
-jointly. A step runs on Python floats: the scenario's compiled rows and QP
-solve (virtual_control), the confinement law, the compiled RK4 step of the plant
-(plant.compile_rk4, bitwise the RK4 step through plant_derivative) with the
-centre's own update, and ||x - c||, on 2- and 3-vectors where a numpy call
-costs more than its arithmetic. Every step is appended to growing float arrays;
-metrics and the reach-avoid verdict are computed from the full-resolution
-trace, and verify_trace re-derives all safety claims from raw states rather than
-trusting logged values. Both work on whole-trace arrays: obstacle centres
-come from Obstacle.centers for all recorded times at once, from the same
-compiled paths the steps call, their margins are taken once per trace for
-both, and neither calls controller barrier code or the expression
-interpreter. File IO is in trace_io.
+jointly. A run's steps execute in one generated function per scenario,
+compile_loop's loop_kernel, on Python floats: per step the rows
+(barriers.emit_rows), the certified QP solve of the previous step's working
+set (the scenario's qp_kernel), the confinement law, one record, the RK4
+step of the plant (plant.emit_rk4, bitwise the RK4 step through
+plant_derivative) with the centre's own update, and ||x - c||, on 2- and
+3-vectors where a numpy call costs more than its arithmetic. A step whose
+hinted solve returns None calls virtual_control, whose fallback is
+solve_qp. _controls, _rk4, _error and _Recorder.add are the reference step
+the loop is tested against. Every step is appended to one growing float
+array; metrics and the reach-avoid verdict are computed from the
+full-resolution trace, and verify_trace re-derives all safety claims from
+raw states rather than trusting logged values. Both work on whole-trace
+arrays: obstacle centres come from Obstacle.centers for all recorded times
+at once, through the compiled path of the trees the steps write inline,
+their margins are taken once per trace for both, and neither calls
+controller barrier code or the expression interpreter. File IO is in
+trace_io.
 """
 
 from __future__ import annotations
@@ -26,7 +32,10 @@ from operator import sub
 import numpy as np
 
 from . import __version__
-from .confinement import confinement_control
+from .barriers import emit_rows
+from .confinement import ConfinementBreachError, confinement_control, zeta
+from .exprs import Constants, straight_line, tree_emitter, unpack
+from .plant import emit_rk4
 from .plant import plant_derivative  # noqa: F401  (reference; bench/layers.py traces it here)
 from .qp import QpCertificationError
 from .scenario import (
@@ -96,17 +105,21 @@ class SimulationAbort(RuntimeError):
         super().__init__(f"simulation aborted at t = {t:.6g}: {reason} ({detail})")
 
 
-def _step_schedule(t_f: float, dt: float) -> list[tuple[float, float]]:
-    """(start time, step size) pairs covering [0, t_f]; final partial step allowed."""
+def _step_counts(t_f: float, dt: float) -> tuple[int, int, float]:
+    """(count, uniform, last): `count` steps cover [0, t_f], step k starting at
+    k dt; the first `uniform` are of size dt and the rest, at most one, of
+    size `last`, a final partial step."""
     n = int(round(t_f / dt))
     if n >= 1 and abs(n * dt - t_f) <= 1e-9 * max(1.0, t_f):
-        return [(k * dt, dt if k < n - 1 else t_f - (n - 1) * dt) for k in range(n)]
+        return n, n - 1, t_f - (n - 1) * dt
     n_full = int(math.floor(t_f / dt))
-    steps = [(k * dt, dt) for k in range(n_full)]
     rem = t_f - n_full * dt
-    if rem > 1e-12 * max(1.0, t_f):
-        steps.append((n_full * dt, rem))
-    return steps
+    return n_full + (rem > 1e-12 * max(1.0, t_f)), n_full, rem
+
+
+# The reference step: run() executes none of these, compile_loop's loop does
+# their work inline. The tests' reference_run loops over them, and
+# bench/layers.py traces them by name.
 
 
 def _rk4(scenario: Scenario, x, c, u, u_c, t: float, dt: float):
@@ -132,43 +145,78 @@ def _error(x, c) -> tuple[list[float], float]:
 
 
 class _Recorder:
-    """Trace columns as float arrays that grow by one record per step, in step
-    order; a step appends Python floats without numpy. trace() views them
+    """The trace as one float array of records in step order, each t, x, c,
+    u, u_c, h, e_hat and the QP's KKT residual, plus the QP statuses; a step
+    appends Python floats without numpy. trace() views the array's columns
     without a copy, after which no record may be added."""
 
     def __init__(self, scenario: Scenario, scenario_hash: str):
         self.scenario = scenario
         self.r_c = scenario.r_c
         self.hash = scenario_hash
-        self.t, self.x, self.c, self.u, self.u_c, self.h, self.e_hat, self.kkt = (array("d") for _ in range(8))
+        self.records = array("d")
         self.status = []
 
     def add(self, t: float, x, c, gap: float, u, u_c, solution, h):
-        self.t.append(t)
-        self.x.extend(x)
-        self.c.extend(c)
-        self.u.extend(u)
-        self.u_c.extend(u_c)
-        self.h.extend(h)
-        self.e_hat.append(gap / self.r_c)
+        self.records.extend((t, *x, *c, *u, *u_c, *h, gap / self.r_c, solution.kkt_residual))
         self.status.append(solution.status)
-        self.kkt.append(solution.kkt_residual)
 
     def trace(self) -> SimTrace:
         n, d = self.scenario.n, self.scenario.barrier_count
+        records = np.frombuffer(self.records).reshape(-1, 4 * n + d + 3)
+        t, x, c, u, u_c, h, e_hat, kkt = np.split(records, np.cumsum([1, n, n, n, n, d, 1]), axis=1)
         return SimTrace(
-            t=np.frombuffer(self.t),
-            x=np.frombuffer(self.x).reshape(-1, n),
-            c=np.frombuffer(self.c).reshape(-1, n),
-            u=np.frombuffer(self.u).reshape(-1, n),
-            u_c=np.frombuffer(self.u_c).reshape(-1, n),
-            h=np.frombuffer(self.h).reshape(-1, d),
-            e_hat=np.frombuffer(self.e_hat),
+            t=t[:, 0], x=x, c=c, u=u, u_c=u_c, h=h, e_hat=e_hat[:, 0],
             qp_status=tuple(self.status),
-            qp_kkt=np.frombuffer(self.kkt),
+            qp_kkt=kkt[:, 0],
             scenario_hash=self.hash,
             dt=self.scenario.dt,
         )
+
+
+def compile_loop(scenario: Scenario):
+    """loop(x, extend, status, miss): run()'s whole step loop from the state x
+    (c = x), as one generated function. Each pass takes the step's time,
+    emit_rows' rows at (c, t), the QP solve of the previous pass's support
+    (qp_kernel[hint], or on None miss(c, t, hint)'s certified solution),
+    confinement_control's law, then extend(record) and status(qp status) as
+    _Recorder.add does; the last pass, at t_f, takes no step. A step is
+    emit_rk4's plant step with the centre's own update (_rk4), then e = x - c
+    and ||e||. Returns None, or (t, ||e||) when ||e|| >= r_c after the step
+    that ends at t. The times and sizes of the steps are _step_counts'."""
+    n, law, k = scenario.n, scenario.confinement, Constants()
+    x, c, e, u, u_c = ([f"{v}{i}" for i in range(n)] for v in ("x", "c", "e", "u", "uc"))
+    count, uniform, last = _step_counts(scenario.t_f, scenario.dt)
+    dt, count, r_c, clamp = k(scenario.dt), k(count), k(law.r_c), k(1.0 - law.epsilon_sat)
+    body = [f"t = done * {dt} if done < {count} else {k(scenario.t_f)}"]
+    emit = tree_emitter(body, k)
+    A, b, h = emit_rows(body, k, emit, c, "t", scenario.obstacles, scenario.r_c, scenario.target.point,
+                        scenario.shrink, scenario.slopes)
+    body += [f"sol = {k(scenario.qp_kernel)}[hint]({A}, [{', '.join(b)}])",
+             f"if sol is None: sol = miss([{', '.join(c)}], t, hint)",
+             unpack(u_c, "sol[0]"),
+             f"if gap >= {r_c}: raise {k(ConfinementBreachError)}(gap, {r_c})",
+             f"e_hat = gap / {r_c}",
+             f"if gap <= {k(1e-12 * law.r_c)}: {' = '.join(u)} = 0.0",
+             "else:",
+             f" if e_hat < 0: {k(zeta)}(e_hat)",  # zeta raises its ValueError there
+             f" z = {clamp} if {clamp} < e_hat else e_hat",  # min(e_hat, clamp), NaN kept
+             f" scale = -({k(law.gain)} * log((1.0 + z) / (1.0 - z))) / gap",
+             *(f" {u_i} = scale * {e_i}" for u_i, e_i in zip(u, e)),
+             f"extend(({', '.join(['t', *x, *c, *u, *u_c, *h, 'e_hat', 'sol[2]'])}))",
+             "status(sol[3])",
+             "hint = sol[5]",
+             f"if done == {count}: return None",
+             f"step = {dt} if done < {k(uniform)} else {k(last)}"]
+    x_next = emit_rk4(body, k, emit, scenario.plant, x, u, "t", "step")
+    body += [f"{x_i} = {value}" for x_i, value in zip(x, x_next)]
+    body += [f"{c_i} = {c_i} + sixth * ({w} + 2 * {w} + 2 * {w} + {w})" for c_i, w in zip(c, u_c)]
+    body += [f"{e_i} = {x_i} - {c_i}" for e_i, x_i, c_i in zip(e, x, c)]
+    body += [f"gap = hypot({', '.join(e)})", f"if gap >= {r_c}: return t + step, gap", "done += 1"]
+    head = [unpack(x, "x"), *(f"{c_i} = {x_i}" for c_i, x_i in zip(c, x)),
+            *(f"{e_i} = {x_i} - {c_i}" for e_i, x_i, c_i in zip(e, x, c)),
+            f"gap = hypot({', '.join(e)})", "hint = ()", "done = 0", "while True:"]
+    return straight_line(("x", "extend", "status", "miss"), head + [f" {line}" for line in body], "None", k)
 
 
 def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
@@ -176,7 +224,8 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
 
     Raises ScenarioInvalidError on failed validation and SimulationAbort
     (carrying the partial trace) on confinement breach, an infeasible QP or a
-    QP whose minimizer the solver could not certify.
+    QP whose minimizer the solver could not certify. The steps run in the
+    scenario's loop_kernel (compile_loop).
     """
     if check:
         report = validate(scenario)
@@ -184,34 +233,24 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
             raise ScenarioInvalidError(report)
     from .scenario_io import scenario_hash  # local import to avoid a cycle
 
-    r_c = scenario.r_c
-    schedule = _step_schedule(scenario.t_f, scenario.dt)
     recorder = _Recorder(scenario, scenario_hash(scenario))
-    x, c = scenario.x0.tolist(), scenario.x0.tolist()
+    x = scenario.x0.tolist()
     scenario.plant.check_shapes(x, 0.0)
-    e, gap = _error(x, c)
-    hint = ()  # each QP first tries the previous step's certified working set
-    # The last pass records the controls at t_f and takes no step.
-    for t_k, dt_k in schedule + [(scenario.t_f, None)]:
+
+    def miss(c, t: float, hint):
+        """The certified QP solution at (c, t) through virtual_control, which
+        falls back to solve_qp; its errors abort the run."""
         try:
-            u, u_c, solution, h = _controls(t_k, c, e, gap, scenario, hint)
+            return virtual_control(c, t, scenario, hint)[1]
         except QpInfeasibleError as exc:
-            raise SimulationAbort(QP_INFEASIBLE, t_k, recorder.trace(), str(exc)) from exc
+            raise SimulationAbort(QP_INFEASIBLE, t, recorder.trace(), str(exc)) from exc
         except QpCertificationError as exc:
-            raise SimulationAbort(QP_UNCERTIFIED, t_k, recorder.trace(), str(exc)) from exc
-        recorder.add(t_k, x, c, gap, u, u_c, solution, h)
-        hint = solution.support
-        if dt_k is None:
-            break
-        x, c = _rk4(scenario, x, c, u, u_c, t_k, dt_k)
-        e, gap = _error(x, c)
-        if gap >= r_c:
-            raise SimulationAbort(
-                BREACH,
-                t_k + dt_k,
-                recorder.trace(),
-                f"||x - c|| = {gap:.6g} >= r_c = {r_c:.6g}",
-            )
+            raise SimulationAbort(QP_UNCERTIFIED, t, recorder.trace(), str(exc)) from exc
+
+    breach = scenario.loop_kernel(x, recorder.records.extend, recorder.status.append, miss)
+    if breach is not None:
+        t, gap = breach
+        raise SimulationAbort(BREACH, t, recorder.trace(), f"||x - c|| = {gap:.6g} >= r_c = {scenario.r_c:.6g}")
     trace = recorder.trace()
     return trace, compute_metrics(trace, scenario)
 

@@ -3,12 +3,15 @@
 The center is a single integrator, cdot = u_c, so each barrier h_j gives one
 linear row grad h_j' u_c >= -alpha_j(h_j) - dh_j/dt on the virtual input.
 Stacking all rows under a strictly convex cost yields the QP whose
-minimizer steers the center. The rows come from the scenario's compiled
-rows_kernel (barriers.compile_rows), and the QP's float solve is the
-scenario's qp_kernel (qp.compile_solver): one generated, certified function
-per working set. A step calls its hint's function. Only when that returns
-None (a skipped or failing hint, or non-finite rows) does it build a
-QpProblem on the scenario's checked cost, qp_cost, and call solve_qp with
+minimizer steers the center. A run's step loop (simulator.compile_loop)
+writes the rows inline and calls its hint's QP function itself, and calls
+virtual_control only when that returns None. Here the rows come from the
+scenario's compiled rows_kernel (barriers.compile_rows), and the QP's float
+solve is the scenario's qp_kernel (qp.compile_solver): one generated,
+certified function per working set. virtual_control calls its hint's
+function. Only when that returns None (a skipped or failing hint, or
+non-finite rows) does it build a QpProblem on the scenario's checked
+cost, qp_cost, and call solve_qp with
 the same qp_kernel, which walks the other working sets, proves the
 polyhedron empty or raises QpInputError. Rows, the QP and its answer stay
 Python floats through a step: A by rows, b and h as float lists, u_c as a

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import math
 import time
 
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from oracles import loop_exhaustive, objective
-from vczsim import qp, run
+from vczsim import qp, run, simulator, virtual
 from vczsim.qp import INFEASIBLE, QpCertificationError, QpProblem, QpSolution, solve_qp
+from vczsim.scenario import Scenario
 from vczsim.scenario_io import parse_scenario
 
 # Feasible and strictly convex, but its multiplier (about 5e316) overflows, so
@@ -30,6 +32,33 @@ def uncertified_from(step: int, real_control):
         return real_control(c, t, scenario, hint)
 
     return control
+
+
+def cold_control(c, t, scenario, hint=()):
+    """virtual_control without the hint or the compiled solver: the full
+    enumeration of solve_qp, with virtual_control's QpInfeasibleError."""
+    A, b, h = virtual.assemble_rows(c, t, scenario)
+    problem = QpProblem(scenario.qp_cost, None, A, b)
+    solution = solve_qp(problem)
+    if solution.status == INFEASIBLE:
+        raise virtual.QpInfeasibleError(c, t, virtual._conflicting_rows(problem))
+    return solution.u_star, solution, h
+
+
+def make_steps_cold(monkeypatch):
+    """Make every step of a run whose loop is compiled from here on miss its
+    hint, so the step loop takes each QP from simulator.virtual_control,
+    which becomes cold_control. A test may patch simulator.virtual_control
+    again, over cold_control, to inject a fault at any step."""
+    never = collections.defaultdict(lambda: lambda A, b: None)
+    monkeypatch.setattr(Scenario, "qp_kernel", property(lambda self: never))
+    monkeypatch.setattr(simulator, "virtual_control", cold_control)
+
+
+@pytest.fixture
+def cold_steps(monkeypatch):
+    """make_steps_cold for the whole test."""
+    make_steps_cold(monkeypatch)
 
 
 def loop_solve_qp(problem: QpProblem, hint=()) -> QpSolution:

@@ -13,6 +13,10 @@ reference interpreter, which the compiled fields must match bitwise.
 reference_rows and reference_rk4 are the generic step bodies that the
 scenario's compiled kernels replaced: rows assembled one barrier at a time
 from eval_avoidance and eval_reach, and RK4 through plant_derivative.
+reference_run is the step loop that the scenario's compiled loop_kernel
+replaced, a Python loop over step_schedule's steps that takes each step's
+controls from simulator._controls, records through _Recorder.add and
+steps through reference_rk4.
 reference_write_trace is the row-at-a-time trace writer, one `%` per float,
 whose bytes the chunked template writer must reproduce. reference_solve_qp is
 the all-numpy active-set enumeration (LAPACK Cholesky test and solve per
@@ -40,9 +44,10 @@ from typing import Callable
 
 import numpy as np
 
+from vczsim import simulator
 from vczsim.barriers import Obstacle, eval_avoidance, eval_reach
 from vczsim.confinement import ConfinementLaw
-from vczsim.exprs import eval_expr, parse_expr
+from vczsim.exprs import eval_expr
 from vczsim.plant import plant_derivative
 from vczsim.qp import (
     DEGENERATE,
@@ -154,31 +159,77 @@ def reference_rk4(scenario, x, c, u, u_c, t: float, dt: float):
     return x_next, c_next
 
 
+def step_schedule(t_f: float, dt: float) -> list[tuple[float, float]]:
+    """(start time, step size) pairs covering [0, t_f]; final partial step allowed."""
+    n = int(round(t_f / dt))
+    if n >= 1 and abs(n * dt - t_f) <= 1e-9 * max(1.0, t_f):
+        return [(k * dt, dt if k < n - 1 else t_f - (n - 1) * dt) for k in range(n)]
+    n_full = int(math.floor(t_f / dt))
+    steps = [(k * dt, dt) for k in range(n_full)]
+    rem = t_f - n_full * dt
+    if rem > 1e-12 * max(1.0, t_f):
+        steps.append((n_full * dt, rem))
+    return steps
+
+
+def reference_run(scenario):
+    """simulator.run without validation, one Python pass per step: the
+    controls of simulator._controls, the record of _Recorder.add, then
+    reference_rk4 and simulator._error. Returns (trace, metrics) or raises
+    run's SimulationAbort."""
+    from vczsim.scenario_io import scenario_hash
+
+    r_c = scenario.r_c
+    recorder = simulator._Recorder(scenario, scenario_hash(scenario))
+    x, c = scenario.x0.tolist(), scenario.x0.tolist()
+    scenario.plant.check_shapes(x, 0.0)
+    e, gap = simulator._error(x, c)
+    hint = ()
+    # The last pass records the controls at t_f and takes no step.
+    for t_k, dt_k in step_schedule(scenario.t_f, scenario.dt) + [(scenario.t_f, None)]:
+        try:
+            u, u_c, solution, h = simulator._controls(t_k, c, e, gap, scenario, hint)
+        except simulator.QpInfeasibleError as exc:
+            raise simulator.SimulationAbort(simulator.QP_INFEASIBLE, t_k, recorder.trace(), str(exc)) from exc
+        except QpCertificationError as exc:
+            raise simulator.SimulationAbort(simulator.QP_UNCERTIFIED, t_k, recorder.trace(), str(exc)) from exc
+        recorder.add(t_k, x, c, gap, u, u_c, solution, h)
+        hint = solution.support
+        if dt_k is None:
+            break
+        x, c = reference_rk4(scenario, x, c, u, u_c, t_k, dt_k)
+        e, gap = simulator._error(x, c)
+        if gap >= r_c:
+            detail = f"||x - c|| = {gap:.6g} >= r_c = {r_c:.6g}"
+            raise simulator.SimulationAbort(simulator.BREACH, t_k + dt_k, recorder.trace(), detail)
+    trace = recorder.trace()
+    return trace, simulator.compute_metrics(trace, scenario)
+
+
 def interpreted_scenario(scenario):
-    """The scenario with its expression plant and its path obstacles built
-    from eval_expr closures: the reference for the compiled fields."""
+    """The scenario with its tree plant and its path obstacles built from
+    eval_expr closures, without their trees, so that a run calls the
+    interpreter: the reference for the compiled and inlined fields."""
     plant = scenario.plant
-    if plant.descriptor is not None and plant.descriptor[0] == "exprs":
-        _, f_src, g_src, omega_src = plant.descriptor
-        f = [parse_expr(s) for s in f_src]
-        g = [[parse_expr(s) for s in row] for row in g_src]
-        omega = [parse_expr(s) for s in omega_src]
+    if plant.trees is not None:
+        f, g, omega = plant.trees
         plant = replace(
             plant,
             drift=lambda x: np.array([eval_expr(e, 0.0, x) for e in f]),
             input_map=lambda x: np.array([[eval_expr(e, 0.0, x) for e in row] for row in g]),
             disturbance=lambda t: np.array([eval_expr(e, t) for e in omega]),
+            trees=None,
+            catalog=None,
         )
 
     def interpreted(obs):
-        if obs.path_source is None:
+        if obs.trees is None:
             return obs
-        exprs = [parse_expr(s) for s in obs.path_source]
 
         def path(t):
-            return np.array([eval_expr(e, t) for e in exprs])
+            return np.array([eval_expr(e, t) for e in obs.trees])
 
-        return Obstacle.custom(path, obs.radius, path_source=obs.path_source)
+        return Obstacle.custom(path, obs.radius)
 
     return replace(scenario, plant=plant, obstacles=tuple(map(interpreted, scenario.obstacles)))
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vczsim
-from conftest import bundled_benchmark_text, uncertified_from
+from conftest import bundled_benchmark_text, cold_control, uncertified_from
 from vczsim import simulator
 from vczsim.cli import EXIT_ABORT, EXIT_FAIL, EXIT_PARSE, EXIT_PASS, build_parser, main
 from vczsim.trace_io import read_trace
@@ -43,6 +43,17 @@ gain = 10.0
 [initial_state]
 x0 = 0.0 0.0
 """
+
+
+# The bundled benchmark with one map that raises ValueError (sin of an
+# overflowed product) where validation samples it: the plant's f (V5), or the
+# first obstacle's path (V1, V2 and, through the workspace box, V5).
+RAISING_MAPS = {
+    "plant f": ("catalog = benchmark",
+                "f = (sin (* 1e308 x1 x1 x1 x2 x2)) (cos x2)\ng = 1 0 ; 0 1\nomega = 0 0\nsign_class = positive_definite",
+                ["V5"]),
+    "obstacle 1 path": ("center = 1.5 2.0", "path = (+ 1.5 (sin (* 1e308 t t))) 2.0", ["V1", "V2", "V5"]),
+}
 
 
 @pytest.fixture
@@ -123,6 +134,24 @@ class TestValidateCommand:
         assert main([command, "benchmark", flag, value] + out_args) == EXIT_PARSE
         assert "t_f and dt must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("name", sorted(RAISING_MAPS))
+    def test_raising_map_fails_its_checks(self, tmp_path, capsys, command, name):
+        old, new, failed = RAISING_MAPS[name]
+        path = tmp_path / "raising.scn"
+        path.write_text(bundled_benchmark_text().replace(old, new))
+        out_dir = tmp_path / "out"
+        argv = [command, str(path)] + (["--out", str(out_dir)] if command == "run" else [])
+        assert main(argv) == EXIT_FAIL
+        report = capsys.readouterr().out
+        for check in ("V1", "V2", "V3", "V4", "V5"):
+            line = next(line for line in report.splitlines() if line.startswith(f"{check}:"))
+            assert ("FAIL  worst margin -inf" in line and f"{name} raised ValueError" in line) == (check in failed)
+        if command == "run":
+            assert (out_dir / "validation.txt").read_text() == report
+            assert not (out_dir / "trace.csv").exists()
+
+
 class TestCountArguments:
     """Out-of-range counts are argument errors (exit 2) before any work starts."""
 
@@ -190,6 +219,7 @@ class TestRunCommand:
         trace = read_trace(out_dir / "trace.csv")
         assert trace.t[-1] < 4.0
 
+    @pytest.mark.usefixtures("cold_steps")
     def test_infeasible_first_qp_exits_three_with_header_only_trace(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -206,14 +236,22 @@ class TestRunCommand:
         assert lines[3].startswith("t,x1,x2,")
 
 
+    @pytest.mark.usefixtures("cold_steps")
     def test_uncertified_qp_exits_three_with_partial_trace(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(simulator, "virtual_control", uncertified_from(5, simulator.virtual_control))
+        monkeypatch.setattr(simulator, "virtual_control", uncertified_from(5, cold_control))
         out_dir = tmp_path / "out"
         assert main(["run", "benchmark", "--out", str(out_dir), "--dt", "0.01"]) == EXIT_ABORT
         assert "aborted: qp_uncertified at t = 0.05" in capsys.readouterr().err
         assert (out_dir / "abort.txt").read_text().startswith("qp_uncertified at t = 0.05\n")
         assert len(read_trace(out_dir / "trace.csv")) == 5
         assert not (out_dir / "metrics.txt").exists()
+
+
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys):
+        existing = tmp_path / "taken"
+        existing.write_text("")
+        assert main(["run", "benchmark", "--dt", "0.01", "--out", str(existing)]) == EXIT_PARSE
+        assert "output error" in capsys.readouterr().err
 
 
 class TestPlotCommand:
@@ -247,6 +285,13 @@ class TestPlotCommand:
         assert code == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
         assert not (tmp_path / "f.svg").exists()
+
+    def test_out_in_a_missing_directory_exits_two(self, tmp_path, benchmark_file, capsys):
+        out_dir = tmp_path / "out"
+        main(["run", str(benchmark_file), "--out", str(out_dir), "--dt", "0.01"])
+        missing = tmp_path / "missing" / "fig.svg"
+        assert main(["plot", str(out_dir / "trace.csv"), str(benchmark_file), "--out", str(missing)]) == EXIT_PARSE
+        assert "output error" in capsys.readouterr().err and not missing.exists()
 
     @pytest.mark.parametrize("times", ["0,abc", "0,inf", "nan", ""])
     def test_bad_snapshot_times_rejected_while_parsing(self, times, monkeypatch, capsys):

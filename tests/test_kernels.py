@@ -1,26 +1,28 @@
 """The scenario's compiled step kernels against the generic step bodies.
 
 Scenario.rows_kernel (through virtual.assemble_rows) must give bitwise the
-rows assembled from eval_avoidance and eval_reach, and Scenario.rk4_kernel
-(through simulator._rk4) bitwise the RK4 step through plant_derivative, on
-any mix of obstacle kinds and plants in n = 1, 2 and 3.
+rows assembled from eval_avoidance and eval_reach, Scenario.rk4_kernel
+(through simulator._rk4) bitwise the RK4 step through plant_derivative, and
+a run, through Scenario.loop_kernel, bitwise oracles.reference_run, on any
+mix of obstacle kinds and plants in n = 1, 2 and 3.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import reference_rk4, reference_rows
+from oracles import reference_rk4, reference_rows, reference_run
 from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, TimeDomainError
 from vczsim.confinement import ConfinementLaw
 from vczsim.exprs import compile_exprs, parse_expr
 from vczsim.plant import POSITIVE_DEFINITE, PlantModel, catalog_plant, expression_plant
 from vczsim.scenario import Scenario, validate
 from vczsim.scenario_io import benchmark_scenario, load_scenario
-from vczsim.simulator import _rk4, run
+from vczsim.simulator import SimulationAbort, _rk4, run
 from vczsim.virtual import assemble_rows
 
 CROWDED_3D = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / "crowded_3d.scn"
@@ -64,8 +66,8 @@ def obstacles(draw, n):
     if kind == "linear":
         return Obstacle.linear(p, w, radius)
     if kind == "path":  # compiled from expression text, as scenario files give it
-        trees = [parse_expr(f"(+ {p_i!r} (* {w_i!r} (sin (* 0.7 t))))") for p_i, w_i in zip(p, w)]
-        return Obstacle.custom(compile_exprs(trees, ("t",)), radius)
+        trees = tuple(parse_expr(f"(+ {p_i!r} (* {w_i!r} (sin (* 0.7 t))))") for p_i, w_i in zip(p, w))
+        return Obstacle.custom(compile_exprs(list(trees), ("t",)), radius, trees)
     if kind == "callable":
         return Obstacle.custom(lambda t: [p_i + w_i * math.cos(t) for p_i, w_i in zip(p, w)], radius)
     return Obstacle.custom(lambda t: np.array(p) + np.array(w) * t * t, radius)
@@ -157,20 +159,31 @@ def test_rk4_kernel_is_bitwise_the_plant_derivative_steps(case):
 def test_kernels_are_compiled_in_the_first_step_not_when_parsed():
     scenario = load_scenario(CROWDED_3D)
     assert validate(scenario).all_passed
-    assert not {"rows_kernel", "qp_kernel", "rk4_kernel"} & set(vars(scenario))
+    kernels = {"loop_kernel", "rows_kernel", "qp_kernel", "rk4_kernel"}
+    assert not kernels & set(vars(scenario))
     short = scenario.with_overrides(dt=0.01)
     run(short, check=False)
-    assert {"rows_kernel", "qp_kernel", "rk4_kernel"} <= set(vars(short))
+    assert {"loop_kernel", "qp_kernel"} <= set(vars(short))
 
 
 def test_kernels_hold_no_input_text():
-    # Generated names and fixed operator text only: no global or builtin
-    # name is read, and the only literals are the fixed ones of the templates.
+    # Generated names and fixed operator text only: the only globals read are
+    # the math functions straight_line provides, and the only literals are
+    # the fixed ones of the templates (the loop's 3 and 5 index QpSolution).
     scenario = benchmark_scenario()
-    for kernel in (scenario.rows_kernel, scenario.rk4_kernel):
+    for kernel in (scenario.rows_kernel, scenario.rk4_kernel, scenario.loop_kernel):
         code = kernel.__code__
-        assert code.co_names == ()
-        assert set(code.co_consts) <= {None, 0, 2, 0.5, 2.0, -2.0, 6.0}
+        assert set(code.co_names) <= {"fsum", "sin", "cos", "log", "hypot"}
+        assert set(code.co_consts) <= {None, 0, 1, 2, 3, 5, 0.5, 2.0, -2.0, 6.0, ()}
+
+
+def test_loop_kernels_of_one_shape_share_code():
+    # Every number of a scenario, step counts included, is a closure constant.
+    scenario = benchmark_scenario()
+    other = replace(scenario, obstacles=(Obstacle.static([1.0, 2.0], 0.3), Obstacle.linear([5.0, 5.0], [0.1, -0.2], 0.7)),
+                    alphas=tuple(ClassKappa(s) for s in (2.0, 3.0, 0.5)), dt=0.037).with_overrides(t_f=3.3)
+    assert other.loop_kernel is not scenario.loop_kernel
+    assert other.loop_kernel.__code__ is scenario.loop_kernel.__code__
 
 
 def test_qp_kernel_holds_no_input_text_and_shares_code_by_shape():
@@ -186,3 +199,69 @@ def test_qp_kernel_holds_no_input_text_and_shares_code_by_shape():
             assert c in (None, 0, 1.0, -1.0) or isinstance(c, tuple) and all(x in range(3) for x in c), c
     for w in sets:
         assert scenario.qp_kernel[w].__code__ is other.qp_kernel[w].__code__
+
+
+def outcome(runner, scenario):
+    """What a run gives, with every float as bits (NaNs as one NaN, since a
+    NaN's payload may come from either operand): each trace array, the
+    statuses and the hash, then the metrics or the abort's reason, time,
+    detail and cause; or the type and text of another error it raised."""
+
+    def floats(values):
+        values = np.asarray(values, dtype=float)
+        return np.where(np.isnan(values), math.nan, values).tobytes()
+
+    try:
+        trace, metrics = runner(scenario)
+        end = {k: floats(v) if isinstance(v, float) else v for k, v in metrics.as_dict().items()}
+    except SimulationAbort as abort:
+        trace, end = abort.trace, (abort.reason, floats(abort.t), abort.detail, type(abort.__cause__))
+    except (ValueError, ArithmeticError, RuntimeWarning) as exc:  # a plant map meeting inf, say
+        return type(exc), str(exc)
+    arrays = {name: floats(getattr(trace, name)) for name in ("t", "x", "c", "u", "u_c", "h", "e_hat", "qp_kkt")}
+    return arrays, trace.qp_status, trace.scenario_hash, end
+
+
+@st.composite
+def loop_scenarios(draw):
+    """Short runs of every obstacle kind and plant kind in n = 1 to 3, with a
+    step that may not divide t_f or exceed it, and gains from too weak to
+    hold the plant (a breach) to overflowing (u infinite); the centre starts
+    inside the shrinking ball, and an obstacle near it may leave the QP
+    infeasible."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["expressions", "arrays", "integrator"] + ["benchmark"] * (n == 2)))
+    coeffs = draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-0.5, 0.5), st.floats(-1.0, 1.0)))
+    plant = {
+        "expressions": lambda: _expression_plant(n, coeffs),
+        "arrays": lambda: _array_plant(n, coeffs),
+        "integrator": lambda: catalog_plant("integrator", n),
+        "benchmark": lambda: catalog_plant("benchmark"),
+    }[kind]()
+    obs = draw(st.lists(obstacles(n), min_size=0, max_size=3))
+    t_f = draw(st.one_of(st.floats(0.001, 0.5), st.sampled_from([0.2, 0.3])))
+    r_end = draw(st.floats(2.0, 4.0))
+    shrink = (r_end + t_f * draw(st.floats(0.0, 3.0)), r_end)
+    target = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    scenario = scenario_of(plant, obs, t_f, None, draw(st.floats(0.05, 1.0)), target, shrink)
+    gain = draw(st.sampled_from([0.2, 1.0, 10.0, 10.0, 1e308]))
+    dt = draw(st.one_of(st.sampled_from([0.01, 0.03, 0.1]), st.floats(0.005, 0.5)))
+    return replace(scenario, confinement=ConfinementLaw(gain, scenario.r_c), dt=dt)
+
+
+WEAK = replace(benchmark_scenario(dt=0.01), confinement=ConfinementLaw(0.2, 0.5))
+# u overflows from the second step; a 0.0 * u product of g then gives NaN.
+OVERFLOW = replace(scenario_of(catalog_plant("integrator", 2), [], 0.5, None, 1.0, [1.0, 0.0], (2.5, 2.0)),
+                   confinement=ConfinementLaw(1e308, 1.0), dt=0.01)
+SQUEEZE = scenario_of(catalog_plant("integrator", 2), [Obstacle.static([5.0, 0.0], 0.8)], 4.0, None, 0.3,
+                      [10.0, 0.0], (10.5, 0.8)).with_overrides(dt=0.05)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_scenarios())
+@example(WEAK)  # breaches at t = 0.12
+@example(SQUEEZE)  # QP infeasible at t = 0.25
+@example(OVERFLOW)
+@example(load_scenario(CROWDED_3D).with_overrides(t_f=0.5, dt=0.01))
+def test_run_is_bitwise_the_reference_loop(scenario):
+    assert outcome(lambda s: run(s, check=False), scenario) == outcome(reference_run, scenario)

@@ -104,6 +104,7 @@ def test_campaign_scenario_round_trips_through_its_file(seed, digest):
         assert abort is None and abort_again is None
 
 
+@pytest.mark.usefixtures("cold_steps")
 def test_uncertified_seed_is_counted_and_the_others_kept(monkeypatch):
     real = simulator.virtual_control
     uncertified = uncertified_from(100, real)

@@ -12,10 +12,12 @@ from vczsim.confinement import ConfinementLaw
 from vczsim.plant import catalog_plant
 from vczsim.scenario import (
     Scenario,
+    ScenarioInvalidError,
     uniform_alphas,
     validate,
 )
 from vczsim.scenario_io import benchmark_scenario
+from vczsim.simulator import run
 
 BENCH = benchmark_scenario()
 
@@ -106,6 +108,19 @@ class TestValidate:
         v1 = report.check("V1")
         assert not v1.passed
         assert v1.worst_time == pytest.approx(10.0)
+
+    def test_path_that_raises_fails_the_checks_that_sample_it(self):
+        # 1 / (1 - t) divides by zero at t = 1.0, which V1's grid and the
+        # workspace box of V5 sample, V2 (t_f) and V3 (t = 0) do not.
+        obstacles = [Obstacle.static([4.0, 6.0], 0.5), Obstacle.custom(lambda t: [8.0, 1.0 / (1.0 - t)], 0.5)]
+        scenario = simple_scenario(obstacles).with_overrides(t_f=15.0)
+        report = validate(scenario, 16)
+        for check in report.checks:
+            raised = check.check_id in ("V1", "V5")
+            assert (check.passed, check.worst_margin == -math.inf) == (not raised, raised), check
+            assert ("obstacle 2 path raised ZeroDivisionError: float division by zero" in check.detail) == raised
+        with pytest.raises(ScenarioInvalidError):
+            run(scenario)
 
     def test_determinism(self):
         a = validate(BENCH, 501)

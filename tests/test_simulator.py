@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import uncertified_from
+from conftest import cold_control, make_steps_cold, uncertified_from
 from oracles import barrier_values
 from vczsim import exprs, plant, qp, scenario_io, simulator, virtual
 from vczsim.barriers import Obstacle, ShrinkSchedule, TargetSet
@@ -230,8 +230,9 @@ class TestRun:
             expected = math.hypot(*(trace.x[k] - trace.c[k])) / scenario.r_c
             assert abs(trace.e_hat[k] - expected) <= 2 * math.ulp(expected)
 
+    @pytest.mark.usefixtures("cold_steps")
     def test_uncertified_qp_aborts_with_partial_trace(self, monkeypatch):
-        monkeypatch.setattr(simulator, "virtual_control", uncertified_from(25, simulator.virtual_control))
+        monkeypatch.setattr(simulator, "virtual_control", uncertified_from(25, cold_control))
         with pytest.raises(SimulationAbort) as exc_info:
             run(benchmark_scenario(dt=0.01))
         abort = exc_info.value
@@ -322,19 +323,27 @@ class TestBarrierPass:
     """The h a run records are the values its CBF rows were built from."""
 
     def test_each_barrier_evaluated_once_per_step(self, monkeypatch):
-        scenario = parse_scenario(PATH_OBSTACLE_TEXT)
-        assert scenario.obstacles[0].kind == "custom"
-        # The compiled rows evaluate every barrier; one row assembly per step.
-        calls = []
-        real = virtual.assemble_rows
+        parsed = parse_scenario(PATH_OBSTACLE_TEXT)
+        assert parsed.obstacles[0].kind == "custom"
+        # The step loop evaluates every barrier once a step, and virtual_control
+        # once more on a step whose hint misses. An obstacle of plain callables
+        # shows the count, as its velocity is a call that only the rows make.
+        calls, misses = [], []
+        parsed_obstacle, real_control = parsed.obstacles[0], simulator.virtual_control
 
-        def counted(*args):
-            calls.append(None)
-            return real(*args)
+        def velocity(t):
+            calls.append(t)
+            return parsed_obstacle.velocity_path(t)
 
-        monkeypatch.setattr(virtual, "assemble_rows", counted)
-        trace, _ = run(scenario)
-        assert len(calls) == len(trace)
+        def control(*args):
+            misses.append(None)
+            return real_control(*args)
+
+        obstacle = Obstacle(parsed_obstacle.center_path, velocity, parsed_obstacle.radius, "custom")
+        scenario = replace(parsed, obstacles=(obstacle,))
+        monkeypatch.setattr(simulator, "virtual_control", control)
+        trace, _ = run(scenario, check=False)
+        assert len(calls) == len(trace) + len(misses) and len(misses) < 0.05 * len(trace)
         monkeypatch.undo()
         for k in range(len(trace)):
             assert np.array_equal(trace.h[k], barrier_values(trace.c[k], trace.t[k], scenario))
@@ -343,14 +352,6 @@ class TestBarrierPass:
         scenario, trace, _, _ = benchmark_run
         for k in range(len(trace)):
             assert np.array_equal(trace.h[k], barrier_values(trace.c[k], trace.t[k], scenario))
-
-
-def cold_control(c, t, scenario, hint=()):
-    """virtual_control without the hint or the compiled solver: the full
-    enumeration of solve_qp on every step."""
-    A, b, h = virtual.assemble_rows(c, t, scenario)
-    solution = qp.solve_qp(qp.QpProblem(scenario.qp_cost, None, A, b))
-    return solution.u_star, solution, h
 
 
 class TestWarmStart:
@@ -391,8 +392,8 @@ class TestWarmStart:
         trace, _ = run(scenario)
         assert len(trace) <= len(calls) <= 1.1 * len(trace)
         calls.clear()
-        monkeypatch.setattr(simulator, "virtual_control", cold_control)
-        trace, _ = run(scenario)
+        make_steps_cold(monkeypatch)
+        trace, _ = run(scenario.with_overrides())
         assert len(calls) >= 2 * len(trace)
 
     def test_no_rank_test_on_the_benchmark(self, monkeypatch):
@@ -407,8 +408,8 @@ class TestWarmStart:
         fallbacks = self.count_calls(monkeypatch, virtual, "solve_qp")
         warm, _ = run(scenario)
         assert len(fallbacks) <= 0.01 * len(warm)  # the warm run took the compiled path
-        monkeypatch.setattr(simulator, "virtual_control", cold_control)
-        cold, _ = run(scenario)
+        make_steps_cold(monkeypatch)
+        cold, _ = run(scenario.with_overrides())
         for name in ("x", "c", "u", "u_c", "h", "qp_kkt"):
             assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
         assert warm.qp_status == cold.qp_status
