@@ -25,7 +25,6 @@ from .qp import (
     QpInputError,
     QpProblem,
     QpSolution,
-    check_kkt,
     solve_qp,
 )
 from .scenario import (

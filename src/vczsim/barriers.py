@@ -7,11 +7,11 @@ shrinks affinely to force arrival at the horizon. Both report value,
 spatial gradient, and time partial so a QP row can be assembled from them.
 
 eval_avoidance and eval_reach define the barriers on Python floats, one at a
-time. A step does not call them: emit_rows writes a scenario's barriers and
-class-K slopes as straight-line code at (c, t) that performs the same
-operations in the same order, sums included (from 0, left to right), so
-its rows are bitwise theirs; the step loop holds that code, and
-compile_rows makes it one function, which the tests compare with them. A
+time; virtual.assemble_rows builds the reference rows from them, which a
+step takes only when its hinted QP solve misses. emit_rows writes a
+scenario's barriers and class-K slopes as straight-line code at (c, t) that
+performs the same operations in the same order, sums included (from 0, left
+to right), so its rows are bitwise theirs; the step loop holds that code. A
 static or linear obstacle's path enters it as the float constants point and
 rate, a path obstacle's as its expression trees written inline, and another
 custom obstacle's as calls of its center_path and velocity_path.
@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exprs import Constants, expr_to_str, fold, straight_line, tree_emitter, unpack
+from .exprs import expr_to_str, fold, unpack
 
 STATIC = "static"
 LINEAR = "linear"
@@ -265,16 +265,6 @@ def eval_reach(c, t: float, target_center, schedule: ShrinkSchedule) -> BarrierE
     delta = list(map(sub, c, target_center))
     r = schedule.radius_at(t)
     return BarrierEval(r * r - _dot(delta, delta), [-2.0 * d for d in delta], 2.0 * r * schedule.rate_of())
-
-
-def compile_rows(obstacles, r_c: float, target_point, schedule: ShrinkSchedule, slopes):
-    """rows(c, t) -> (A, b, h), with A by rows: emit_rows' lines as one
-    straight-line function over the n coordinates."""
-    k, n = Constants(), len(target_point)
-    c = [f"c{i}" for i in range(n)]
-    lines = [unpack(c, "c")]
-    A, b, h = emit_rows(lines, k, tree_emitter(lines, k), c, "t", obstacles, r_c, target_point, schedule, slopes)
-    return straight_line(("c", "t"), lines, f"{A}, [{', '.join(b)}], [{', '.join(h)}]", k)
 
 
 def emit_rows(lines, k, emit, c, t: str, obstacles, r_c: float, target_point, schedule: ShrinkSchedule, slopes):

@@ -17,10 +17,9 @@ with it; no evaluation in the package, per step or over a whole trace,
 runs anything else. ``eval_expr`` is the reference interpreter on a float
 ``t``, which the tests compare the compiled functions against.
 
-``straight_line`` compiles generated code, for ``compile_exprs``, the
-kernels of barriers.compile_rows, plant.compile_rk4 and
-simulator.compile_loop, and the QP solve of qp.compile_solver. It is the
-package's only call of ``compile()``: the text
+``straight_line`` compiles generated code, for ``compile_exprs``,
+simulator.compile_loop, and the working-set solves and the certificate of
+qp.compile_solver. It is the package's only call of ``compile()``: the text
 it gets is made of generated names and fixed operator text, and every number
 and callable of the input reaches the code as a closure constant, named
 through a ``Constants`` table. ``fold`` and ``tuple_of`` give the generators'

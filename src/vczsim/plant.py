@@ -6,10 +6,11 @@ CATALOG plants are expression text, and random plants carry their drawn
 numbers as literals. f and g take the state sequence, omega the time; each
 returns Python floats (g as rows), which is what a step integrates on;
 whole-sample checks wrap them with numpy. A tree plant keeps its trees.
-plant_derivative defines f(x) + g(x) u + omega(t); a step does not call it
-but runs emit_rk4's RK4 step, which forms each stage's derivative with the
-same operations in the same order, a tree plant's maps written inline and a
-plain-callable plant's called; compile_rk4 makes that step one function.
+plant_derivative defines f(x) + g(x) u + omega(t), and simulator._rk4, the
+reference step, takes its RK4 stages through it. A run does not call it but
+runs emit_rk4's RK4 step, which forms each stage's derivative with the same
+operations in the same order, a tree plant's maps written inline and a
+plain-callable plant's called.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from .barriers import SettingError, sampled
 from .exprs import (
-    Constants,
     ExprError,
     compile_exprs,
     expr_to_str,
@@ -32,8 +32,6 @@ from .exprs import (
     parse_expr,
     parse_expr_rows,
     parse_expr_sequence,
-    straight_line,
-    tree_emitter,
     tuple_of,
     unpack,
 )
@@ -113,16 +111,6 @@ def plant_derivative(model: PlantModel, x, u, t: float) -> list[float]:
         f_i + reduce(add, map(mul, g_i, u), 0) + w_i
         for f_i, g_i, w_i in zip(model.drift(x), model.input_map(x), model.disturbance(t))
     ]
-
-
-def compile_rk4(model: PlantModel):
-    """rk4(x, u, t, dt) -> x after one classical RK4 step with u held: emit_rk4's
-    lines as one straight-line function over the n coordinates."""
-    k = Constants()
-    x, u = [f"x{i}" for i in range(model.n)], [f"u{j}" for j in range(model.n)]
-    lines = [unpack(x, "x"), unpack(u, "u")]
-    x_next = emit_rk4(lines, k, tree_emitter(lines, k), model, x, u, "t", "dt")
-    return straight_line(("x", "u", "t", "dt"), lines, f"[{', '.join(x_next)}]", k)
 
 
 def emit_rk4(lines, k, emit, model: PlantModel, x, u, t: str, dt: str) -> list[str]:

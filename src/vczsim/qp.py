@@ -41,8 +41,9 @@ constants, the finiteness test of each value, the gates, the certificate,
 the tight set and the rank test. These functions are the only float solve: a run's step calls
 its hint's function, and solve_qp walks them in the enumeration order. The
 certificate comes from a separate generator, compile_certificate, which
-unrolls check_kkt from H and F, never H^-1: it is bitwise check_kkt and
-shares no code with the solver. numpy is left to the cost check and the rank
+unrolls the KKT residual from H and F, never H^-1: it shares no code with
+the solver, and the tests hold it bitwise to the plain loop of
+tests/oracles.py's check_kkt. numpy is left to the cost check and the rank
 test. Every float sum is a left fold from 0, as sum() compensates float sums
 from Python 3.12 on: the arithmetic does not depend on the interpreter.
 """
@@ -169,28 +170,6 @@ class QpSolution(NamedTuple):
     status: str
     multipliers: tuple[float, ...] | None
     support: tuple[int, ...] = ()
-
-
-def check_kkt(problem: QpProblem, candidate, multipliers) -> float:
-    """max(0, ||Hu + F - A'lam||, -min slack, -min lam, max |lam slack|), slack = A u - b, on the
-    floats of problem.cost, rows and rhs; NaN if any term is, inf or NaN on overflow."""
-    H, F, A, b = problem.cost.H, problem.cost.F, problem.rows, problem.rhs
-    u, lam = list(map(float, candidate)), list(map(float, multipliers))
-    if len(u) != len(F):
-        raise QpInputError(f"candidate must have length {len(F)}")
-    if len(lam) != len(A):
-        raise QpInputError(f"multipliers must have length {len(A)}")
-    columns = zip(*A) if A else [()] * len(F)
-    # Sums from 0, left to right (sum() compensates float sums from Python 3.12 on).
-    r = [reduce(add, map(mul, h, u), 0) + f - reduce(add, map(mul, column, lam), 0)
-         for h, f, column in zip(H, F, columns)]
-    stationarity = math.sqrt(reduce(add, map(mul, r, r), 0))
-    slack = [reduce(add, map(mul, a, u), 0) - b_i for a, b_i in zip(A, b)]
-    products = [abs(x * s) for x, s in zip(lam, slack)]
-    # min and max skip a NaN that is not first, so every entry is tested.
-    if any(map(math.isnan, [stationarity, *slack, *lam, *products])):
-        return math.nan
-    return max(0.0, stationarity, -min(slack, default=0.0), -min(lam, default=0.0), max(products, default=0.0))
 
 
 def _working_sets(m: int, d: int, hint=()):
@@ -410,10 +389,12 @@ def _compile_working_set(cost: QpCost, d: int, working: tuple, certificate):
 
 
 def compile_certificate(H, F, d: int):
-    """certificate(A, b, u, lam) -> check_kkt's residual for the cost (H, F),
-    by rows, and d rows: check_kkt's operations in its order, unrolled,
-    so bitwise equal on any floats. It reads H and F, never H^-1, and
-    recomputes its own slacks: it shares no code with the solver."""
+    """certificate(A, b, u, lam) -> the KKT residual max(0, ||Hu + F - A'lam||,
+    -min slack, -min lam, max |lam slack|), slack = A u - b, NaN if any term
+    is, for the cost (H, F), by rows, and d rows, unrolled. Its bitwise
+    reference is tests/oracles.py's check_kkt, which takes the same
+    operations in the same order on any floats. It reads H and F, never
+    H^-1, and recomputes its own slacks: it shares no code with the solver."""
     m, k = len(F), Constants()
     a = [[f"a{i}_{j}" for j in range(m)] for i in range(d)]
     u, lam = [f"u{j}" for j in range(m)], [f"l{i}" for i in range(d)]
@@ -433,7 +414,7 @@ def compile_certificate(H, F, d: int):
 
     minimum, maximum = k(min), k(max)
     result = f"{maximum}(0.0, stationarity)"
-    if d:  # min and max of no rows are check_kkt's defaults, which max(0.0, ...) already covers
+    if d:  # min and max of no rows default to 0.0, which max(0.0, ...) already covers
         result = (f"{maximum}(0.0, stationarity, -{minimum}({tuple_of(slack)}), -{minimum}({tuple_of(lam)}), "
                   f"{maximum}({tuple_of(products)}))")
     return straight_line(("A", "b", "u", "lam"), lines, result, k)

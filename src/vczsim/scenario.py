@@ -16,9 +16,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .barriers import ClassKappa, Obstacle, SampleError, SettingError, ShrinkSchedule, TargetSet, compile_rows, sampled
+from .barriers import ClassKappa, Obstacle, SampleError, SettingError, ShrinkSchedule, TargetSet, sampled
 from .confinement import ConfinementLaw
-from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, compile_rk4, sign_class_margin
+from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, sign_class_margin
 from .qp import QpCost, QpInputError, _cost, compile_solver
 
 MANDATORY_CHECKS = ("V1", "V2", "V3", "V4", "V5")
@@ -38,9 +38,8 @@ class Scenario:
     """Complete problem instance; `slopes` are the class-K slopes of `alphas`
     as floats and `qp_cost` the checked QP cost of (qp_h, qp_f). r_c is the
     confinement law's radius and t_f the shrink schedule's horizon. The
-    verdict tolerances are constants of the class. The kernels, a run's
-    `loop_kernel` and `qp_kernel`, virtual_control's `rows_kernel` and the
-    reference step's `rk4_kernel`, are compiled on first use, so a scenario
+    verdict tolerances are constants of the class. A run's kernels,
+    `loop_kernel` and `qp_kernel`, are compiled on first use, so a scenario
     that is never run builds none."""
 
     # min_h and the T1/T2 margins may dip to -invariance_tol, true clearance
@@ -108,20 +107,10 @@ class Scenario:
         return self.shrink.t_f
 
     @functools.cached_property
-    def rows_kernel(self):
-        """(c, t) -> (A, b, h), the CBF rows; see barriers.compile_rows."""
-        return compile_rows(self.obstacles, self.r_c, self.target.point, self.shrink, self.slopes)
-
-    @functools.cached_property
     def qp_kernel(self):
         """hint -> solve(A, b): the compiled CBF-QP solve of the hint's working
         set, None where solve_qp must decide; see qp.compile_solver."""
         return compile_solver(self.qp_cost, self.barrier_count)
-
-    @functools.cached_property
-    def rk4_kernel(self):
-        """(x, u, t, dt) -> x after one RK4 step of the plant; see plant.compile_rk4."""
-        return compile_rk4(self.plant)
 
     @functools.cached_property
     def loop_kernel(self):

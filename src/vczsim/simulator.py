@@ -6,12 +6,13 @@ jointly. A run's steps execute in one generated function per scenario,
 compile_loop's loop_kernel, on Python floats: per step the rows
 (barriers.emit_rows), the certified QP solve of the previous step's working
 set (the scenario's qp_kernel), the confinement law, one record, the RK4
-step of the plant (plant.emit_rk4, bitwise the RK4 step through
-plant_derivative) with the centre's own update, and ||x - c||, on 2- and
-3-vectors where a numpy call costs more than its arithmetic. A step whose
-hinted solve returns None calls virtual_control, whose fallback is
-solve_qp. _controls, _rk4, _error and _Recorder.add are the reference step
-the loop is tested against. Every step is appended to one growing float
+step of the plant (plant.emit_rk4) with the centre's own update, and
+||x - c||, on 2- and 3-vectors where a numpy call costs more than its
+arithmetic. A step whose hinted solve returns None calls virtual_control,
+whose rows come from the barrier functions and whose QP from solve_qp.
+_controls, _rk4 (RK4 stages through plant_derivative) and _Recorder.add are
+the plain reference step the loop is tested against; they share no
+generated row or RK4 code with it. Every step is appended to one growing float
 array; metrics and the reach-avoid verdict are computed from the
 full-resolution trace, and verify_trace re-derives all safety claims from
 raw states rather than trusting logged values. Both work on whole-trace
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import asdict, dataclass
-from operator import sub
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from . import __version__
 from .barriers import emit_rows
 from .confinement import ConfinementBreachError, confinement_control, zeta
 from .exprs import Constants, straight_line, tree_emitter, unpack
-from .plant import emit_rk4
-from .plant import plant_derivative  # noqa: F401  (reference; bench/layers.py traces it here)
+from .plant import emit_rk4, plant_derivative
 from .qp import QpCertificationError
 from .scenario import (
     CheckResult,
@@ -124,24 +123,23 @@ def _step_counts(t_f: float, dt: float) -> tuple[int, int, float]:
 
 def _rk4(scenario: Scenario, x, c, u, u_c, t: float, dt: float):
     """One RK4 step of plant and centre on float lists, elementwise in the
-    operation order of x + dt/6 (k1 + 2 k2 + 2 k3 + k4); the plant's step is
-    the scenario's compiled rk4_kernel."""
-    sixth = dt / 6.0
+    operation order of x + dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
+    model = scenario.plant
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1 = plant_derivative(model, x, u, t)
+    k2 = plant_derivative(model, [x_i + half * k for x_i, k in zip(x, k1)], u, t + half)
+    k3 = plant_derivative(model, [x_i + half * k for x_i, k in zip(x, k2)], u, t + half)
+    k4 = plant_derivative(model, [x_i + dt * k for x_i, k in zip(x, k3)], u, t + dt)
+    x_next = [x_i + sixth * (p + 2 * q + 2 * r + s) for x_i, p, q, r, s in zip(x, k1, k2, k3, k4)]
     # The centre is a single integrator: every stage derivative is the held u_c.
     c_next = [c_i + sixth * (w + 2 * w + 2 * w + w) for c_i, w in zip(c, u_c)]
-    return scenario.rk4_kernel(x, u, t, dt), c_next
+    return x_next, c_next
 
 
 def _controls(t: float, c, e, gap: float, scenario: Scenario, hint=()):
     u_c, solution, h = virtual_control(c, t, scenario, hint)
     u = confinement_control(e, gap, scenario.confinement)
     return u, u_c, solution, h
-
-
-def _error(x, c) -> tuple[list[float], float]:
-    """e = x - c and ||e||, taken once per step."""
-    e = list(map(sub, x, c))
-    return e, math.hypot(*e)
 
 
 class _Recorder:

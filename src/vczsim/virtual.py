@@ -5,17 +5,14 @@ linear row grad h_j' u_c >= -alpha_j(h_j) - dh_j/dt on the virtual input.
 Stacking all rows under a strictly convex cost yields the QP whose
 minimizer steers the center. A run's step loop (simulator.compile_loop)
 writes the rows inline and calls its hint's QP function itself, and calls
-virtual_control only when that returns None. Here the rows come from the
-scenario's compiled rows_kernel (barriers.compile_rows), and the QP's float
-solve is the scenario's qp_kernel (qp.compile_solver): one generated,
-certified function per working set. virtual_control calls its hint's
-function. Only when that returns None (a skipped or failing hint, or
-non-finite rows) does it build a QpProblem on the scenario's checked
-cost, qp_cost, and call solve_qp with
-the same qp_kernel, which walks the other working sets, proves the
-polyhedron empty or raises QpInputError. Rows, the QP and its answer stay
-Python floats through a step: A by rows, b and h as float lists, u_c as a
-float tuple.
+virtual_control only when that returns None. virtual_control is the plain
+float step: the rows one barrier at a time from eval_avoidance and
+eval_reach, a QpProblem on the scenario's checked cost, qp_cost, and
+solve_qp with the scenario's qp_kernel (qp.compile_solver), which tries the
+hint's generated, certified function first, then walks the other working
+sets, proves the polyhedron empty or raises QpInputError. Rows, the QP and
+its answer stay Python floats through a step: A by rows, b and h as float
+lists, u_c as a float tuple.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .barriers import eval_avoidance, eval_reach  # noqa: F401  (references; bench/layers.py traces them here)
+from .barriers import eval_avoidance, eval_reach
 from .qp import INFEASIBLE, QpProblem, QpSolution, _feasible_start, solve_qp
 
 if TYPE_CHECKING:
@@ -49,11 +46,13 @@ def assemble_rows(c, t: float, scenario: "Scenario") -> tuple[list[list[float]],
 
     Row j is barrier j: obstacles in declaration order, the reach barrier
     last. A[j] = grad h_j and b[j] = -alpha_j(h_j) - dh_j/dt, with the
-    class-K slopes of scenario.slopes. A comes by rows. The scenario's
-    compiled rows_kernel computes them, bitwise as eval_avoidance and
-    eval_reach would.
+    class-K slopes of scenario.slopes. A comes by rows.
     """
-    return scenario.rows_kernel(c, t)
+    evals = [eval_avoidance(c, t, obs, scenario.r_c) for obs in scenario.obstacles]
+    evals.append(eval_reach(c, t, scenario.target.point, scenario.shrink))
+    h, grads, dts = zip(*evals)
+    b = [-slope * h_j - dt_j for slope, h_j, dt_j in zip(scenario.slopes, h, dts)]
+    return list(grads), b, list(h)
 
 
 def _conflicting_rows(problem: QpProblem) -> tuple[int, ...]:
@@ -75,17 +74,13 @@ def virtual_control(
 ) -> tuple[tuple[float, ...], QpSolution, list[float]]:
     """Solve the stacked CBF-QP at (c, t); raises QpInfeasibleError if empty.
 
-    `hint` is the previous step's `solution.support`: the compiled solve of
-    its working set runs first, and solve_qp gets it on a fallback.
-    Returns u_c, the QP solution and the barrier values of the solved rows,
-    in row order, so callers need not evaluate the barriers again.
+    `hint` is the previous step's `solution.support`, which solve_qp tries
+    first. Returns u_c, the QP solution and the barrier values of the solved
+    rows, in row order, so callers need not evaluate the barriers again.
     """
     A, b, h = assemble_rows(c, t, scenario)
-    kernel = scenario.qp_kernel
-    solution = kernel[tuple(hint)](A, b)
-    if solution is None:
-        problem = QpProblem(scenario.qp_cost, None, A, b)
-        solution = solve_qp(problem, hint, kernel)
-        if solution.status == INFEASIBLE:
-            raise QpInfeasibleError(c, t, _conflicting_rows(problem))
+    problem = QpProblem(scenario.qp_cost, None, A, b)
+    solution = solve_qp(problem, hint, scenario.qp_kernel)
+    if solution.status == INFEASIBLE:
+        raise QpInfeasibleError(c, t, _conflicting_rows(problem))
     return solution.u_star, solution, h

@@ -10,13 +10,12 @@ own per-sample barrier evaluation, kept as the reference that recorded h
 and the whole-trace checks of verify_trace are compared against.
 interpreted_scenario rebuilds a scenario's expression fields on the
 reference interpreter, which the compiled fields must match bitwise.
-reference_rows and reference_rk4 are the generic step bodies that the
-scenario's compiled kernels replaced: rows assembled one barrier at a time
-from eval_avoidance and eval_reach, and RK4 through plant_derivative.
 reference_run is the step loop that the scenario's compiled loop_kernel
 replaced, a Python loop over step_schedule's steps that takes each step's
-controls from simulator._controls, records through _Recorder.add and
-steps through reference_rk4.
+controls from simulator._controls (rows from eval_avoidance and eval_reach
+through virtual.assemble_rows), records through _Recorder.add, steps
+through simulator._rk4 (RK4 through plant_derivative) and takes ||x - c||
+through _error: it shares no generated row or RK4 code with the loop.
 reference_write_trace is the row-at-a-time trace writer, one `%` per float,
 whose bytes the chunked template writer must reproduce. reference_solve_qp is
 the all-numpy active-set enumeration (LAPACK Cholesky test and solve per
@@ -29,7 +28,9 @@ elimination, which shares nothing with a least-norm search. loop_exhaustive
 is the hand-looped float enumeration (loop_candidates, loop_eqp and a
 hand-written Cholesky per working set, check_kkt as its certificate) that the
 generated working-set functions of qp.compile_solver replaced, kept as their
-bitwise reference. None of these imports a private name of vczsim.qp.
+bitwise reference; check_kkt is the plain-loop KKT residual that
+qp.compile_certificate unrolls, its bitwise reference. None of these
+imports a private name of vczsim.qp.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable
 
 import numpy as np
@@ -48,7 +49,6 @@ from vczsim import simulator
 from vczsim.barriers import Obstacle, eval_avoidance, eval_reach
 from vczsim.confinement import ConfinementLaw
 from vczsim.exprs import eval_expr
-from vczsim.plant import plant_derivative
 from vczsim.qp import (
     DEGENERATE,
     INFEASIBLE,
@@ -58,7 +58,6 @@ from vczsim.qp import (
     QpInputError,
     QpProblem,
     QpSolution,
-    check_kkt,
 )
 
 
@@ -136,29 +135,6 @@ def barrier_values(c, t: float, scenario) -> np.ndarray:
     return np.array([ev.value for ev in evals])
 
 
-def reference_rows(c, t: float, scenario):
-    """(A, b, h) as assemble_rows defines them, one barrier evaluation per row."""
-    evals = [eval_avoidance(c, t, obs, scenario.r_c) for obs in scenario.obstacles]
-    evals.append(eval_reach(c, t, scenario.target.point, scenario.shrink))
-    h, grads, dts = zip(*evals)
-    b = [-slope * h_j - dt_j for slope, h_j, dt_j in zip(scenario.slopes, h, dts)]
-    return list(grads), b, list(h)
-
-
-def reference_rk4(scenario, x, c, u, u_c, t: float, dt: float):
-    """One RK4 step of plant and centre on float lists, elementwise in the
-    operation order of x + dt/6 (k1 + 2 k2 + 2 k3 + k4)."""
-    model = scenario.plant
-    half, sixth = 0.5 * dt, dt / 6.0
-    k1 = plant_derivative(model, x, u, t)
-    k2 = plant_derivative(model, [x_i + half * k for x_i, k in zip(x, k1)], u, t + half)
-    k3 = plant_derivative(model, [x_i + half * k for x_i, k in zip(x, k2)], u, t + half)
-    k4 = plant_derivative(model, [x_i + dt * k for x_i, k in zip(x, k3)], u, t + dt)
-    x_next = [x_i + sixth * (a + 2 * b + 2 * c + d) for x_i, a, b, c, d in zip(x, k1, k2, k3, k4)]
-    c_next = [c_i + sixth * (w + 2 * w + 2 * w + w) for c_i, w in zip(c, u_c)]
-    return x_next, c_next
-
-
 def step_schedule(t_f: float, dt: float) -> list[tuple[float, float]]:
     """(start time, step size) pairs covering [0, t_f]; final partial step allowed."""
     n = int(round(t_f / dt))
@@ -172,18 +148,24 @@ def step_schedule(t_f: float, dt: float) -> list[tuple[float, float]]:
     return steps
 
 
+def _error(x, c) -> tuple[list[float], float]:
+    """e = x - c and ||e||, taken once per step."""
+    e = list(map(sub, x, c))
+    return e, math.hypot(*e)
+
+
 def reference_run(scenario):
     """simulator.run without validation, one Python pass per step: the
     controls of simulator._controls, the record of _Recorder.add, then
-    reference_rk4 and simulator._error. Returns (trace, metrics) or raises
-    run's SimulationAbort."""
+    simulator._rk4 and _error. Returns (trace, metrics) or raises run's
+    SimulationAbort."""
     from vczsim.scenario_io import scenario_hash
 
     r_c = scenario.r_c
     recorder = simulator._Recorder(scenario, scenario_hash(scenario))
     x, c = scenario.x0.tolist(), scenario.x0.tolist()
     scenario.plant.check_shapes(x, 0.0)
-    e, gap = simulator._error(x, c)
+    e, gap = _error(x, c)
     hint = ()
     # The last pass records the controls at t_f and takes no step.
     for t_k, dt_k in step_schedule(scenario.t_f, scenario.dt) + [(scenario.t_f, None)]:
@@ -197,8 +179,8 @@ def reference_run(scenario):
         hint = solution.support
         if dt_k is None:
             break
-        x, c = reference_rk4(scenario, x, c, u, u_c, t_k, dt_k)
-        e, gap = simulator._error(x, c)
+        x, c = simulator._rk4(scenario, x, c, u, u_c, t_k, dt_k)
+        e, gap = _error(x, c)
         if gap >= r_c:
             detail = f"||x - c|| = {gap:.6g} >= r_c = {r_c:.6g}"
             raise simulator.SimulationAbort(simulator.BREACH, t_k + dt_k, recorder.trace(), detail)
@@ -468,6 +450,28 @@ def reference_solve_qp(problem: QpProblem, kkt_tol: float = KKT_TOL, hint=()) ->
 def _dot(a, b):
     """0 + a0 b0 + a1 b1 + ..., left to right (sum() compensates float sums from Python 3.12 on)."""
     return reduce(add, map(mul, a, b), 0)
+
+
+def check_kkt(problem: QpProblem, candidate, multipliers) -> float:
+    """max(0, ||Hu + F - A'lam||, -min slack, -min lam, max |lam slack|), slack = A u - b, on the
+    floats of problem.cost, rows and rhs; NaN if any term is, inf or NaN on overflow."""
+    H, F, A, b = problem.cost.H, problem.cost.F, problem.rows, problem.rhs
+    u, lam = list(map(float, candidate)), list(map(float, multipliers))
+    if len(u) != len(F):
+        raise QpInputError(f"candidate must have length {len(F)}")
+    if len(lam) != len(A):
+        raise QpInputError(f"multipliers must have length {len(A)}")
+    columns = zip(*A) if A else [()] * len(F)
+    # Sums from 0, left to right (sum() compensates float sums from Python 3.12 on).
+    r = [reduce(add, map(mul, h, u), 0) + f - reduce(add, map(mul, column, lam), 0)
+         for h, f, column in zip(H, F, columns)]
+    stationarity = math.sqrt(reduce(add, map(mul, r, r), 0))
+    slack = [reduce(add, map(mul, a, u), 0) - b_i for a, b_i in zip(A, b)]
+    products = [abs(x * s) for x, s in zip(lam, slack)]
+    # min and max skip a NaN that is not first, so every entry is tested.
+    if any(map(math.isnan, [stationarity, *slack, *lam, *products])):
+        return math.nan
+    return max(0.0, stationarity, -min(slack, default=0.0), -min(lam, default=0.0), max(products, default=0.0))
 
 
 def _cholesky_solve(S, r):

@@ -5,9 +5,11 @@ bench/layers.py replaces module attributes of vczsim by name, and its
 under src/ would break `bench/run.py --trace 1` without any test noticing.
 bench/child.py reads scenario, obstacle and abort fields when it writes the
 `campaign` workload's outputs. The benchmark's files are read from disk,
-never changed.
+never changed. An import that src/ holds only for the tracer is marked
+`# noqa: F401`, and must be a name that the tracer wraps there.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "vczsim"
 
 
 def _load(name):
@@ -34,6 +37,23 @@ CALL_SITES = _load("layers").CALL_SITES
 def test_call_site_resolves(module, attr):
     mod = importlib.import_module(f"vczsim.{module}")
     assert callable(getattr(mod, attr, None)), f"vczsim.{module}.{attr} is gone"
+
+
+def unused_imports():
+    """(module, name) for every name imported on a line marked `# noqa: F401`
+    under src/vczsim."""
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" in lines[node.end_lineno - 1]:
+                yield from ((path.stem, alias.asname or alias.name) for alias in node.names)
+
+
+def test_unused_imports_are_traced_call_sites():
+    wrapped = {(module, attr) for module, attr, _ in CALL_SITES}
+    held = set(unused_imports())
+    assert held <= wrapped, held - wrapped
 
 
 def test_recorder_add_resolves():

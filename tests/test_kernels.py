@@ -1,12 +1,15 @@
-"""The scenario's compiled step kernels against the generic step bodies.
+"""The generated step code against the plain reference step.
 
-Scenario.rows_kernel (through virtual.assemble_rows) must give bitwise the
-rows assembled from eval_avoidance and eval_reach, Scenario.rk4_kernel
-(through simulator._rk4) bitwise the RK4 step through plant_derivative, and
-a run, through Scenario.loop_kernel, bitwise oracles.reference_run, on any
-mix of obstacle kinds and plants in n = 1, 2 and 3.
+The row emitter (barriers.emit_rows) must give bitwise the rows that
+virtual.assemble_rows builds from eval_avoidance and eval_reach, the RK4
+emitter (plant.emit_rk4) bitwise the RK4 step of simulator._rk4 through
+plant_derivative, each compiled here as one function as the loop would hold
+it, and a run, through Scenario.loop_kernel, bitwise oracles.reference_run,
+on any mix of obstacle kinds and plants in n = 1, 2 and 3. The reference
+step shares no generated row or RK4 code with the loop.
 """
 
+import functools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -15,11 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import reference_rk4, reference_rows, reference_run
-from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, TimeDomainError
+from oracles import reference_run
+from vczsim import barriers, plant as plant_module, simulator
+from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, TimeDomainError, emit_rows
 from vczsim.confinement import ConfinementLaw
-from vczsim.exprs import compile_exprs, parse_expr
-from vczsim.plant import POSITIVE_DEFINITE, PlantModel, catalog_plant, expression_plant
+from vczsim.exprs import Constants, compile_exprs, parse_expr, straight_line, tree_emitter, unpack
+from vczsim.plant import POSITIVE_DEFINITE, PlantModel, catalog_plant, emit_rk4, expression_plant
 from vczsim.scenario import Scenario, validate
 from vczsim.scenario_io import benchmark_scenario, load_scenario
 from vczsim.simulator import SimulationAbort, _rk4, run
@@ -36,6 +40,27 @@ def bits(values):
     if isinstance(values, (list, tuple)):
         return [bits(v) for v in values]
     return float(values).hex()
+
+
+def rows_kernel(scenario):
+    """(c, t) -> (A, b, h): emit_rows' lines for the scenario as one
+    straight-line function over the n coordinates."""
+    k, n = Constants(), scenario.n
+    c = [f"c{i}" for i in range(n)]
+    lines = [unpack(c, "c")]
+    A, b, h = emit_rows(lines, k, tree_emitter(lines, k), c, "t", scenario.obstacles, scenario.r_c,
+                        scenario.target.point, scenario.shrink, scenario.slopes)
+    return straight_line(("c", "t"), lines, f"{A}, [{', '.join(b)}], [{', '.join(h)}]", k)
+
+
+def rk4_kernel(model):
+    """(x, u, t, dt) -> x after one RK4 step with u held: emit_rk4's lines for
+    the plant as one straight-line function over the n coordinates."""
+    k = Constants()
+    x, u = [f"x{i}" for i in range(model.n)], [f"u{j}" for j in range(model.n)]
+    lines = [unpack(x, "x"), unpack(u, "u")]
+    x_next = emit_rk4(lines, k, tree_emitter(lines, k), model, x, u, "t", "dt")
+    return straight_line(("x", "u", "t", "dt"), lines, f"[{', '.join(x_next)}]", k)
 
 
 def scenario_of(plant, obstacles, t_f=10.0, slopes=None, r_c=0.5, target=None, shrink=(15.0, 0.5)):
@@ -93,7 +118,7 @@ def rows_cases(draw):
 @given(rows_cases())
 def test_rows_kernel_is_bitwise_the_barrier_evaluations(case):
     scenario, c, t = case
-    assert bits(assemble_rows(c, t, scenario)) == bits(reference_rows(c, t, scenario))
+    assert bits(rows_kernel(scenario)(c, t)) == bits(assemble_rows(c, t, scenario))
 
 
 def test_rows_kernel_sees_obstacles_exactly_on_the_centre():
@@ -101,14 +126,16 @@ def test_rows_kernel_sees_obstacles_exactly_on_the_centre():
     # static time partial is computed, not folded, so the zero signs match.
     obstacles = [Obstacle.static([-0.0, 1.0], 0.5), Obstacle.linear([0.0, -0.0], [-0.0, 0.0], 0.5)]
     scenario = scenario_of(catalog_plant("integrator", 2), obstacles)
+    rows = rows_kernel(scenario)
     for c in ([-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]):
-        assert bits(assemble_rows(c, 0.0, scenario)) == bits(reference_rows(c, 0.0, scenario))
+        assert bits(rows(c, 0.0)) == bits(assemble_rows(c, 0.0, scenario))
 
 
 def test_reach_row_still_checks_the_horizon():
     scenario = benchmark_scenario()
-    with pytest.raises(TimeDomainError):
-        assemble_rows([0.0, 0.0], scenario.t_f + 1.0, scenario)
+    for rows in (rows_kernel(scenario), functools.partial(assemble_rows, scenario=scenario)):
+        with pytest.raises(TimeDomainError):
+            rows([0.0, 0.0], scenario.t_f + 1.0)
 
 
 def _expression_plant(n, coeffs):
@@ -152,18 +179,22 @@ def rk4_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(rk4_cases())
 def test_rk4_kernel_is_bitwise_the_plant_derivative_steps(case):
-    scenario, *args = case
-    assert bits(_rk4(scenario, *args)) == bits(reference_rk4(scenario, *args))
+    scenario, x, c, u, u_c, t, dt = case
+    assert bits(rk4_kernel(scenario.plant)(x, u, t, dt)) == bits(_rk4(scenario, x, c, u, u_c, t, dt)[0])
 
 
 def test_kernels_are_compiled_in_the_first_step_not_when_parsed():
     scenario = load_scenario(CROWDED_3D)
     assert validate(scenario).all_passed
-    kernels = {"loop_kernel", "rows_kernel", "qp_kernel", "rk4_kernel"}
+    kernels = {name for name, value in vars(Scenario).items() if isinstance(value, functools.cached_property)}
+    assert kernels == {"loop_kernel", "qp_kernel"}
     assert not kernels & set(vars(scenario))
     short = scenario.with_overrides(dt=0.01)
     run(short, check=False)
-    assert {"loop_kernel", "qp_kernel"} <= set(vars(short))
+    # A run's hint misses take their rows from the plain reference step, so
+    # no other kernel is compiled or cached.
+    assert kernels <= set(vars(short))
+    assert not hasattr(Scenario, "rows_kernel") and not hasattr(Scenario, "rk4_kernel")
 
 
 def test_kernels_hold_no_input_text():
@@ -171,7 +202,7 @@ def test_kernels_hold_no_input_text():
     # the math functions straight_line provides, and the only literals are
     # the fixed ones of the templates (the loop's 3 and 5 index QpSolution).
     scenario = benchmark_scenario()
-    for kernel in (scenario.rows_kernel, scenario.rk4_kernel, scenario.loop_kernel):
+    for kernel in (rows_kernel(scenario), rk4_kernel(scenario.plant), scenario.loop_kernel):
         code = kernel.__code__
         assert set(code.co_names) <= {"fsum", "sin", "cos", "log", "hypot"}
         assert set(code.co_consts) <= {None, 0, 1, 2, 3, 5, 0.5, 2.0, -2.0, 6.0, ()}
@@ -265,3 +296,20 @@ SQUEEZE = scenario_of(catalog_plant("integrator", 2), [Obstacle.static([5.0, 0.0
 @example(load_scenario(CROWDED_3D).with_overrides(t_f=0.5, dt=0.01))
 def test_run_is_bitwise_the_reference_loop(scenario):
     assert outcome(lambda s: run(s, check=False), scenario) == outcome(reference_run, scenario)
+
+
+def test_reference_step_shares_no_generated_code_with_the_loop(monkeypatch):
+    # With the row and RK4 emitters and the loop compiler all raising, the
+    # reference loop still runs to the end, and gives what run gives on a
+    # fresh copy of the scenario.
+    fresh = (lambda: benchmark_scenario(dt=0.01), lambda: load_scenario(CROWDED_3D).with_overrides(dt=0.02))
+
+    def unavailable(*args):
+        raise AssertionError("the reference step called generated row, RK4 or loop code")
+
+    with monkeypatch.context() as patch:
+        for module, name in ((barriers, "emit_rows"), (plant_module, "emit_rk4"), (simulator, "compile_loop")):
+            patch.setattr(module, name, unavailable)
+        references = [outcome(reference_run, make()) for make in fresh]
+    assert all(isinstance(end, dict) for *_, end in references)  # finished, no abort
+    assert references == [outcome(lambda s: run(s, check=False), make()) for make in fresh]

@@ -16,6 +16,7 @@ from conftest import UNCERTIFIABLE_QP, loop_solve_qp, minimizer_box_bound, rando
 from oracles import (
     GridInfeasibleError,
     brute_force_qp,
+    check_kkt,
     fraction_check_kkt,
     loop_candidates,
     loop_eqp,
@@ -34,7 +35,6 @@ from vczsim.qp import (
     QpCertificationError,
     QpInputError,
     QpProblem,
-    check_kkt,
     solve_qp,
 )
 from vczsim import qp

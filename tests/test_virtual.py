@@ -3,6 +3,7 @@
 import math
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -220,9 +221,9 @@ def cbf_qps(draw):
 
 
 class TestCompiledPath:
-    """virtual_control solves the hint's working set in compiled code and
-    falls back to solve_qp when it does not certify: the outcome is bitwise
-    that of the loop solver of tests/oracles.py."""
+    """virtual_control solves through solve_qp on the scenario's compiled
+    working-set functions, the hint's first, as the step loop's hinted call
+    does: the outcome is bitwise that of the loop solver of tests/oracles.py."""
 
     @settings(max_examples=400, deadline=None)
     @given(problem=cbf_qps(), hint=st.lists(st.integers(-2, 8), max_size=5).map(tuple))
@@ -231,10 +232,11 @@ class TestCompiledPath:
         # skipped or failing; each gives the loop solver's answer.
         cost, A, b = problem
         kernel = compile_solver(cost, len(A))
-        scenario = SimpleNamespace(rows_kernel=lambda c, t: (A, b, []), qp_cost=cost, qp_kernel=kernel)
+        scenario = SimpleNamespace(qp_cost=cost, qp_kernel=kernel)
         reference = outcome(lambda: loop_solve_qp(QpProblem(cost, None, A, b), hint))
         assert outcome(lambda: solve_qp(QpProblem(cost, None, A, b), hint)) == reference
-        assert outcome(lambda: virtual_control(None, 0.0, scenario, hint)[1]) == reference
+        with mock.patch.object(virtual, "assemble_rows", lambda c, t, scenario: (A, b, [])):
+            assert outcome(lambda: virtual_control(None, 0.0, scenario, hint)[1]) == reference
         compiled = kernel[hint](A, b)
         assert compiled is None or solution_bits(compiled) == reference
         if isinstance(reference, tuple) and reference[0] != INFEASIBLE:
@@ -242,12 +244,13 @@ class TestCompiledPath:
             support = reference[1]
             assert solution_bits(kernel[support](A, b)) == reference
 
-    def test_non_finite_rows_raise_through_the_fallback(self):
+    def test_non_finite_rows_raise_through_the_fallback(self, monkeypatch):
         cost = BENCH.qp_cost
         kernel = compile_solver(cost, 2)
+        scenario = SimpleNamespace(qp_cost=cost, qp_kernel=kernel)
         for A, b in (([[1.0, math.nan], [0.0, 1.0]], [0.0, 0.0]), ([[1.0, 0.0], [0.0, 1.0]], [math.inf, 0.0])):
             assert kernel[(0,)](A, b) is None and kernel[()](A, b) is None
-            scenario = SimpleNamespace(rows_kernel=lambda c, t: (A, b, []), qp_cost=cost, qp_kernel=kernel)
+            monkeypatch.setattr(virtual, "assemble_rows", lambda c, t, scenario: (A, b, []))
             with pytest.raises(QpInputError, match="finite"):
                 virtual_control(None, 0.0, scenario, (0,))
 
