@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain
-from operator import add, mul, sub
+from operator import sub
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exprs import expr_to_str, fold, unpack
+from .exprs import dot, expr_to_str, fold, unpack
 
 STATIC = "static"
 LINEAR = "linear"
@@ -73,7 +72,9 @@ class Obstacle:
     center_path and velocity_path map a time to n floats. A static or linear
     obstacle also holds its path as floats: centre point + rate * t. A custom
     obstacle parsed from a scenario file holds its path's expression trees
-    in t, `trees`, which center_path is compiled from.
+    in t, `trees`, which center_path is compiled from. A step reads the
+    paths as Python floats: Obstacle.custom converts a path without trees,
+    and a custom obstacle built directly must give floats itself.
     """
 
     center_path: Callable[[float], Sequence[float]]
@@ -122,12 +123,16 @@ class Obstacle:
     def custom(path: Callable[[float], Sequence[float]], radius: float, trees: tuple | None = None) -> "Obstacle":
         step = CUSTOM_VELOCITY_FD_STEP
         width = 2.0 * step
+        center = path
+        if trees is None:  # a step carries Python floats only
+            def center(t: float) -> list[float]:
+                return list(map(float, path(t)))
 
         def velocity(t: float) -> list[float]:
             # Central difference, elementwise (hi - lo) / (2 step).
-            return [d / width for d in map(sub, path(t + step), path(t - step))]
+            return [d / width for d in map(sub, center(t + step), center(t - step))]
 
-        return Obstacle(path, velocity, float(radius), CUSTOM, trees)
+        return Obstacle(center, velocity, float(radius), CUSTOM, trees)
 
     @property
     def path_source(self) -> tuple[str, ...] | None:
@@ -244,27 +249,21 @@ class ClassKappa:
         return self.slope * h
 
 
-def _dot(a, b):
-    """0 + a0 b0 + a1 b1 + ..., left to right, the order the compiled rows use
-    (sum() compensates float sums from Python 3.12 on)."""
-    return reduce(add, map(mul, a, b), 0)
-
-
 def eval_avoidance(c, t: float, obstacle: Obstacle, r_c: float) -> BarrierEval:
     """h = ||c - b_u(t)||^2 - (r_u + r_c)^2 for the r_c-inflated obstacle."""
     if r_c <= 0:
         raise ValueError(f"confinement radius must be > 0, got {r_c}")
     delta = list(map(sub, c, obstacle.center_path(t)))
     inflated = obstacle.radius + r_c
-    value = _dot(delta, delta) - inflated * inflated
-    return BarrierEval(value, [2.0 * d for d in delta], -2.0 * _dot(delta, obstacle.velocity_path(t)))
+    value = dot(delta, delta) - inflated * inflated
+    return BarrierEval(value, [2.0 * d for d in delta], -2.0 * dot(delta, obstacle.velocity_path(t)))
 
 
 def eval_reach(c, t: float, target_center, schedule: ShrinkSchedule) -> BarrierEval:
     """h = r_r(t)^2 - ||c - b_R||^2 for the shrinking containment ball."""
     delta = list(map(sub, c, target_center))
     r = schedule.radius_at(t)
-    return BarrierEval(r * r - _dot(delta, delta), [-2.0 * d for d in delta], 2.0 * r * schedule.rate_of())
+    return BarrierEval(r * r - dot(delta, delta), [-2.0 * d for d in delta], 2.0 * r * schedule.rate_of())
 
 
 def emit_rows(lines, k, emit, c, t: str, obstacles, r_c: float, target_point, schedule: ShrinkSchedule, slopes):

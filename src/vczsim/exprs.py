@@ -23,7 +23,8 @@ qp.compile_solver. It is the package's only call of ``compile()``: the text
 it gets is made of generated names and fixed operator text, and every number
 and callable of the input reaches the code as a closure constant, named
 through a ``Constants`` table. ``fold`` and ``tuple_of`` give the generators'
-shared text for a sum and a tuple.
+shared text for a sum and a tuple, and ``dot`` is fold's sum of products on
+values.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from operator import add, mul
 
 _NARY_OPS = ("+", "-", "*")
 _UNARY_FUNCS = ("sin", "cos")
@@ -251,6 +253,12 @@ def fold(terms) -> str:
     """(0 + t0 + t1 + ...), a sum from 0, left to right, as sum() compensates
     float sums from Python 3.12 on."""
     return f"(0{''.join(f' + {t}' for t in terms)})"
+
+
+def dot(a, b):
+    """0 + a0 b0 + a1 b1 + ..., left to right: the value of fold's text for
+    the products, the package's one dot product outside generated code."""
+    return functools.reduce(add, map(mul, a, b), 0)
 
 
 def tuple_of(names) -> str:

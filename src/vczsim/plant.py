@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import add, mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +25,7 @@ from .barriers import SettingError, sampled
 from .exprs import (
     ExprError,
     compile_exprs,
+    dot,
     expr_to_str,
     fold,
     parse_expr,
@@ -108,7 +107,7 @@ def plant_derivative(model: PlantModel, x, u, t: float) -> list[float]:
     if len(x) != model.n or len(u) != model.n:
         raise ValueError(f"expected state and input of length {model.n}, got {len(x)} and {len(u)}")
     return [
-        f_i + reduce(add, map(mul, g_i, u), 0) + w_i
+        f_i + dot(g_i, u) + w_i
         for f_i, g_i, w_i in zip(model.drift(x), model.input_map(x), model.disturbance(t))
     ]
 

@@ -38,14 +38,15 @@ straight-line function, compiled through exprs.straight_line on the set's
 first use. It holds the skip rule, the Schur complement A_W H^-1 A_W' (at
 most m x m) factored by an unrolled Cholesky with H^-1 and v as closure
 constants, the finiteness test of each value, the gates, the certificate,
-the tight set and the rank test. These functions are the only float solve: a run's step calls
-its hint's function, and solve_qp walks them in the enumeration order. The
-certificate comes from a separate generator, compile_certificate, which
-unrolls the KKT residual from H and F, never H^-1: it shares no code with
-the solver, and the tests hold it bitwise to the plain loop of
-tests/oracles.py's check_kkt. numpy is left to the cost check and the rank
-test. Every float sum is a left fold from 0, as sum() compensates float sums
-from Python 3.12 on: the arithmetic does not depend on the interpreter.
+the tight set and the rank test. These functions are the only float solve: a
+run's step calls its hint's function, and when that returns None, solve_qp
+walks them all in the enumeration order. The certificate comes from a
+separate generator, compile_certificate, which unrolls the KKT residual from
+H and F, never H^-1: it shares no code with the solver, and the tests hold
+it bitwise to the plain loop of tests/oracles.py's check_kkt. numpy is left
+to the cost check and the rank test. Every float sum is a left fold from 0,
+as sum() compensates float sums from Python 3.12 on: the arithmetic does not
+depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -53,13 +54,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from functools import reduce
-from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .exprs import Constants, fold, straight_line, tuple_of, unpack
+from .exprs import Constants, dot, fold, straight_line, tuple_of, unpack
 
 KKT_TOL = 1e-9
 
@@ -87,12 +86,6 @@ class QpCost(NamedTuple):
     arrays: tuple
 
 
-def _dot(a, b):
-    """0 + a0 b0 + a1 b1 + ..., left to right: the solver's one dot product
-    (sum() compensates float sums from Python 3.12 on)."""
-    return reduce(add, map(mul, a, b), 0)
-
-
 @functools.lru_cache(maxsize=32)
 def _cost(shape: tuple[int, ...], H_data: bytes, F_data: bytes) -> QpCost:
     """The cost of one (H, F), H^-1 via H's Cholesky factor; memoized, as a run keeps its cost."""
@@ -112,7 +105,7 @@ def _cost(shape: tuple[int, ...], H_data: bytes, F_data: bytes) -> QpCost:
     H_inv = L_inv.T @ L_inv
     H_inv.setflags(write=False)
     H_inv_rows, F_floats = tuple(map(tuple, H_inv.tolist())), tuple(F.tolist())
-    v = tuple(_dot(h, F_floats) for h in H_inv_rows)
+    v = tuple(dot(h, F_floats) for h in H_inv_rows)
     return QpCost(tuple(map(tuple, H.tolist())), F_floats, H_inv_rows, v, (H, F, H_inv))
 
 
@@ -195,7 +188,7 @@ def _ldl_solve(S, r):
         pivot = S_i[-1] - sum(p * p * e for p, e in zip(row, D))
         if not pivot > 0:
             return None
-        y.append(r_i - sum(map(mul, row, y)))
+        y.append(r_i - dot(row, y))
         L.append(row + [1])
         D.append(pivot)
     x = []  # L' x = y / D, from the last row up
@@ -210,8 +203,8 @@ def _eqp(A, b, working):
     (A_W A_W') lam = b_W, the origin for the empty set. None when A_W is
     dependent."""
     rows = [A[i] for i in working]
-    lam = _ldl_solve([[_dot(a, rows[q]) for q in range(p + 1)] for p, a in enumerate(rows)], [b[i] for i in working])
-    return None if lam is None else [_dot([column[i] for i in working], lam) for column in zip(*A)]
+    lam = _ldl_solve([[dot(a, rows[q]) for q in range(p + 1)] for p, a in enumerate(rows)], [b[i] for i in working])
+    return None if lam is None else [dot([column[i] for i in working], lam) for column in zip(*A)]
 
 
 def _candidates(A, b):
@@ -222,7 +215,7 @@ def _candidates(A, b):
             continue  # not a support: it holds no row that u0 = 0 violates
         u = _eqp(A, b, working)
         if u is not None:
-            yield u, [_dot(a, u) - b_i for a, b_i in zip(A, b)]
+            yield u, [dot(a, u) - b_i for a, b_i in zip(A, b)]
 
 
 def _feasible_start(rows, rhs):
@@ -240,15 +233,14 @@ def _feasible_start(rows, rhs):
     return None
 
 
-def _exhaustive(problem: QpProblem, hint=(), kernel=None) -> QpSolution | None:
-    """The first answer of the working-set functions of `kernel`, that is
-    compile_solver(problem.cost, problem.d) (looked up here when None), in
-    the order of _working_sets; None when none certifies. A set holding no
-    row that u0 = -v violates is skipped and so never compiled."""
-    if kernel is None:
-        kernel = compile_solver(problem.cost, problem.d)
+def _exhaustive(problem: QpProblem, hint=()) -> QpSolution | None:
+    """The first answer of the working-set functions of
+    compile_solver(problem.cost, problem.d) in the order of _working_sets;
+    None when none certifies. A set holding no row that u0 = -v violates is
+    skipped and so never compiled."""
+    kernel = compile_solver(problem.cost, problem.d)
     A, b, v = problem.rows, problem.rhs, problem.cost.v
-    violated = [-_dot(a, v) < b_i for a, b_i in zip(A, b)]
+    violated = [-dot(a, v) < b_i for a, b_i in zip(A, b)]
     for working in _working_sets(problem.m, problem.d, hint):
         if working and not any(violated[i] for i in working):
             continue
@@ -265,14 +257,13 @@ def _dependent(A, tight) -> bool:
     return len(tight) > 1 and np.linalg.matrix_rank([A[i] for i in tight]) < len(tight)
 
 
-def solve_qp(problem: QpProblem, hint=(), kernel=None) -> QpSolution:
+def solve_qp(problem: QpProblem, hint=()) -> QpSolution:
     """Certified minimizer: the first candidate active set that passes the certificate.
 
     `hint`, typically the previous solution's `support`, is tried before the
     enumeration: the QP has one KKT point and the hint passes the same gates.
-    `kernel` is compile_solver(problem.cost, problem.d), such as a scenario's
-    qp_kernel; without it solve_qp looks that up, so repeated calls on one
-    cost reuse its generated functions.
+    The candidates are the functions of compile_solver(problem.cost,
+    problem.d), so repeated calls on one cost reuse them.
 
     Returns status ``optimal`` (certified minimizer), ``degenerate``
     (certified minimizer with linearly dependent tight rows), or
@@ -281,7 +272,7 @@ def solve_qp(problem: QpProblem, hint=(), kernel=None) -> QpSolution:
     raises QpCertificationError; see the module docstring for why the first
     certified candidate of the enumeration is the minimizer.
     """
-    sol = _exhaustive(problem, hint, kernel)
+    sol = _exhaustive(problem, hint)
     if sol is not None:
         return sol
     if _feasible_start(problem.rows, problem.rhs) is None:

@@ -19,7 +19,7 @@ import numpy as np
 from .barriers import ClassKappa, Obstacle, SampleError, SettingError, ShrinkSchedule, TargetSet, sampled
 from .confinement import ConfinementLaw
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, sign_class_margin
-from .qp import QpCost, QpInputError, _cost, compile_solver
+from .qp import QpCost, QpInputError, _cost
 
 MANDATORY_CHECKS = ("V1", "V2", "V3", "V4", "V5")
 
@@ -38,9 +38,9 @@ class Scenario:
     """Complete problem instance; `slopes` are the class-K slopes of `alphas`
     as floats and `qp_cost` the checked QP cost of (qp_h, qp_f). r_c is the
     confinement law's radius and t_f the shrink schedule's horizon. The
-    verdict tolerances are constants of the class. A run's kernels,
-    `loop_kernel` and `qp_kernel`, are compiled on first use, so a scenario
-    that is never run builds none."""
+    verdict tolerances are constants of the class. A run's step loop,
+    `loop_kernel`, is compiled on first use, so a scenario that is never run
+    builds none."""
 
     # min_h and the T1/T2 margins may dip to -invariance_tol, true clearance
     # to -clearance_tol; |u_c| above u_c_ceiling is reported in the metrics.
@@ -105,12 +105,6 @@ class Scenario:
     @property
     def t_f(self) -> float:
         return self.shrink.t_f
-
-    @functools.cached_property
-    def qp_kernel(self):
-        """hint -> solve(A, b): the compiled CBF-QP solve of the hint's working
-        set, None where solve_qp must decide; see qp.compile_solver."""
-        return compile_solver(self.qp_cost, self.barrier_count)
 
     @functools.cached_property
     def loop_kernel(self):

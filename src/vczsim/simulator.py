@@ -1,25 +1,24 @@
 """Closed-loop integration of the coupled true/virtual system.
 
-Both controls are computed once per step and held constant (zero-order
-hold) while a classical fixed-step RK4 advances true state and center
-jointly. A run's steps execute in one generated function per scenario,
-compile_loop's loop_kernel, on Python floats: per step the rows
-(barriers.emit_rows), the certified QP solve of the previous step's working
-set (the scenario's qp_kernel), the confinement law, one record, the RK4
-step of the plant (plant.emit_rk4) with the centre's own update, and
-||x - c||, on 2- and 3-vectors where a numpy call costs more than its
-arithmetic. A step whose hinted solve returns None calls virtual_control,
-whose rows come from the barrier functions and whose QP from solve_qp.
+Both controls are computed once per step and held constant (zero-order hold)
+while a classical fixed-step RK4 advances true state and center jointly. A
+run's steps execute in one generated function per scenario, compile_loop's
+loop_kernel, on Python floats: per step the rows (barriers.emit_rows), the
+certified QP solve of the previous step's working set (qp.compile_solver's
+function for it), the confinement law, one record, the RK4 step of the plant
+(plant.emit_rk4) with the centre's own update, and ||x - c||, on 2- and
+3-vectors where a numpy call costs more than its arithmetic. A step whose
+hinted solve returns None passes the same rows to virtual.solve_rows.
 _controls, _rk4 (RK4 stages through plant_derivative) and _Recorder.add are
-the plain reference step the loop is tested against; they share no
-generated row or RK4 code with it. Every step is appended to one growing float
-array; metrics and the reach-avoid verdict are computed from the
-full-resolution trace, and verify_trace re-derives all safety claims from
-raw states rather than trusting logged values. Both work on whole-trace
-arrays: obstacle centres come from Obstacle.centers for all recorded times
-at once, through the compiled path of the trees the steps write inline,
-their margins are taken once per trace for both, and neither calls
-controller barrier code or the expression interpreter. File IO is in
+the plain reference step the loop is tested against; a run calls none of
+them, and they share no generated row or RK4 code with it. Every step is
+appended to one growing float array; metrics and the reach-avoid verdict are
+computed from the full-resolution trace, and verify_trace re-derives all
+safety claims from raw states rather than trusting logged values. Both work
+on whole-trace arrays: obstacle centres come from Obstacle.centers for all
+recorded times at once, through the compiled path of the trees the steps
+write inline, their margins are taken once per trace for both, and neither
+calls controller barrier code or the expression interpreter. File IO is in
 trace_io.
 """
 
@@ -33,10 +32,10 @@ import numpy as np
 
 from . import __version__
 from .barriers import emit_rows
-from .confinement import ConfinementBreachError, confinement_control, zeta
+from .confinement import confinement_control
 from .exprs import Constants, straight_line, tree_emitter, unpack
 from .plant import emit_rk4, plant_derivative
-from .qp import QpCertificationError
+from .qp import QpCertificationError, compile_solver
 from .scenario import (
     CheckResult,
     Scenario,
@@ -44,7 +43,7 @@ from .scenario import (
     ValidationReport,
     validate,
 )
-from .virtual import QpInfeasibleError, virtual_control
+from .virtual import QpInfeasibleError, solve_rows, virtual_control
 
 BREACH = "confinement_breach"
 QP_INFEASIBLE = "qp_infeasible"
@@ -175,13 +174,14 @@ class _Recorder:
 def compile_loop(scenario: Scenario):
     """loop(x, extend, status, miss): run()'s whole step loop from the state x
     (c = x), as one generated function. Each pass takes the step's time,
-    emit_rows' rows at (c, t), the QP solve of the previous pass's support
-    (qp_kernel[hint], or on None miss(c, t, hint)'s certified solution),
-    confinement_control's law, then extend(record) and status(qp status) as
-    _Recorder.add does; the last pass, at t_f, takes no step. A step is
-    emit_rk4's plant step with the centre's own update (_rk4), then e = x - c
-    and ||e||. Returns None, or (t, ||e||) when ||e|| >= r_c after the step
-    that ends at t. The times and sizes of the steps are _step_counts'."""
+    emit_rows' rows A, b at (c, t), the QP solve of the previous pass's
+    support (compile_solver's function for it, or on None miss(A, b, c, t)'s
+    certified solution), confinement_control's law, then extend(record) and
+    status(qp status) as _Recorder.add does; the last pass, at t_f, takes no
+    step. A step is emit_rk4's plant step with the centre's own update
+    (_rk4), then e = x - c and ||e||. Returns None, or (t, ||e||) when
+    ||e|| >= r_c after the step that ends at t, so no pass starts at a
+    breach. The times and sizes of the steps are _step_counts'."""
     n, law, k = scenario.n, scenario.confinement, Constants()
     x, c, e, u, u_c = ([f"{v}{i}" for i in range(n)] for v in ("x", "c", "e", "u", "uc"))
     count, uniform, last = _step_counts(scenario.t_f, scenario.dt)
@@ -190,14 +190,13 @@ def compile_loop(scenario: Scenario):
     emit = tree_emitter(body, k)
     A, b, h = emit_rows(body, k, emit, c, "t", scenario.obstacles, scenario.r_c, scenario.target.point,
                         scenario.shrink, scenario.slopes)
-    body += [f"sol = {k(scenario.qp_kernel)}[hint]({A}, [{', '.join(b)}])",
-             f"if sol is None: sol = miss([{', '.join(c)}], t, hint)",
+    solvers = k(compile_solver(scenario.qp_cost, scenario.barrier_count))
+    body += [f"A = {A}", f"b = [{', '.join(b)}]", f"sol = {solvers}[hint](A, b)",
+             f"if sol is None: sol = miss(A, b, [{', '.join(c)}], t)",
              unpack(u_c, "sol[0]"),
-             f"if gap >= {r_c}: raise {k(ConfinementBreachError)}(gap, {r_c})",
              f"e_hat = gap / {r_c}",
              f"if gap <= {k(1e-12 * law.r_c)}: {' = '.join(u)} = 0.0",
              "else:",
-             f" if e_hat < 0: {k(zeta)}(e_hat)",  # zeta raises its ValueError there
              f" z = {clamp} if {clamp} < e_hat else e_hat",  # min(e_hat, clamp), NaN kept
              f" scale = -({k(law.gain)} * log((1.0 + z) / (1.0 - z))) / gap",
              *(f" {u_i} = scale * {e_i}" for u_i, e_i in zip(u, e)),
@@ -235,11 +234,11 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
     x = scenario.x0.tolist()
     scenario.plant.check_shapes(x, 0.0)
 
-    def miss(c, t: float, hint):
-        """The certified QP solution at (c, t) through virtual_control, which
-        falls back to solve_qp; its errors abort the run."""
+    def miss(A, b, c, t: float):
+        """solve_rows on the step's rows, without the hint that has just
+        failed on them; its errors abort the run."""
         try:
-            return virtual_control(c, t, scenario, hint)[1]
+            return solve_rows(A, b, c, t, scenario)
         except QpInfeasibleError as exc:
             raise SimulationAbort(QP_INFEASIBLE, t, recorder.trace(), str(exc)) from exc
         except QpCertificationError as exc:

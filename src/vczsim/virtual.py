@@ -4,15 +4,15 @@ The center is a single integrator, cdot = u_c, so each barrier h_j gives one
 linear row grad h_j' u_c >= -alpha_j(h_j) - dh_j/dt on the virtual input.
 Stacking all rows under a strictly convex cost yields the QP whose
 minimizer steers the center. A run's step loop (simulator.compile_loop)
-writes the rows inline and calls its hint's QP function itself, and calls
-virtual_control only when that returns None. virtual_control is the plain
-float step: the rows one barrier at a time from eval_avoidance and
-eval_reach, a QpProblem on the scenario's checked cost, qp_cost, and
-solve_qp with the scenario's qp_kernel (qp.compile_solver), which tries the
-hint's generated, certified function first, then walks the other working
-sets, proves the polyhedron empty or raises QpInputError. Rows, the QP and
-its answer stay Python floats through a step: A by rows, b and h as float
-lists, u_c as a float tuple.
+writes the rows inline and calls its hint's QP function itself, and passes
+its rows to solve_rows only when that returns None. solve_rows builds a
+QpProblem on the scenario's checked cost, qp_cost, and calls solve_qp, which
+tries a hint's generated, certified function first, then walks the working
+sets of qp.compile_solver, proves the polyhedron empty or raises
+QpInputError. virtual_control is the plain float reference step: the rows
+one barrier at a time from eval_avoidance and eval_reach (assemble_rows),
+then solve_rows. Rows, the QP and its answer stay Python floats through a
+step: A by rows, b and h as float lists, u_c as a float tuple.
 """
 
 from __future__ import annotations
@@ -69,6 +69,17 @@ def _conflicting_rows(problem: QpProblem) -> tuple[int, ...]:
     return tuple(keep)
 
 
+def solve_rows(A, b, c, t: float, scenario: "Scenario", hint=()) -> QpSolution:
+    """The certified minimizer of the CBF-QP A u_c >= b at (c, t) on
+    scenario.qp_cost by solve_qp, `hint` tried first; raises
+    QpInfeasibleError, with the conflicting rows, if the rows admit no u_c."""
+    problem = QpProblem(scenario.qp_cost, None, A, b)
+    solution = solve_qp(problem, hint)
+    if solution.status == INFEASIBLE:
+        raise QpInfeasibleError(c, t, _conflicting_rows(problem))
+    return solution
+
+
 def virtual_control(
     c, t: float, scenario: "Scenario", hint=()
 ) -> tuple[tuple[float, ...], QpSolution, list[float]]:
@@ -79,8 +90,5 @@ def virtual_control(
     rows, in row order, so callers need not evaluate the barriers again.
     """
     A, b, h = assemble_rows(c, t, scenario)
-    problem = QpProblem(scenario.qp_cost, None, A, b)
-    solution = solve_qp(problem, hint, scenario.qp_kernel)
-    if solution.status == INFEASIBLE:
-        raise QpInfeasibleError(c, t, _conflicting_rows(problem))
+    solution = solve_rows(A, b, c, t, scenario, hint)
     return solution.u_star, solution, h

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from oracles import loop_exhaustive, objective
-from vczsim import qp, run, simulator, virtual
+from vczsim import qp, run, simulator
 from vczsim.qp import INFEASIBLE, QpCertificationError, QpProblem, QpSolution, solve_qp
-from vczsim.scenario import Scenario
 from vczsim.scenario_io import parse_scenario
 
 # Feasible and strictly convex, but its multiplier (about 5e316) overflows, so
@@ -20,39 +19,27 @@ from vczsim.scenario_io import parse_scenario
 UNCERTIFIABLE_QP = QpProblem(0.1 * np.eye(2), np.zeros(2), [[1e-159, 1e-159]], [1.0])
 
 
-def uncertified_from(step: int, real_control):
-    """A virtual_control that from its call number `step` (counting from 0)
+def uncertified_from(step: int, real_solve):
+    """A solve_rows that from its call number `step` (counting from 0)
     solves UNCERTIFIABLE_QP instead, and so raises QpCertificationError."""
     calls = []
 
-    def control(c, t, scenario, hint=()):
+    def solve(A, b, c, t, scenario, hint=()):
         calls.append(t)
         if len(calls) > step:
             solve_qp(UNCERTIFIABLE_QP)
-        return real_control(c, t, scenario, hint)
+        return real_solve(A, b, c, t, scenario, hint)
 
-    return control
-
-
-def cold_control(c, t, scenario, hint=()):
-    """virtual_control without the hint or the compiled solver: the full
-    enumeration of solve_qp, with virtual_control's QpInfeasibleError."""
-    A, b, h = virtual.assemble_rows(c, t, scenario)
-    problem = QpProblem(scenario.qp_cost, None, A, b)
-    solution = solve_qp(problem)
-    if solution.status == INFEASIBLE:
-        raise virtual.QpInfeasibleError(c, t, virtual._conflicting_rows(problem))
-    return solution.u_star, solution, h
+    return solve
 
 
 def make_steps_cold(monkeypatch):
     """Make every step of a run whose loop is compiled from here on miss its
-    hint, so the step loop takes each QP from simulator.virtual_control,
-    which becomes cold_control. A test may patch simulator.virtual_control
-    again, over cold_control, to inject a fault at any step."""
+    hint, so the step loop takes each QP from simulator.solve_rows, the full
+    enumeration of solve_qp. A test may patch simulator.solve_rows to inject
+    a fault at any step."""
     never = collections.defaultdict(lambda: lambda A, b: None)
-    monkeypatch.setattr(Scenario, "qp_kernel", property(lambda self: never))
-    monkeypatch.setattr(simulator, "virtual_control", cold_control)
+    monkeypatch.setattr(simulator, "compile_solver", lambda cost, d: never)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vczsim
-from conftest import bundled_benchmark_text, cold_control, uncertified_from
+from conftest import bundled_benchmark_text, uncertified_from
 from vczsim import simulator
 from vczsim.cli import EXIT_ABORT, EXIT_FAIL, EXIT_PARSE, EXIT_PASS, build_parser, main
 from vczsim.trace_io import read_trace
@@ -223,10 +223,10 @@ class TestRunCommand:
     def test_infeasible_first_qp_exits_three_with_header_only_trace(
         self, tmp_path, monkeypatch, capsys
     ):
-        def infeasible(c, t, scenario, hint):
+        def infeasible(A, b, c, t, scenario, hint=()):
             raise QpInfeasibleError(c, t, (0, 2))
 
-        monkeypatch.setattr(simulator, "virtual_control", infeasible)
+        monkeypatch.setattr(simulator, "solve_rows", infeasible)
         out_dir = tmp_path / "out"
         assert main(["run", "benchmark", "--out", str(out_dir)]) == EXIT_ABORT
         assert "aborted" in capsys.readouterr().err
@@ -238,7 +238,7 @@ class TestRunCommand:
 
     @pytest.mark.usefixtures("cold_steps")
     def test_uncertified_qp_exits_three_with_partial_trace(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(simulator, "virtual_control", uncertified_from(5, cold_control))
+        monkeypatch.setattr(simulator, "solve_rows", uncertified_from(5, simulator.solve_rows))
         out_dir = tmp_path / "out"
         assert main(["run", "benchmark", "--out", str(out_dir), "--dt", "0.01"]) == EXIT_ABORT
         assert "aborted: qp_uncertified at t = 0.05" in capsys.readouterr().err

@@ -6,7 +6,8 @@ emitter (plant.emit_rk4) bitwise the RK4 step of simulator._rk4 through
 plant_derivative, each compiled here as one function as the loop would hold
 it, and a run, through Scenario.loop_kernel, bitwise oracles.reference_run,
 on any mix of obstacle kinds and plants in n = 1, 2 and 3. The reference
-step shares no generated row or RK4 code with the loop.
+step shares no generated row or RK4 code with the loop, and a run calls no
+function of the reference step.
 """
 
 import functools
@@ -19,11 +20,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import reference_run
-from vczsim import barriers, plant as plant_module, simulator
+from vczsim import barriers, plant as plant_module, simulator, virtual
 from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, TimeDomainError, emit_rows
 from vczsim.confinement import ConfinementLaw
 from vczsim.exprs import Constants, compile_exprs, parse_expr, straight_line, tree_emitter, unpack
 from vczsim.plant import POSITIVE_DEFINITE, PlantModel, catalog_plant, emit_rk4, expression_plant
+from vczsim.qp import compile_solver
 from vczsim.scenario import Scenario, validate
 from vczsim.scenario_io import benchmark_scenario, load_scenario
 from vczsim.simulator import SimulationAbort, _rk4, run
@@ -187,14 +189,14 @@ def test_kernels_are_compiled_in_the_first_step_not_when_parsed():
     scenario = load_scenario(CROWDED_3D)
     assert validate(scenario).all_passed
     kernels = {name for name, value in vars(Scenario).items() if isinstance(value, functools.cached_property)}
-    assert kernels == {"loop_kernel", "qp_kernel"}
+    assert kernels == {"loop_kernel"}
     assert not kernels & set(vars(scenario))
     short = scenario.with_overrides(dt=0.01)
     run(short, check=False)
-    # A run's hint misses take their rows from the plain reference step, so
-    # no other kernel is compiled or cached.
+    # A run's hint misses solve the loop's own rows, so no other kernel is
+    # compiled or cached.
     assert kernels <= set(vars(short))
-    assert not hasattr(Scenario, "rows_kernel") and not hasattr(Scenario, "rk4_kernel")
+    assert not any(hasattr(Scenario, name) for name in ("qp_kernel", "rows_kernel", "rk4_kernel"))
 
 
 def test_kernels_hold_no_input_text():
@@ -221,15 +223,15 @@ def test_qp_kernel_holds_no_input_text_and_shares_code_by_shape():
     # The cost's numbers are closure constants: the literals are the fixed
     # ones of the templates, and a cost of the same shape reuses the code.
     scenario = benchmark_scenario().with_overrides(qp_h=np.array([[2.0, 0.3], [0.3, 1.5]]), qp_f=np.array([0.7, -0.2]))
-    other = benchmark_scenario()
+    kernel, other = (compile_solver(s.qp_cost, s.barrier_count) for s in (scenario, benchmark_scenario()))
     sets = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
-    for fn in [scenario.qp_kernel[w] for w in sets] + [scenario.qp_kernel.certificate]:
+    for fn in [kernel[w] for w in sets] + [kernel.certificate]:
         code = fn.__code__
         assert code.co_names == ()
         for c in code.co_consts:
             assert c in (None, 0, 1.0, -1.0) or isinstance(c, tuple) and all(x in range(3) for x in c), c
     for w in sets:
-        assert scenario.qp_kernel[w].__code__ is other.qp_kernel[w].__code__
+        assert kernel[w].__code__ is other[w].__code__
 
 
 def outcome(runner, scenario):
@@ -294,6 +296,7 @@ SQUEEZE = scenario_of(catalog_plant("integrator", 2), [Obstacle.static([5.0, 0.0
 @example(SQUEEZE)  # QP infeasible at t = 0.25
 @example(OVERFLOW)
 @example(load_scenario(CROWDED_3D).with_overrides(t_f=0.5, dt=0.01))
+@example(load_scenario(CROWDED_3D).with_overrides(dt=0.02))  # path obstacles over 10 s, with misses
 def test_run_is_bitwise_the_reference_loop(scenario):
     assert outcome(lambda s: run(s, check=False), scenario) == outcome(reference_run, scenario)
 
@@ -313,3 +316,49 @@ def test_reference_step_shares_no_generated_code_with_the_loop(monkeypatch):
         references = [outcome(reference_run, make()) for make in fresh]
     assert all(isinstance(end, dict) for *_, end in references)  # finished, no abort
     assert references == [outcome(lambda s: run(s, check=False), make()) for make in fresh]
+
+
+def test_run_calls_no_reference_step_function(monkeypatch):
+    # The mirror of the test above: with every function of the plain
+    # reference step raising, run still gives its usual outcome, hint misses
+    # and an infeasible QP's abort with its conflicting rows included.
+    fresh = (lambda: benchmark_scenario(dt=0.01), lambda: load_scenario(CROWDED_3D).with_overrides(dt=0.02),
+             lambda: replace(SQUEEZE))
+    expected = [outcome(lambda s: run(s, check=False), make()) for make in fresh]
+
+    def unavailable(*args):
+        raise AssertionError("run called the reference step")
+
+    reference = ((virtual, "assemble_rows"), (virtual, "eval_avoidance"), (virtual, "eval_reach"),
+                 (barriers, "eval_avoidance"), (barriers, "eval_reach"), (virtual, "virtual_control"),
+                 (simulator, "virtual_control"), (simulator, "_controls"), (simulator, "_rk4"),
+                 (plant_module, "plant_derivative"), (simulator, "plant_derivative"), (simulator._Recorder, "add"))
+    misses = []
+    real_solve = simulator.solve_rows
+
+    def solve(*args):
+        misses.append(None)
+        return real_solve(*args)
+
+    with monkeypatch.context() as patch:
+        for owner, name in reference:
+            patch.setattr(owner, name, unavailable)
+        patch.setattr(simulator, "solve_rows", solve)
+        assert [outcome(lambda s: run(s, check=False), make()) for make in fresh] == expected
+    # Each run's first step misses its empty hint; more misses come later.
+    assert [type(end) for *_, end in expected] == [dict, dict, tuple] and len(misses) > 3
+    assert "conflicting rows (by barrier index): [0, 1]" in expected[2][3][2]
+
+
+def test_array_and_list_paths_give_bitwise_equal_runs():
+    # A plain-callable path reaches the rows as Python floats, whatever
+    # numbers the callable returns. The obstacle bends the centre's path.
+    p, w = [6.0, 6.1], [1e-3, -1e-3]
+    paths = (lambda t: np.array(p) + np.array(w) * t * t, lambda t: [p_i + w_i * t * t for p_i, w_i in zip(p, w)])
+    outcomes = []
+    for path in paths:
+        scenario = scenario_of(catalog_plant("integrator", 2), [Obstacle.custom(path, 0.5)]).with_overrides(dt=0.01)
+        A, b, h = assemble_rows([0.0, 0.0], 0.5, scenario)
+        assert {type(v) for v in (*A[0], *A[1], *b, *h)} == {float}
+        outcomes.append(outcome(lambda s: run(s, check=False), scenario))
+    assert outcomes[0] == outcomes[1] and isinstance(outcomes[0][3], dict)

@@ -106,13 +106,13 @@ def test_campaign_scenario_round_trips_through_its_file(seed, digest):
 
 @pytest.mark.usefixtures("cold_steps")
 def test_uncertified_seed_is_counted_and_the_others_kept(monkeypatch):
-    real = simulator.virtual_control
+    real = simulator.solve_rows
     uncertified = uncertified_from(100, real)
 
-    def control(c, t, scenario, hint=()):
-        return (uncertified if scenario.seed == 2025 else real)(c, t, scenario, hint)
+    def solve(A, b, c, t, scenario, hint=()):
+        return (uncertified if scenario.seed == 2025 else real)(A, b, c, t, scenario, hint)
 
-    monkeypatch.setattr(simulator, "virtual_control", control)
+    monkeypatch.setattr(simulator, "solve_rows", solve)
     summary = run_campaign(count=3, base_seed=2024, dt=1e-2)
     assert [r.status for r in summary.runs] == ["completed", QP_UNCERTIFIED, QP_INFEASIBLE]
     assert summary.runs[1].detail == "aborted at t = 1.000"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import cold_control, make_steps_cold, uncertified_from
+from conftest import make_steps_cold, uncertified_from
 from oracles import barrier_values
 from vczsim import exprs, plant, qp, scenario_io, simulator, virtual
 from vczsim.barriers import Obstacle, ShrinkSchedule, TargetSet
@@ -232,7 +232,7 @@ class TestRun:
 
     @pytest.mark.usefixtures("cold_steps")
     def test_uncertified_qp_aborts_with_partial_trace(self, monkeypatch):
-        monkeypatch.setattr(simulator, "virtual_control", uncertified_from(25, cold_control))
+        monkeypatch.setattr(simulator, "solve_rows", uncertified_from(25, simulator.solve_rows))
         with pytest.raises(SimulationAbort) as exc_info:
             run(benchmark_scenario(dt=0.01))
         abort = exc_info.value
@@ -325,25 +325,25 @@ class TestBarrierPass:
     def test_each_barrier_evaluated_once_per_step(self, monkeypatch):
         parsed = parse_scenario(PATH_OBSTACLE_TEXT)
         assert parsed.obstacles[0].kind == "custom"
-        # The step loop evaluates every barrier once a step, and virtual_control
-        # once more on a step whose hint misses. An obstacle of plain callables
+        # The step loop evaluates every barrier once a step, and a step whose
+        # hint misses solves those same rows. An obstacle of plain callables
         # shows the count, as its velocity is a call that only the rows make.
         calls, misses = [], []
-        parsed_obstacle, real_control = parsed.obstacles[0], simulator.virtual_control
+        parsed_obstacle, real_solve = parsed.obstacles[0], simulator.solve_rows
 
         def velocity(t):
             calls.append(t)
             return parsed_obstacle.velocity_path(t)
 
-        def control(*args):
+        def solve(*args):
             misses.append(None)
-            return real_control(*args)
+            return real_solve(*args)
 
         obstacle = Obstacle(parsed_obstacle.center_path, velocity, parsed_obstacle.radius, "custom")
         scenario = replace(parsed, obstacles=(obstacle,))
-        monkeypatch.setattr(simulator, "virtual_control", control)
+        monkeypatch.setattr(simulator, "solve_rows", solve)
         trace, _ = run(scenario, check=False)
-        assert len(calls) == len(trace) + len(misses) and len(misses) < 0.05 * len(trace)
+        assert len(calls) == len(trace) and 0 < len(misses) < 0.05 * len(trace)
         monkeypatch.undo()
         for k in range(len(trace)):
             assert np.array_equal(trace.h[k], barrier_values(trace.c[k], trace.t[k], scenario))

@@ -13,8 +13,9 @@ from conftest import loop_solve_qp, solution_bits
 from oracles import barrier_values, brute_force_qp
 from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, eval_avoidance, eval_reach
 from vczsim.confinement import ConfinementLaw
+from vczsim.exprs import dot
 from vczsim.plant import catalog_plant
-from vczsim import qp, virtual
+from vczsim import qp, simulator, virtual
 from vczsim.qp import INFEASIBLE, QpCertificationError, QpInputError, QpProblem, compile_solver, solve_qp
 from vczsim.simulator import run
 from vczsim.scenario import Scenario, uniform_alphas
@@ -221,7 +222,7 @@ def cbf_qps(draw):
 
 
 class TestCompiledPath:
-    """virtual_control solves through solve_qp on the scenario's compiled
+    """virtual_control solves through solve_qp on the cost's compiled
     working-set functions, the hint's first, as the step loop's hinted call
     does: the outcome is bitwise that of the loop solver of tests/oracles.py."""
 
@@ -232,7 +233,7 @@ class TestCompiledPath:
         # skipped or failing; each gives the loop solver's answer.
         cost, A, b = problem
         kernel = compile_solver(cost, len(A))
-        scenario = SimpleNamespace(qp_cost=cost, qp_kernel=kernel)
+        scenario = SimpleNamespace(qp_cost=cost)
         reference = outcome(lambda: loop_solve_qp(QpProblem(cost, None, A, b), hint))
         assert outcome(lambda: solve_qp(QpProblem(cost, None, A, b), hint)) == reference
         with mock.patch.object(virtual, "assemble_rows", lambda c, t, scenario: (A, b, [])):
@@ -247,7 +248,7 @@ class TestCompiledPath:
     def test_non_finite_rows_raise_through_the_fallback(self, monkeypatch):
         cost = BENCH.qp_cost
         kernel = compile_solver(cost, 2)
-        scenario = SimpleNamespace(qp_cost=cost, qp_kernel=kernel)
+        scenario = SimpleNamespace(qp_cost=cost)
         for A, b in (([[1.0, math.nan], [0.0, 1.0]], [0.0, 0.0]), ([[1.0, 0.0], [0.0, 1.0]], [math.inf, 0.0])):
             assert kernel[(0,)](A, b) is None and kernel[()](A, b) is None
             monkeypatch.setattr(virtual, "assemble_rows", lambda c, t, scenario: (A, b, []))
@@ -262,50 +263,57 @@ class TestCompiledPath:
         assert sorted(kernel) == [(), (0, 2)]
         assert kernel[(5,)] is kernel[()] and kernel[(2, 0, 2)] is kernel[(0, 2)]
         u_c, solution, _ = virtual_control([0.0, 0.0], 0.0, BENCH, [2])  # any sequence is a hint
-        assert solution.support == (2,) and (2,) in BENCH.qp_kernel
+        assert solution.support == (2,) and (2,) in kernel
 
     @pytest.mark.usefixtures("fresh_solvers")
     def test_enumeration_compiles_no_skipped_working_set(self, monkeypatch):
         # A working set that holds no row u0 = -v violates is skipped and
-        # never compiled: every key of qp_kernel is a hint, or holds such a
-        # row of the fallback QP that compiled it.
+        # never compiled: every set a fallback compiles holds such a row of
+        # its QP, or is the empty set, and every other compiled set is a hint
+        # of the step loop.
         scenario = load_scenario(CROWDED_3D).with_overrides(dt=1e-2)
-        hints, compiled_by = [], {}
-        real_control, real_solve = virtual_control, virtual.solve_qp
+        hints, compiled_by = recorded_hints(monkeypatch), {}
+        real_solve = virtual.solve_qp
 
-        def control(c, t, scenario, hint=()):
-            hints.append(tuple(hint))
-            return real_control(c, t, scenario, hint)
-
-        def solve(problem, hint, kernel):
+        def solve(problem, hint=()):
+            kernel = compile_solver(problem.cost, problem.d)
             before = set(kernel)
             try:
-                return real_solve(problem, hint, kernel)
+                return real_solve(problem, hint)
             finally:
                 compiled_by.update(dict.fromkeys(set(kernel) - before, problem))
 
-        monkeypatch.setattr("vczsim.simulator.virtual_control", control)
         monkeypatch.setattr(virtual, "solve_qp", solve)
         run(scenario, check=False)
         assert compiled_by  # the run enumerates working sets on its fallbacks
         v = scenario.qp_cost.v
-        for working in set(scenario.qp_kernel) - set(hints):
-            problem = compiled_by[working]
-            assert any(-qp._dot(problem.rows[i], v) < problem.rhs[i] for i in working), working
+        for working, problem in compiled_by.items():
+            assert not working or any(-dot(problem.rows[i], v) < problem.rhs[i] for i in working), working
+        assert set(compile_solver(scenario.qp_cost, scenario.barrier_count)) <= set(hints) | set(compiled_by)
 
     @pytest.mark.usefixtures("fresh_solvers")
     def test_a_benchmark_run_compiles_only_the_working_sets_it_uses(self, monkeypatch):
         scenario = benchmark_scenario().with_overrides(dt=1e-2)
-        hints = []
-        real = virtual_control
-
-        def recording(c, t, scenario, hint=()):
-            hints.append(hint)
-            return real(c, t, scenario, hint)
-
-        monkeypatch.setattr("vczsim.simulator.virtual_control", recording)
+        hints = recorded_hints(monkeypatch)
         run(scenario, check=False)
         # m = 2 and d = 3 allow 7 working sets; the run's hints are the
         # supports it certified, the first step's empty set included.
-        assert set(scenario.qp_kernel) == set(hints)
-        assert len(scenario.qp_kernel) < 7
+        kernel = compile_solver(scenario.qp_cost, scenario.barrier_count)
+        assert set(kernel) == set(hints)
+        assert len(kernel) < 7
+
+
+def recorded_hints(monkeypatch):
+    """The hints that the step loops compiled from here on look up, in order."""
+    hints = []
+
+    class Recording:
+        def __init__(self, kernel):
+            self.kernel = kernel
+
+        def __getitem__(self, hint):
+            hints.append(tuple(hint))
+            return self.kernel[hint]
+
+    monkeypatch.setattr(simulator, "compile_solver", lambda cost, d: Recording(compile_solver(cost, d)))
+    return hints
