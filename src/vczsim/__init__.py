@@ -52,8 +52,4 @@ from .simulator import (
     verify_trace,
 )
 from .trace_io import read_trace, write_trace
-from .virtual import (
-    QpInfeasibleError,
-    assemble_rows,
-    virtual_control,
-)
+from .virtual import QpInfeasibleError

@@ -208,16 +208,12 @@ class ShrinkSchedule:
         if not math.isfinite(self.r_start):
             raise SettingError(f"r_start must be finite, got {self.r_start}", "r_start")
 
-    def band(self) -> tuple[float, float]:
-        """The times radius_at accepts. Integrator endpoints and
-        finite-difference probes graze the horizon; the affine formula
-        extrapolates exactly, so the band is a little wider than [0, t_f]."""
-        tol = 1e-5 * max(1.0, self.t_f)
-        return -tol, self.t_f + tol
-
     def radius_at(self, t: float) -> float:
-        lo, hi = self.band()
-        if t < lo or t > hi:
+        """The radius at t; raises TimeDomainError outside [0, t_f] widened by
+        1e-5 max(1, t_f), where integrator endpoints and finite-difference
+        probes graze the horizon and the affine formula extrapolates exactly."""
+        tol = 1e-5 * max(1.0, self.t_f)
+        if t < -tol or t > self.t_f + tol:
             raise TimeDomainError(f"t = {t} outside [0, {self.t_f}]")
         return (self.r_end - self.r_start) * (t / self.t_f) + self.r_start
 
@@ -277,8 +273,9 @@ def emit_rows(lines, k, emit, c, t: str, obstacles, r_c: float, target_point, sc
     trees emits them (`emit`, a tree_emitter on `lines` and `k`) at t, t + h
     and t - h, its velocity the central difference (hi - lo) / (2h) of
     Obstacle.custom; one without calls center_path and velocity_path once
-    each. The reach radius is ShrinkSchedule.radius_at's formula, and
-    radius_at itself is called only outside its band, where it raises."""
+    each. The reach radius is ShrinkSchedule.radius_at's formula without its
+    horizon check: the caller's `t` must lie in [0, t_f], as the step loop's
+    pass times do (simulator._step_counts)."""
     n = len(target_point)
     ahead, behind = f"{t}_ahead", f"{t}_behind"
     if any(obs.trees is not None for obs in obstacles):
@@ -311,8 +308,6 @@ def emit_rows(lines, k, emit, c, t: str, obstacles, r_c: float, target_point, sc
     j = len(obstacles)
     delta = [f"d{j}_{i}" for i in range(n)]
     lines += [f"{d} = {c_i} - {k(p)}" for d, c_i, p in zip(delta, c, target_point)]
-    lo, hi = schedule.band()
-    lines.append(f"if {t} < {k(lo)} or {t} > {k(hi)}: {k(schedule.radius_at)}({t})")
     span, t_f, r_start = k(schedule.r_end - schedule.r_start), k(schedule.t_f), k(schedule.r_start)
     lines.append(f"r = {span} * ({t} / {t_f}) + {r_start}")
     lines.append(f"h{j} = r * r - {fold(f'{d} * {d}' for d in delta)}")

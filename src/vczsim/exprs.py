@@ -174,24 +174,14 @@ def compile_exprs(exprs, params, packed: bool = False):
     `packed`, it takes one sequence `x` of the params' values instead and
     unpacks it in its first line. Only `_VAR_RE` names and fixed operator text
     reach `compile()`; literals are closure constants. The body is
-    tree_emitter's, and a tuple of constants is built once, as a constant."""
+    tree_emitter's, and each output tuple is a display of its entries' names."""
     if not all(_VAR_RE.fullmatch(p) for p in params):
         raise ExprError(f"bad argument names {list(params)}")
     const, lines = Constants(), [unpack(params, "x")] if packed else []
     emit, args = tree_emitter(lines, const), {p: p for p in params}
 
-    def constant(item):
-        """The value of a nest of lists of number trees, else None."""
-        if isinstance(item, tuple):
-            return float(item[1]) if item[0] == "num" else None
-        values = [constant(i) for i in item]
-        return None if None in values else tuple(values)
-
     def out(item):
-        if isinstance(item, tuple):
-            return emit(item, args)
-        value = constant(item)
-        return const(value) if value is not None else tuple_of(map(out, item))
+        return emit(item, args) if isinstance(item, tuple) else tuple_of(map(out, item))
 
     return straight_line(("x",) if packed else params, lines, out(exprs), const)
 

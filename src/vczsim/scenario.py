@@ -165,11 +165,22 @@ class ValidationReport:
         return "\n".join(lines + [verdict])
 
 
+def _centers(index: int, obs: Obstacle, ts) -> np.ndarray:
+    """obs.centers(ts) of obstacle `index`, where a path that raises where it
+    is sampled or gives a non-finite centre raises SampleError naming it."""
+    name = f"obstacle {index + 1} path"
+    centers = sampled(name, obs.centers, ts)
+    finite = np.isfinite(centers)
+    if not finite.all():
+        raise SampleError(f"{name} is not finite at t = {ts[int(np.argmin(finite.all(axis=1)))]:.6g}")
+    return centers
+
+
 def workspace_box(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned box covering everything the run can touch, padded by at least 2."""
     pts = [scenario.x0, scenario.target.center]
     for i, obs in enumerate(scenario.obstacles):
-        pts.extend(sampled(f"obstacle {i + 1} path", obs.centers, np.linspace(0.0, scenario.t_f, 16)))
+        pts.extend(_centers(i, obs, np.linspace(0.0, scenario.t_f, 16)))
     pts = np.array(pts)
     spread = max(
         2.0,
@@ -199,17 +210,17 @@ def validate(scenario: Scenario, time_samples: int = 1001) -> ValidationReport:
     orderings between target, confinement, and shrink schedule, V5 sampled
     sign-definiteness and finiteness of the plant maps. An obstacle path or
     plant map that raises ValueError or ArithmeticError where a check samples
-    it fails that check.
+    it fails that check, as does an obstacle path with a non-finite centre
+    there.
     """
     if time_samples < 2:
         raise ValueError("time_samples must be >= 2")
     grid = np.linspace(0.0, scenario.t_f, time_samples)
     obstacles = scenario.obstacles
-    paths = [f"obstacle {i + 1} path" for i in range(len(obstacles))]
 
     def separation():
         # V1: ||b_i(t) - b_j(t)|| >= 2 r_c + r_i + r_j for every pair, all t.
-        centers = [sampled(path, obs.centers, grid) for path, obs in zip(paths, obstacles)]
+        centers = [_centers(i, obs, grid) for i, obs in enumerate(obstacles)]
         margin, time = math.inf, None
         for i in range(len(obstacles)):
             for j in range(i + 1, len(obstacles)):
@@ -223,18 +234,18 @@ def validate(scenario: Scenario, time_samples: int = 1001) -> ValidationReport:
     def target_clear():
         # V2: at t_f the target ball is obstacle-free.
         margin = math.inf
-        for path, obs in zip(paths, obstacles):
+        for i, obs in enumerate(obstacles):
             need = obs.radius + scenario.target.radius
-            center = sampled(path, obs.center, scenario.t_f)
+            center = _centers(i, obs, [scenario.t_f])[0]
             margin = min(margin, float(np.linalg.norm(center - scenario.target.center) - need))
         return margin >= 0, margin, scenario.t_f
 
     def initial_clearance():
         # V3: initial state outside every inflated obstacle.
         margin = math.inf
-        for path, obs in zip(paths, obstacles):
+        for i, obs in enumerate(obstacles):
             need = obs.radius + scenario.r_c
-            margin = min(margin, float(np.linalg.norm(scenario.x0 - sampled(path, obs.center, 0.0)) - need))
+            margin = min(margin, float(np.linalg.norm(scenario.x0 - _centers(i, obs, [0.0])[0]) - need))
         return margin >= 0, margin, 0.0
 
     def sign_class():

@@ -35,7 +35,7 @@ from .barriers import emit_rows
 from .confinement import confinement_control
 from .exprs import Constants, straight_line, tree_emitter, unpack
 from .plant import emit_rk4, plant_derivative
-from .qp import QpCertificationError, compile_solver
+from .qp import QpCertificationError, QpInputError, compile_solver
 from .scenario import (
     CheckResult,
     Scenario,
@@ -72,6 +72,14 @@ class SimTrace:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @classmethod
+    def of_records(cls, records, n: int, d: int, qp_status, scenario_hash: str, dt: float,
+                   version: str = __version__) -> "SimTrace":
+        """The trace of an (N, 4n + d + 3) array of records, each t, x, c, u,
+        u_c, h, e_hat and qp_kkt, as views of its columns."""
+        t, x, c, u, u_c, h, e_hat, kkt = np.split(records, np.cumsum([1, n, n, n, n, d, 1]), axis=1)
+        return cls(t[:, 0], x, c, u, u_c, h, e_hat[:, 0], tuple(qp_status), kkt[:, 0], scenario_hash, dt, version)
 
 
 @dataclass(frozen=True)
@@ -161,14 +169,7 @@ class _Recorder:
     def trace(self) -> SimTrace:
         n, d = self.scenario.n, self.scenario.barrier_count
         records = np.frombuffer(self.records).reshape(-1, 4 * n + d + 3)
-        t, x, c, u, u_c, h, e_hat, kkt = np.split(records, np.cumsum([1, n, n, n, n, d, 1]), axis=1)
-        return SimTrace(
-            t=t[:, 0], x=x, c=c, u=u, u_c=u_c, h=h, e_hat=e_hat[:, 0],
-            qp_status=tuple(self.status),
-            qp_kkt=kkt[:, 0],
-            scenario_hash=self.hash,
-            dt=self.scenario.dt,
-        )
+        return SimTrace.of_records(records, n, d, self.status, self.hash, self.scenario.dt)
 
 
 def compile_loop(scenario: Scenario):
@@ -236,12 +237,13 @@ def run(scenario: Scenario, check: bool = True) -> tuple[SimTrace, RunMetrics]:
 
     def miss(A, b, c, t: float):
         """solve_rows on the step's rows, without the hint that has just
-        failed on them; its errors abort the run."""
+        failed on them; its errors abort the run, rows that are not finite
+        (QpInputError) as an uncertified QP."""
         try:
             return solve_rows(A, b, c, t, scenario)
         except QpInfeasibleError as exc:
             raise SimulationAbort(QP_INFEASIBLE, t, recorder.trace(), str(exc)) from exc
-        except QpCertificationError as exc:
+        except (QpCertificationError, QpInputError) as exc:
             raise SimulationAbort(QP_UNCERTIFIED, t, recorder.trace(), str(exc)) from exc
 
     breach = scenario.loop_kernel(x, recorder.records.extend, recorder.status.append, miss)

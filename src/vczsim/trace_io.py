@@ -18,13 +18,13 @@ TRACE_FLOAT_FMT = "%.17g"
 _CHUNK_ROWS = 256
 
 
-def _header(n: int, m: int, d: int) -> list[str]:
+def _header(n: int, d: int) -> list[str]:
     return (
         ["t"]
         + [f"x{i+1}" for i in range(n)]
         + [f"c{i+1}" for i in range(n)]
         + [f"u{i+1}" for i in range(n)]
-        + [f"uc{i+1}" for i in range(m)]
+        + [f"uc{i+1}" for i in range(n)]
         + [f"h{i+1}" for i in range(d)]
         + ["e_hat", "qp_status", "qp_kkt"]
     )
@@ -34,7 +34,7 @@ def write_trace(trace: SimTrace, path, decimate: int = 1) -> None:
     """Delimited text export; decimation thins rows for output only."""
     if decimate < 1:
         raise ValueError("decimate must be >= 1")
-    header = _header(trace.x.shape[1], trace.u_c.shape[1], trace.h.shape[1])
+    header = _header(trace.x.shape[1], trace.h.shape[1])
     keep = list(range(0, len(trace), decimate))
     if keep and keep[-1] != len(trace) - 1:
         keep.append(len(trace) - 1)
@@ -72,23 +72,16 @@ def read_trace(path) -> SimTrace:
             else:
                 body.append(line)
     n = sum(1 for name in header if name.startswith("x"))
-    m = sum(1 for name in header if name.startswith("uc"))
     d = sum(1 for name in header if name.startswith("h") and name != "e_hat")
     if not body:
         raise ValueError(f"no trace data in {path}")
-    if header != _header(n, m, d):
+    if header != _header(n, d):
         raise ValueError(f"{path}: unexpected header {','.join(header)}")
     width = len(header)
     if any(line.count(",") != width - 1 for line in body):
         raise ValueError(f"{path}: a row's width is not the header's {width} columns")
     usecols = [*range(width - 2), width - 1]  # all but qp_status
     data = np.loadtxt(body, delimiter=",", comments=None, usecols=usecols, ndmin=2)
-    t, x, c, u, u_c, h, e_hat, kkt = np.split(data, np.cumsum([1, n, n, n, m, d, 1]), axis=1)
-    return SimTrace(
-        t=t[:, 0], x=x, c=c, u=u, u_c=u_c, h=h, e_hat=e_hat[:, 0],
-        qp_status=tuple(line.rsplit(",", 2)[-2] for line in body),
-        qp_kkt=kkt[:, 0],
-        scenario_hash=meta.get("scenario_hash", ""),
-        dt=float(meta.get("dt", "nan")),
-        version=meta.get("version", ""),
-    )
+    status = (line.rsplit(",", 2)[-2] for line in body)
+    return SimTrace.of_records(data, n, d, status, meta.get("scenario_hash", ""), float(meta.get("dt", "nan")),
+                               meta.get("version", ""))

@@ -173,7 +173,7 @@ def reference_run(scenario):
             u, u_c, solution, h = simulator._controls(t_k, c, e, gap, scenario, hint)
         except simulator.QpInfeasibleError as exc:
             raise simulator.SimulationAbort(simulator.QP_INFEASIBLE, t_k, recorder.trace(), str(exc)) from exc
-        except QpCertificationError as exc:
+        except (QpCertificationError, QpInputError) as exc:
             raise simulator.SimulationAbort(simulator.QP_UNCERTIFIED, t_k, recorder.trace(), str(exc)) from exc
         recorder.add(t_k, x, c, gap, u, u_c, solution, h)
         hint = solution.support

@@ -56,6 +56,9 @@ RAISING_MAPS = {
 }
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
 @pytest.fixture
 def benchmark_file(tmp_path):
     path = tmp_path / "benchmark.scn"
@@ -150,6 +153,17 @@ class TestValidateCommand:
         if command == "run":
             assert (out_dir / "validation.txt").read_text() == report
             assert not (out_dir / "trace.csv").exists()
+
+    @pytest.mark.parametrize("term", ["(* 1e300 1e300 0)", "(* 1e300 1e300 t)"])  # NaN, then inf for t > 0
+    def test_non_finite_path_fails_its_checks(self, tmp_path, capsys, term):
+        path = tmp_path / "non_finite.scn"
+        path.write_text((DATA / "nan_path.scn").read_text().replace("(* 1e300 1e300 0)", term))
+        assert main(["validate", str(path)]) == EXIT_FAIL
+        report = capsys.readouterr().out
+        for check in ("V1", "V2", "V3", "V4", "V5"):
+            line = next(line for line in report.splitlines() if line.startswith(f"{check}:"))
+            failed = "FAIL  worst margin -inf" in line and "obstacle 3 path is not finite at t = " in line
+            assert failed == (check != "V4"), line
 
 
 class TestCountArguments:

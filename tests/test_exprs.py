@@ -219,12 +219,11 @@ class TestCompile:
         fn = compile_exprs(parse_expr_sequence("(* -0.0 x1) (* 0.0 x1) (- -0.0) (- 0.0)"), ("x1",))
         assert [math.copysign(1.0, v) for v in fn(1.0)] == [-1.0, 1.0, 1.0, -1.0]
 
-    def test_constant_outputs_are_built_once(self):
+    def test_constant_outputs_keep_their_values(self):
         fn = compile_exprs(parse_expr_rows("0.8 0.0 ; 0.0 0.5"), ("x1", "x2"), packed=True)
-        assert fn([1.0, 2.0]) is fn([3.0, 4.0]) == ((0.8, 0.0), (0.0, 0.5))
+        assert fn([1.0, 2.0]) == fn([3.0, 4.0]) == ((0.8, 0.0), (0.0, 0.5))
         mixed = compile_exprs(parse_expr_rows("0.8 x1 ; 0.0 0.5"), ("x1", "x2"), packed=True)
         assert mixed([1.0, 2.0]) == ((0.8, 1.0), (0.0, 0.5))
-        assert mixed([1.0, 2.0])[1] is mixed([3.0, 4.0])[1]
 
     def test_literals_are_not_source_text(self):
         fn = compile_exprs([("num", v) for v in (math.inf, math.nan, 1e999, -0.0)], ())

@@ -135,9 +135,22 @@ def test_rows_kernel_sees_obstacles_exactly_on_the_centre():
 
 def test_reach_row_still_checks_the_horizon():
     scenario = benchmark_scenario()
-    for rows in (rows_kernel(scenario), functools.partial(assemble_rows, scenario=scenario)):
-        with pytest.raises(TimeDomainError):
-            rows([0.0, 0.0], scenario.t_f + 1.0)
+    with pytest.raises(TimeDomainError):
+        assemble_rows([0.0, 0.0], scenario.t_f + 1.0, scenario)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(1e-12, 1e4), st.floats(1e-7, 1e2))
+@example(10.0, 1e-3)
+@example(1.0, 0.3)
+@example(1e-13, 1.0)
+def test_loop_pass_times_lie_in_the_horizon(t_f, dt):
+    # emit_rows writes the reach radius without radius_at's horizon check, so
+    # the loop's pass times, done * dt for done < count and then t_f, must lie
+    # in [0, t_f]. done * dt grows with done: the last one is the largest.
+    # The ranges allow up to 1e11 steps.
+    count, _, _ = simulator._step_counts(t_f, dt)
+    assert count == 0 or 0.0 <= (count - 1) * dt <= t_f
 
 
 def _expression_plant(n, coeffs):

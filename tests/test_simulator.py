@@ -241,6 +241,19 @@ class TestRun:
         assert "no candidate certifies" in abort.detail
         assert abort.trace.t[-1] == 0.24 and set(abort.trace.qp_status) == {"optimal"}
 
+    def test_non_finite_rows_abort_as_uncertified(self):
+        # A path that leaves the floats at t = 0.05 makes that step's rows
+        # non-finite; the run and its reference abort with the trace so far.
+        far = Obstacle.custom(lambda t: [math.inf if t >= 0.05 else 50.0, 50.0], 0.5)
+        scenario = quiet_scenario(obstacles=(far,), alphas=uniform_alphas(2), dt=0.01)
+        for runner in (lambda s: run(s, check=False), oracles.reference_run):
+            with pytest.raises(SimulationAbort) as exc_info:
+                runner(scenario)
+            abort = exc_info.value
+            assert (abort.reason, abort.t, len(abort.trace)) == (QP_UNCERTIFIED, 0.05, 5)
+            assert isinstance(abort.__cause__, qp.QpInputError)
+            assert "must be finite" in abort.detail
+
     def test_qp_infeasible_aborts_with_partial_trace(self):
         # an obstacle dead ahead of a fast-shrinking ball pinches the center
         squeeze = Scenario(

@@ -91,6 +91,17 @@ def test_read_back_is_bitwise(tmp_path_factory, trace):
     )
 
 
+def test_uc_width_must_be_the_state_width(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(make_trace(2, 3, 10, seed=5), path)
+    lines = path.read_text().splitlines()
+    drop = lines[3].split(",").index("uc2")
+    rows = [",".join(v for i, v in enumerate(line.split(",")) if i != drop) for line in lines[3:]]
+    path.write_text("\n".join(lines[:3] + rows) + "\n")
+    with pytest.raises(ValueError, match="unexpected header .*,u2,uc1,h1,"):
+        read_trace(path)
+
+
 def test_renamed_column_is_named_as_a_bad_header(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(make_trace(2, 3, 10, seed=5), path)
