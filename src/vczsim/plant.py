@@ -15,13 +15,12 @@ plain-callable plant's called.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .barriers import SettingError, sampled
+from .barriers import SampleError, SettingError, sampled
 from .exprs import (
     ExprError,
     compile_exprs,
@@ -189,19 +188,21 @@ def sign_class_margin(model: PlantModel, box_lo, box_hi, samples: int, seed: int
     """Worst-case eigenvalue margin of (g+g')/2 toward the declared sign.
 
     Positive margin means every sampled symmetric part has eigenvalues of the
-    declared sign; NaN/inf anywhere in f or g forces -inf. A ValueError or
-    ArithmeticError that f or g raises becomes a SampleError naming it.
+    declared sign. A value of f or g that is not finite (NaN or inf), a
+    ValueError or ArithmeticError that f or g raises, and a box too wide to
+    draw from become a SampleError naming the map or the workspace box.
     """
     rng = np.random.default_rng(seed)
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
     gs = []
     # The draws of one rng.uniform(lo, hi) per sample, as Python floats, the maps' input in a step.
-    for x in rng.uniform(lo, hi, size=(samples, lo.size)).tolist():
+    for x in sampled("workspace box", rng.uniform, lo, hi, (samples, lo.size)).tolist():
         g = np.asarray(sampled("plant g", model.input_map, x), dtype=float)
         f = np.asarray(sampled("plant f", model.drift, x), dtype=float)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(f))):
-            return -math.inf
+        for name, value in (("plant g", g), ("plant f", f)):
+            if not np.all(np.isfinite(value)):
+                raise SampleError(f"{name} is not finite at x = ({', '.join(f'{v:.6g}' for v in x)})")
         gs.append(g)
     g = np.array(gs)
     eigs = np.linalg.eigvalsh(0.5 * (g + g.transpose(0, 2, 1)))

@@ -21,8 +21,6 @@ from .confinement import ConfinementLaw
 from .plant import NEGATIVE_DEFINITE, POSITIVE_DEFINITE, PlantModel, sign_class_margin
 from .qp import QpCost, QpInputError, _cost
 
-MANDATORY_CHECKS = ("V1", "V2", "V3", "V4", "V5")
-
 
 class ScenarioInvalidError(RuntimeError):
     """A mandatory precondition check failed; the run was refused."""
@@ -210,8 +208,8 @@ def validate(scenario: Scenario, time_samples: int = 1001) -> ValidationReport:
     orderings between target, confinement, and shrink schedule, V5 sampled
     sign-definiteness and finiteness of the plant maps. An obstacle path or
     plant map that raises ValueError or ArithmeticError where a check samples
-    it fails that check, as does an obstacle path with a non-finite centre
-    there.
+    it, or gives a value that is not finite there, fails that check, as does
+    a workspace box too wide to sample (V5).
     """
     if time_samples < 2:
         raise ValueError("time_samples must be >= 2")
@@ -231,30 +229,22 @@ def validate(scenario: Scenario, time_samples: int = 1001) -> ValidationReport:
                     margin, time = float(dist[k]), float(grid[k])
         return margin >= 0, margin, time
 
-    def target_clear():
-        # V2: at t_f the target ball is obstacle-free.
+    def clearance(point, pad: float, t: float):
+        # V2, V3: the ball of radius pad about point at time t meets no obstacle.
         margin = math.inf
         for i, obs in enumerate(obstacles):
-            need = obs.radius + scenario.target.radius
-            center = _centers(i, obs, [scenario.t_f])[0]
-            margin = min(margin, float(np.linalg.norm(center - scenario.target.center) - need))
-        return margin >= 0, margin, scenario.t_f
-
-    def initial_clearance():
-        # V3: initial state outside every inflated obstacle.
-        margin = math.inf
-        for i, obs in enumerate(obstacles):
-            need = obs.radius + scenario.r_c
-            margin = min(margin, float(np.linalg.norm(scenario.x0 - _centers(i, obs, [0.0])[0]) - need))
-        return margin >= 0, margin, 0.0
+            gap = np.linalg.norm(_centers(i, obs, [t])[0] - point) - (obs.radius + pad)
+            margin = min(margin, float(gap))
+        return margin >= 0, margin, t
 
     def sign_class():
         # V5: sampled sign-definiteness of (g+g')/2 and finiteness of f, g, omega.
         lo, hi = workspace_box(scenario)
         margin = sign_class_margin(scenario.plant, lo, hi, 100, scenario.seed)
-        times = grid[:: max(1, time_samples // 50)].tolist()
-        omega_ok = all(np.all(np.isfinite(sampled("plant omega", scenario.plant.disturbance, t))) for t in times)
-        return margin > 0 and omega_ok, margin, None
+        for t in grid[:: max(1, time_samples // 50)].tolist():
+            if not np.all(np.isfinite(sampled("plant omega", scenario.plant.disturbance, t))):
+                raise SampleError(f"plant omega is not finite at t = {t:.6g}")
+        return margin > 0, margin, None
 
     # V4: r_c < r_R, r_end <= r_R - r_c, r_start >= ||x0 - b_R||.
     gap_rc = scenario.target.radius - scenario.r_c
@@ -266,8 +256,9 @@ def validate(scenario: Scenario, time_samples: int = 1001) -> ValidationReport:
     v4_pass = gap_rc > 0 and gap_end >= 0 and gap_start >= 0
     return ValidationReport((
         _checked("V1", "obstacle separation", separation),
-        _checked("V2", "target obstacle-free at t_f", target_clear),
-        _checked("V3", "initial clearance", initial_clearance),
+        _checked("V2", "target obstacle-free at t_f",
+                 lambda: clearance(scenario.target.center, scenario.target.radius, scenario.t_f)),
+        _checked("V3", "initial clearance", lambda: clearance(scenario.x0, scenario.r_c, 0.0)),
         CheckResult("V4", v4_pass, v4_margin, None, "radius orderings"),
         _checked("V5", "plant sign class", sign_class),
     ))

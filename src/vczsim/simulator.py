@@ -291,7 +291,7 @@ def compute_metrics(trace: SimTrace, scenario: Scenario) -> RunMetrics:
     max_u = float(np.max(np.linalg.norm(trace.u, axis=1)))
     min_true = float(np.min(true_clear))
     reasons = []
-    if min_true <= -scenario.clearance_tol:
+    if min_true < -scenario.clearance_tol:
         reasons.append(f"obstacle clearance {min_true:.3e}")
     if terminal > scenario.target.radius:
         reasons.append(f"terminal distance {terminal:.4g} > {scenario.target.radius}")
@@ -310,6 +310,13 @@ def compute_metrics(trace: SimTrace, scenario: Scenario) -> RunMetrics:
     )
 
 
+def _floor_check(check_id: str, margins, floor: float, times, detail: str) -> CheckResult:
+    """The check that the least of `margins` is >= floor, reported at its time."""
+    worst = int(np.argmin(margins))
+    margin = float(margins.min())
+    return CheckResult(check_id, margin >= floor, margin, float(times[worst]), detail)
+
+
 def verify_trace(trace: SimTrace, scenario: Scenario) -> ValidationReport:
     """Re-check every claim from raw (t, x, c); logged h values are ignored.
 
@@ -319,41 +326,17 @@ def verify_trace(trace: SimTrace, scenario: Scenario) -> ValidationReport:
     T1 and T2 are whole-trace geometry, ||c - b_j(t)||^2 - (r_j + r_c)^2 and
     r(t)^2 - ||c - b_R||^2 with r(t) affine in t; no controller code runs.
     """
-    checks = []
-    tol = scenario.invariance_tol
     true_clear, _, avoid = _obstacle_margins(trace, scenario)
     shrink = scenario.shrink
     r = (shrink.r_end - shrink.r_start) * (trace.t / shrink.t_f) + shrink.r_start
     to_target = trace.c - scenario.target.center
     reach = r * r - np.einsum("ij,ij->i", to_target, to_target)
 
-    worst = int(np.argmin(avoid))
-    checks.append(
-        CheckResult(
-            "T1",
-            bool(avoid.min() >= -tol),
-            float(avoid.min()),
-            float(trace.t[worst]),
-            "center avoidance barriers",
-        )
-    )
-    worst = int(np.argmin(reach))
-    checks.append(
-        CheckResult(
-            "T2", bool(reach.min() >= -tol), float(reach.min()), float(trace.t[worst]), "shrinking ball"
-        )
-    )
-
-    worst = int(np.argmin(true_clear))
-    checks.append(
-        CheckResult(
-            "T3",
-            bool(true_clear.min() >= -scenario.clearance_tol),
-            float(true_clear.min()),
-            float(trace.t[worst]),
-            "true-state obstacle clearance",
-        )
-    )
+    checks = [
+        _floor_check("T1", avoid, -scenario.invariance_tol, trace.t, "center avoidance barriers"),
+        _floor_check("T2", reach, -scenario.invariance_tol, trace.t, "shrinking ball"),
+        _floor_check("T3", true_clear, -scenario.clearance_tol, trace.t, "true-state obstacle clearance"),
+    ]
 
     e_hat = np.linalg.norm(trace.x - trace.c, axis=1) / scenario.r_c
     worst = int(np.argmax(e_hat))

@@ -210,6 +210,11 @@ class TestObstaclePaths:
         with pytest.raises(ValueError):
             Obstacle.static([0.0, 0.0], float("nan"))
 
+    @pytest.mark.parametrize("center, velocity", [([0.0, 0.0], [1.0]), ([0.0], [1.0, 0.0, 0.0])])
+    def test_linear_rejects_mismatched_dimensions(self, center, velocity):
+        with pytest.raises(ValueError, match="^center and velocity dimensions disagree$"):
+            Obstacle.linear(center, velocity, 0.5)
+
 
 CROWDED_3D = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / "crowded_3d.scn"
 CROWDED_PATHS = [obs for obs in load_scenario(CROWDED_3D).obstacles if obs.kind == "custom"]

@@ -11,6 +11,8 @@ import vczsim
 from conftest import bundled_benchmark_text, uncertified_from
 from vczsim import simulator
 from vczsim.cli import EXIT_ABORT, EXIT_FAIL, EXIT_PARSE, EXIT_PASS, build_parser, main
+from vczsim.scenario import validate
+from vczsim.scenario_io import load_scenario
 from vczsim.trace_io import read_trace
 from vczsim.virtual import QpInfeasibleError
 
@@ -47,12 +49,24 @@ x0 = 0.0 0.0
 
 # The bundled benchmark with one map that raises ValueError (sin of an
 # overflowed product) where validation samples it: the plant's f (V5), or the
-# first obstacle's path (V1, V2 and, through the workspace box, V5).
+# first obstacle's path (V1, V2 and, through the workspace box, V5). Or with
+# one plant map that gives inf or NaN where V5 samples it; V5 once failed f
+# and g at -inf without naming them, and omega at the positive margin of g.
+# Each entry: the replaced text, its replacement, the checks that fail and
+# the cause their detail names.
+_PLANT = "catalog = benchmark"
+_MAPS = "f = {}\ng = {}\nomega = {}\nsign_class = positive_definite"
 RAISING_MAPS = {
-    "plant f": ("catalog = benchmark",
-                "f = (sin (* 1e308 x1 x1 x1 x2 x2)) (cos x2)\ng = 1 0 ; 0 1\nomega = 0 0\nsign_class = positive_definite",
-                ["V5"]),
-    "obstacle 1 path": ("center = 1.5 2.0", "path = (+ 1.5 (sin (* 1e308 t t))) 2.0", ["V1", "V2", "V5"]),
+    "plant f": (_PLANT, _MAPS.format("(sin (* 1e308 x1 x1 x1 x2 x2)) (cos x2)", "1 0 ; 0 1", "0 0"),
+                ["V5"], "plant f raised ValueError"),
+    "obstacle 1 path": ("center = 1.5 2.0", "path = (+ 1.5 (sin (* 1e308 t t))) 2.0", ["V1", "V2", "V5"],
+                        "obstacle 1 path raised ValueError"),
+    "plant f inf": (_PLANT, _MAPS.format("(* 1e300 1e300 x1) 0.0", "0.8 0.0 ; 0.0 0.5", "0.0 0.0"),
+                    ["V5"], "plant f is not finite at x = ("),
+    "plant g inf": (_PLANT, _MAPS.format("0.0 0.0", "0.8 0.0 ; 0.0 (* 1e300 1e300)", "0.0 0.0"),
+                    ["V5"], "plant g is not finite at x = ("),
+    "plant omega nan": (_PLANT, _MAPS.format("0.0 0.0", "0.8 0.0 ; 0.0 0.5", "(* 1e300 1e300 t) 0.0"),
+                        ["V5"], "plant omega is not finite at t = 0"),
 }
 
 
@@ -140,7 +154,7 @@ class TestValidateCommand:
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("name", sorted(RAISING_MAPS))
     def test_raising_map_fails_its_checks(self, tmp_path, capsys, command, name):
-        old, new, failed = RAISING_MAPS[name]
+        old, new, failed, cause = RAISING_MAPS[name]
         path = tmp_path / "raising.scn"
         path.write_text(bundled_benchmark_text().replace(old, new))
         out_dir = tmp_path / "out"
@@ -149,7 +163,7 @@ class TestValidateCommand:
         report = capsys.readouterr().out
         for check in ("V1", "V2", "V3", "V4", "V5"):
             line = next(line for line in report.splitlines() if line.startswith(f"{check}:"))
-            assert ("FAIL  worst margin -inf" in line and f"{name} raised ValueError" in line) == (check in failed)
+            assert ("FAIL  worst margin -inf" in line and cause in line) == (check in failed), line
         if command == "run":
             assert (out_dir / "validation.txt").read_text() == report
             assert not (out_dir / "trace.csv").exists()
@@ -164,6 +178,15 @@ class TestValidateCommand:
             line = next(line for line in report.splitlines() if line.startswith(f"{check}:"))
             failed = "FAIL  worst margin -inf" in line and "obstacle 3 path is not finite at t = " in line
             assert failed == (check != "V4"), line
+
+    def test_seed_override_reaches_the_scenario(self, capsys):
+        # V5 draws its plant samples from the scenario's seed, and this
+        # file's g varies with the state.
+        path = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / "crowded_3d.scn"
+        assert main(["validate", str(path), "--seed", "7"]) == EXIT_PASS
+        v5 = capsys.readouterr().out.splitlines()[4]
+        assert v5 == validate(load_scenario(path).with_overrides(seed=7)).format().splitlines()[4]
+        assert v5 != validate(load_scenario(path)).format().splitlines()[4]
 
 
 class TestCountArguments:
@@ -383,6 +406,27 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == EXIT_PASS
     assert "all checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_too_wide_workspace_box_fails_v5_without_a_traceback(tmp_path, command):
+    # wide_path.scn's first path spans about +-1e308 in x: numpy cannot draw
+    # V5's plant samples from that box, and its OverflowError once ended both
+    # commands in a traceback, run before it wrote validation.txt. The child
+    # shows the overflow RuntimeWarnings of V1's norms, which this suite's
+    # warnings-as-errors filter would turn into exceptions in process.
+    out_dir = tmp_path / "out"
+    argv = [command, str(DATA / "wide_path.scn")] + (["--out", str(out_dir)] if command == "run" else [])
+    proc = subprocess.run(
+        [sys.executable, "-m", "vczsim.cli", *argv], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == EXIT_FAIL
+    assert "Traceback" not in proc.stderr
+    v5 = "V5: FAIL  worst margin -inf (plant sign class: workspace box raised OverflowError: "
+    assert v5 in proc.stdout
+    assert [line[:3] for line in proc.stdout.splitlines() if ": FAIL" in line] == ["V5:"]
+    if command == "run":
+        assert (out_dir / "validation.txt").read_text() == proc.stdout
 
 
 def test_runtime_imports_numpy_only():

@@ -78,6 +78,22 @@ def test_parse_errors(text):
         parse_expr(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_expr, "(", "expected operator after '(' (column 1)"),
+        (parse_expr, "1 x1", "expected one expression, found 2"),
+        (parse_expr_sequence, "1 ; 2", "unexpected ';' in expression sequence (column 3)"),
+        (parse_expr_rows, "1 0 ; ; 0 1", "empty expression"),
+    ],
+    ids=["lone-paren", "two-for-one", "semicolon-in-sequence", "empty-row"],
+)
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ExprError) as exc_info:
+        parse(text)
+    assert str(exc_info.value) == message
+
+
 def test_eval_missing_state_variable():
     with pytest.raises(ExprError):
         eval_expr(parse_expr("x3"), 0.0, [1.0, 2.0])

@@ -47,6 +47,21 @@ class TestPlantDerivative:
         with pytest.raises(ValueError):
             plant_derivative(model, [0.0, 0.0], [0.0], 0.0)
 
+    @pytest.mark.parametrize(
+        "drift, input_map, disturbance, shapes",
+        [
+            (lambda x: [0.0], lambda x: np.eye(2), lambda t: [0.0, 0.0], "[(1,), (2, 2), (2,)]"),
+            (lambda x: [0.0, 0.0], lambda x: [1.0, 1.0], lambda t: [0.0, 0.0], "[(2,), (2,), (2,)]"),
+            (lambda x: [0.0, 0.0], lambda x: np.eye(2), lambda t: [0.0, 0.0, 0.0], "[(2,), (2, 2), (3,)]"),
+        ],
+        ids=["f-short", "g-vector", "omega-long"],
+    )
+    def test_check_shapes_rejects_a_wrongly_shaped_callable_plant(self, drift, input_map, disturbance, shapes):
+        model = PlantModel(drift, input_map, disturbance, POSITIVE_DEFINITE, 2)
+        with pytest.raises(ValueError) as exc_info:
+            model.check_shapes([0.0, 0.0], 0.0)
+        assert str(exc_info.value) == f"plant maps f, g, omega must have shapes (2,), (2, 2), (2,); got {shapes}"
+
 
 class TestBenchmarkPlant:
     def test_input_map_is_constant_diagonal(self):

@@ -124,3 +124,11 @@ def test_invariance_excludes_only_infeasible_runs():
     low = CampaignRun(1, 1, QP_UNCERTIFIED, True, -1.0, 0.0, "fail")
     assert not CampaignSummary((low,)).invariance_holds()
     assert CampaignSummary((replace(low, status=QP_INFEASIBLE),)).invariance_holds()
+
+
+def test_campaign_row_of_an_abort_at_t_zero():
+    # Seed 3316's first QP is infeasible, so its partial trace has no rows.
+    summary = run_campaign(count=1, base_seed=3316)
+    assert summary.runs == (CampaignRun(3316, 2, QP_INFEASIBLE, True, np.inf, 0.0, "fail", "aborted at t = 0.000"),)
+    row = summary.format_table().splitlines()[2]
+    assert row.split() == ["3316", "2", QP_INFEASIBLE, "inf", "0.000", "fail"]

@@ -127,6 +127,12 @@ class TestValidate:
         b = validate(BENCH, 501)
         assert a == b
 
+    @pytest.mark.parametrize("check_id", ["V6", "T1", "v1", ""])
+    def test_check_of_an_unknown_id_is_a_key_error(self, check_id):
+        with pytest.raises(KeyError) as exc_info:
+            validate(BENCH, 11).check(check_id)
+        assert exc_info.value.args == (check_id,)
+
     def test_rejects_tiny_time_grid(self):
         with pytest.raises(ValueError):
             validate(BENCH, 1)

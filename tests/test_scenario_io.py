@@ -288,6 +288,42 @@ class TestParseErrors:
         with pytest.raises(ScenarioParseError, match=message):
             parse_scenario(bundled_benchmark_text().replace(old, new, 1))
 
+    @pytest.mark.parametrize(
+        "base, old, new, message, key, at",
+        [
+            ("bundled", "[plant]", "r_c = 0.5\n[plant]", "entry before any section header", None, "r_c = 0.5"),
+            ("bundled", "r_c = 0.5", "r_c 0.5", "expected 'key = value'", None, "r_c 0.5"),
+            ("bundled", "r_c = 0.5", "r_c =", "empty numeric value", "r_c", "r_c ="),
+            ("bundled", "center = 10.0 10.0", "center = 10.0", "expected 2 values, got 1", "center", "center = 10.0"),
+            ("bundled", "r_c = 0.5", "", "missing key 'r_c' in section [vcz]", "r_c", None),
+            ("bundled", "epsilon_sat", "qp_h = 1 0 ; 0 x\nepsilon_sat", "malformed matrix value", "qp_h",
+             "qp_h = 1 0 ; 0 x"),
+            ("bundled", "epsilon_sat", "qp_h = 1 0 0 ; 0 1 0\nepsilon_sat", "expected a 2x2 matrix", "qp_h",
+             "qp_h = 1 0 0 ; 0 1 0"),
+            ("bundled", "catalog = benchmark", "catalog = unicycle", "unknown catalog plant 'unicycle'", "catalog",
+             "catalog = unicycle"),
+            ("custom", "sign_class = positive_definite", "sign_class = indefinite",
+             "sign_class must be positive_definite or negative_definite", "sign_class", "sign_class = indefinite"),
+            ("custom", "f = (* 2 (sin x2)) (* 2 (cos x1))", "f = (* 2 (sin x2))", "f must have 2 components", "f",
+             "f = (* 2 (sin x2))"),
+            ("custom", "path = (+ 5 (* 0.4 t)) (- 5 (* 0.4 t))", "path = (+ 5 (* 0.4 t))",
+             "path must have 2 components", "path", "path = (+ 5 (* 0.4 t))"),
+            ("bundled", "[vcz]", "[vcz]\nr_c = 0.5\n[vcz]", "section [vcz] appears more than once", None, None),
+            ("bundled", "alpha = 1.0", "alpha = 1 2", "alpha needs 1 or 3 values, got 2", "alpha", "alpha = 1 2"),
+            ("bundled", "alpha = 1.0", "alpha = -1", "class-K slope must be > 0, got -1.0", "alpha", "alpha = -1"),
+        ],
+        ids=["entry-before-header", "no-equals", "empty-value", "value-count", "missing-key", "qp_h-malformed"]
+        + ["qp_h-shape", "catalog-unknown", "sign_class-bad", "f-count", "path-count", "section-twice"]
+        + ["alpha-count", "alpha-negative"],
+    )
+    def test_rejection_names_message_key_and_line(self, base, old, new, message, key, at):
+        text = (bundled_benchmark_text() if base == "bundled" else CUSTOM_TEXT).replace(old, new, 1)
+        line = None if at is None else text.splitlines().index(at) + 1
+        with pytest.raises(ScenarioParseError) as exc_info:
+            parse_scenario(text)
+        assert (exc_info.value.key, exc_info.value.line) == (key, line)
+        assert str(exc_info.value).startswith(message)
+
 
 class TestHash:
     def test_hash_ignores_integration_step(self):

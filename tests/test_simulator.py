@@ -545,6 +545,23 @@ class TestVerifyTrace:
         assert not t5.passed
         assert "not evaluable" in t5.detail
 
+    @pytest.mark.parametrize("below", [False, True], ids=["at-the-bound", "one-ulp-below"])
+    def test_verdict_and_t3_agree_at_the_clearance_bound(self, benchmark_run, below):
+        # True clearance may dip to -clearance_tol. The verdict once failed a
+        # run at exactly that bound, which T3 passed. An obstacle of radius
+        # 2e-6 at (0, 10) and one state 1e-6 (or an ulp less) from its centre
+        # make the clearance exactly -1e-6 (or just below it).
+        scenario, trace, _, _ = benchmark_run
+        probe = scenario.with_overrides(obstacles=(Obstacle.static([0.0, 10.0], 2e-6),), alphas=uniform_alphas(2))
+        x = trace.x.copy()
+        x[len(trace) // 2] = [np.nextafter(1e-6, 0.0) if below else 1e-6, 10.0]
+        probe_trace = replace(trace, x=x)
+        metrics = simulator.compute_metrics(probe_trace, probe)
+        t3 = verify_trace(probe_trace, probe).check("T3")
+        assert metrics.min_true_clearance == t3.worst_margin
+        assert (t3.worst_margin == -scenario.clearance_tol) == (not below)
+        assert (metrics.ptra_verdict == simulator.VERDICT_PASS) == t3.passed == (not below)
+
     def test_chain_consistency_center_safety_implies_state_safety(self, benchmark_run):
         scenario, trace, _, _ = benchmark_run
         avoid_h = trace.h[:, :-1].min(axis=1)

@@ -91,6 +91,21 @@ def test_read_back_is_bitwise(tmp_path_factory, trace):
     )
 
 
+@pytest.mark.parametrize(
+    "at", [1, 3, 4, 6, 14], ids=["in-metadata", "before-header", "after-header", "between-rows", "at-end"]
+)
+def test_blank_lines_are_skipped(tmp_path, at):
+    path = tmp_path / "trace.csv"
+    trace = make_trace(2, 3, 10, seed=5)
+    write_trace(trace, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:at] + ["", "   "] + lines[at:]) + "\n")
+    loaded = read_trace(path)
+    for name in ("t", "x", "c", "u", "u_c", "h", "e_hat", "qp_kkt"):
+        assert_same_bits(getattr(loaded, name), getattr(trace, name))
+    assert (loaded.qp_status, loaded.scenario_hash, loaded.dt) == (trace.qp_status, trace.scenario_hash, trace.dt)
+
+
 def test_uc_width_must_be_the_state_width(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(make_trace(2, 3, 10, seed=5), path)
