@@ -18,8 +18,8 @@ runs anything else. ``eval_expr`` is the reference interpreter on a float
 ``t``, which the tests compare the compiled functions against.
 
 ``straight_line`` compiles generated code, for ``compile_exprs``,
-simulator.compile_loop, and the working-set solves and the certificate of
-qp.compile_solver. It is the package's only call of ``compile()``: the text
+simulator.compile_loop, and the per-size working-set solves and the
+certificate of qp.compile_solver. It is the package's only call of ``compile()``: the text
 it gets is made of generated names and fixed operator text, and every number
 and callable of the input reaches the code as a closure constant, named
 through a ``Constants`` table. ``fold`` and ``tuple_of`` give the generators'

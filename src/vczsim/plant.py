@@ -195,9 +195,11 @@ def sign_class_margin(model: PlantModel, box_lo, box_hi, samples: int, seed: int
     rng = np.random.default_rng(seed)
     lo = np.asarray(box_lo, dtype=float)
     hi = np.asarray(box_hi, dtype=float)
+    with np.errstate(over="ignore"):  # a width hi - lo that overflows: rng.uniform raises, before any draw
+        draws = sampled("workspace box", rng.uniform, lo, hi, (samples, lo.size))
     gs = []
     # The draws of one rng.uniform(lo, hi) per sample, as Python floats, the maps' input in a step.
-    for x in sampled("workspace box", rng.uniform, lo, hi, (samples, lo.size)).tolist():
+    for x in draws.tolist():
         g = np.asarray(sampled("plant g", model.input_map, x), dtype=float)
         f = np.asarray(sampled("plant f", model.drift, x), dtype=float)
         for name, value in (("plant g", g), ("plant f", f)):

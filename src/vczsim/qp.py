@@ -33,20 +33,21 @@ unchanged enumeration.
 Each step solves one such QP with m <= 3 and a handful of rows, where a
 numpy call costs more than its arithmetic. So the cost (H, F) is checked
 once per pair and kept as floats (QpCost), and compile_solver generates the
-float solve, once per cost: per working set of size <= min(m, d), one
-straight-line function, compiled through exprs.straight_line on the set's
-first use. It holds the skip rule, the Schur complement A_W H^-1 A_W' (at
-most m x m) factored by an unrolled Cholesky with H^-1 and v as closure
-constants, the finiteness test of each value, the gates, the certificate,
-the tight set and the rank test. These functions are the only float solve: a
-run's step calls its hint's function, and when that returns None, solve_qp
-walks them all in the enumeration order. The certificate comes from a
-separate generator, compile_certificate, which unrolls the KKT residual from
-H and F, never H^-1: it shares no code with the solver, and the tests hold
-it bitwise to the plain loop of tests/oracles.py's check_kkt. numpy is left
-to the cost check and the rank test. Every float sum is a left fold from 0,
-as sum() compensates float sums from Python 3.12 on: the arithmetic does not
-depend on the interpreter.
+float solve, once per cost: per working-set size k <= min(m, d), one
+straight-line function solve_k(A, b, W), compiled through
+exprs.straight_line, that reads the rows of W at run time. It holds the
+skip rule, the Schur complement A_W H^-1 A_W' (at most m x m) factored by an
+unrolled Cholesky with H^-1 and v as closure constants, the finiteness test
+of each value, the gates, the certificate, the tight set and the rank test.
+These functions are the only float solve: a run's step calls the one of its
+hint's size, and when that returns None, solve_qp calls them on every set in
+the enumeration order. The certificate comes from a separate generator,
+compile_certificate, which unrolls the KKT residual from H and F, never
+H^-1: it shares no code with the solver, and the tests hold it bitwise to
+the plain loop of tests/oracles.py's check_kkt. numpy is left to the cost
+check and the rank test. Every float sum is a left fold from 0, as sum()
+compensates float sums from Python 3.12 on: the arithmetic does not depend
+on the interpreter.
 """
 
 from __future__ import annotations
@@ -234,17 +235,17 @@ def _feasible_start(rows, rhs):
 
 
 def _exhaustive(problem: QpProblem, hint=()) -> QpSolution | None:
-    """The first answer of the working-set functions of
-    compile_solver(problem.cost, problem.d) in the order of _working_sets;
-    None when none certifies. A set holding no row that u0 = -v violates is
-    skipped and so never compiled."""
-    kernel = compile_solver(problem.cost, problem.d)
+    """The first answer of compile_solver(problem.cost, problem.d)'s function
+    of each set's size, in the order of _working_sets; None when none
+    certifies. A set holding no row that u0 = -v violates is skipped, and no
+    function is called on it."""
+    solvers = compile_solver(problem.cost, problem.d)
     A, b, v = problem.rows, problem.rhs, problem.cost.v
     violated = [-dot(a, v) < b_i for a, b_i in zip(A, b)]
     for working in _working_sets(problem.m, problem.d, hint):
         if working and not any(violated[i] for i in working):
             continue
-        solution = kernel[working](A, b)
+        solution = solvers[len(working)](A, b, working)
         if solution is not None:
             return solution
     return None
@@ -281,68 +282,61 @@ def solve_qp(problem: QpProblem, hint=()) -> QpSolution:
 
 
 def compile_solver(cost: QpCost, d: int) -> "_Solvers":
-    """The float solver of QPs on `cost` with d rows: a dict from a hint to a
-    function solve(A, b) of A by rows and b as float lists. It returns the
-    QpSolution of the hint's working set when that set certifies, and None
-    otherwise: a skipped or failing set, a non-finite value, data included.
-    One function per working set of size <= min(m, d), compiled on the first
-    lookup; an invalid hint gets the empty set's, as _working_sets orders
-    them. solve_qp returns the first non-None answer in that order.
-
-    Memoized on the bytes of H and F (so -0.0 and 0.0 stay apart) and d: one
-    solver per cost, shared by every scenario and solve_qp call on it."""
+    """The float solver of QPs on `cost` with d rows: a tuple of functions
+    solve_k(A, b, W) by working-set size k <= min(m, d), with A by rows and b
+    as float lists and W a valid, sorted working set of k rows. It returns
+    W's QpSolution when W certifies, and None otherwise: a skipped or failing
+    set, a non-finite value, data included. `certificate` is their KKT
+    residual. Memoized on the bytes of H and F (so -0.0 and 0.0 stay apart)
+    and d: compiled on the first call, shared by every scenario and
+    solve_qp call on the cost."""
     H, F, _ = cost.arrays
     key = (H.tobytes(), F.tobytes(), d)
     if key not in _SOLVERS:
-        _SOLVERS[key] = _Solvers(cost, d)
+        certificate = compile_certificate(cost.H, cost.F, d)
+        solvers = _Solvers(_compile_size(cost, d, size, certificate) for size in range(min(len(cost.F), d) + 1))
+        solvers.certificate = certificate
+        _SOLVERS[key] = solvers
     return _SOLVERS[key]
 
 
-class _Solvers(dict):
-    """Working set -> its compiled solve; see compile_solver. Only valid,
-    sorted working sets become keys, so the keys are the sets compiled."""
-
-    def __init__(self, cost: QpCost, d: int):
-        super().__init__()
-        self.cost, self.d = cost, d
-        self.certificate = compile_certificate(cost.H, cost.F, d)
-
-    def __missing__(self, hint):
-        working = next(_working_sets(len(self.cost.F), self.d, hint))
-        if working not in self:
-            self[working] = _compile_working_set(self.cost, self.d, working, self.certificate)
-        return self[working]
+class _Solvers(tuple):
+    """solve_k by working-set size k, with their `certificate`; see compile_solver."""
 
 
 _SOLVERS: dict[tuple, _Solvers] = {}  # compile_solver's memo, unbounded as exprs._code is
 
 
-def _compile_working_set(cost: QpCost, d: int, working: tuple, certificate):
-    """solve(A, b) for one working set W: the skip rule (W holds a row that
-    u0 = -v violates); the Schur complement S = A_W H^-1 A_W' and r = b_W +
-    A_W v, with H^-1 and v as constants; S's Cholesky factor, then lam_W; u,
-    lam_W and every slack finite; the -KKT_TOL/2 gates; `certificate` at
-    KKT_TOL; the tight set and, when it is not W, the rank test. Any failure
-    returns None.
+def _compile_size(cost: QpCost, d: int, size: int, certificate):
+    """solve(A, b, W) for the working sets W of `size` rows, whose rows it
+    reads as A[w] and b[w]: the skip rule (W holds a row that u0 = -v
+    violates); the Schur complement S = A_W H^-1 A_W' and r = b_W + A_W v,
+    with H^-1 and v as constants; S's Cholesky factor, then lam_W; u, lam_W
+    and every slack finite; the -KKT_TOL/2 gates; `certificate` at KKT_TOL;
+    the tight set and, when it is not W, the rank test. Any failure returns
+    None.
 
     Each value's finiteness test is 0.0 * x == 0.0, false for inf and NaN. A
     and b need no test of their own: with u finite, a non-finite entry makes
     its row's slack non-finite, and no step before can raise. A difference
     x - 0 of an empty sum is written x, which is exact."""
-    m, size = len(cost.F), len(working)
-    k = Constants()
+    m, k = len(cost.F), Constants()
     h_inv, v = [[k(x) for x in row] for row in cost.H_inv], [k(x) for x in cost.v]
     sqrt, gate = k(math.sqrt), k(-0.5 * KKT_TOL)
     a, b = [[f"a{i}_{j}" for j in range(m)] for i in range(d)], [f"b{i}" for i in range(d)]
-    lines = [unpack(map(tuple_of, a), "A"), unpack(b, "b")]
-    lines += [f"av{w} = {fold(f'{x} * {y}' for x, y in zip(a[w], v))}" for w in working]
-    if working:  # not a support unless it holds a row that u0 = -v violates
-        lines.append(f"if not ({' or '.join(f'-av{w} < b{w}' for w in working)}): return None")
+    w = [f"w{p}" for p in range(size)]
+    a_w, b_w = [[f"aw{p}_{j}" for j in range(m)] for p in range(size)], [f"bw{p}" for p in range(size)]
+    lines = [unpack(map(tuple_of, a), "A"), unpack(b, "b"), unpack(w, "W")]
+    for p in range(size):
+        lines += [unpack(a_w[p], f"A[{w[p]}]"), f"{b_w[p]} = b[{w[p]}]",
+                  f"av{p} = {fold(f'{x} * {y}' for x, y in zip(a_w[p], v))}"]
+    if size:  # not a support unless it holds a row that u0 = -v violates
+        lines.append(f"if not ({' or '.join(f'-av{p} < {b_w[p]}' for p in range(size))}): return None")
     # y_p = H^-1 a_w, the lower triangle of S = A_W H^-1 A_W', r = b_W + A_W v.
-    for p, w in enumerate(working):
-        lines += [f"y{p}_{j} = {fold(f'{h} * {x}' for h, x in zip(row, a[w]))}" for j, row in enumerate(h_inv)]
-        lines += [f"S{p}_{q} = {fold(f'{x} * y{q}_{j}' for j, x in enumerate(a[w]))}" for q in range(p + 1)]
-        lines.append(f"r{p} = b{w} + av{w}")
+    for p in range(size):
+        lines += [f"y{p}_{j} = {fold(f'{h} * {x}' for h, x in zip(row, a_w[p]))}" for j, row in enumerate(h_inv)]
+        lines += [f"S{p}_{q} = {fold(f'{x} * y{q}_{j}' for j, x in enumerate(a_w[p]))}" for q in range(p + 1)]
+        lines.append(f"r{p} = {b_w[p]} + av{p}")
 
     def minus(x, terms) -> str:
         return f"({x} - {fold(terms)})" if terms else x
@@ -357,7 +351,7 @@ def _compile_working_set(cost: QpCost, d: int, working: tuple, certificate):
     for p in reversed(range(size)):
         lines.append(f"l{p} = (z{p}{''.join(f' - L{q}_{p} * l{q}' for q in range(p + 1, size))}) / g{p}")
     u, lam_w, slack = [f"u{j}" for j in range(m)], [f"l{p}" for p in range(size)], [f"s{i}" for i in range(d)]
-    if working:
+    if size:
         lines += [f"{u[j]} = {fold(f'y{p}_{j} * l{p}' for p in range(size))} - {v[j]}" for j in range(m)]
     else:
         lines += [f"{u[j]} = {k(-x)}" for j, x in enumerate(cost.v)]
@@ -365,18 +359,15 @@ def _compile_working_set(cost: QpCost, d: int, working: tuple, certificate):
     lines.append(f"if not ({' and '.join(f'0.0 * {x} == 0.0' for x in u + lam_w + slack)}): return None")
     if lam_w + slack:
         lines.append(f"if {' or '.join(f'{x} < {gate}' for x in lam_w + slack)}: return None")
-    lam = ["0.0"] * d
-    for p, w in enumerate(working):
-        lam[w] = lam_w[p]
-    lines += [f"u = {tuple_of(u)}", f"lam = {tuple_of(lam)}",
+    lines += [f"u = {tuple_of(u)}", f"lam = [{', '.join(['0.0'] * d)}]",
+              *(f"lam[{w_p}] = {l_p}" for w_p, l_p in zip(w, lam_w)), f"lam = {k(tuple)}(lam)",
               f"residual = {k(certificate)}(A, b, u, lam)", f"if not residual <= {k(KKT_TOL)}: return None",
               "tight = ()"]
     scale = k(1e-7)  # s_i <= 1e-7 max(1, |b_i|)
     lines += [f"if s{i} <= {scale} * (b{i} if b{i} > 1.0 else -b{i} if b{i} < -1.0 else 1.0): tight += ({i},)"
               for i in range(d)]
-    support = k(working)
-    status = f"{k(DEGENERATE)} if tight != {support} and {k(_dependent)}(A, tight) else {k(OPTIMAL)}"
-    return straight_line(("A", "b"), lines, f"{k(QpSolution)}(u, tight, residual, {status}, lam, {support})", k)
+    status = f"{k(DEGENERATE)} if tight != W and {k(_dependent)}(A, tight) else {k(OPTIMAL)}"
+    return straight_line(("A", "b", "W"), lines, f"{k(QpSolution)}(u, tight, residual, {status}, lam, W)", k)
 
 
 def compile_certificate(H, F, d: int):

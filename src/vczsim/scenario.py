@@ -216,6 +216,7 @@ def validate(scenario: Scenario, time_samples: int = 1001) -> ValidationReport:
     grid = np.linspace(0.0, scenario.t_f, time_samples)
     obstacles = scenario.obstacles
 
+    @np.errstate(over="ignore")  # a distance beyond the float range is +inf, its true order
     def separation():
         # V1: ||b_i(t) - b_j(t)|| >= 2 r_c + r_i + r_j for every pair, all t.
         centers = [_centers(i, obs, grid) for i, obs in enumerate(obstacles)]
@@ -229,6 +230,7 @@ def validate(scenario: Scenario, time_samples: int = 1001) -> ValidationReport:
                     margin, time = float(dist[k]), float(grid[k])
         return margin >= 0, margin, time
 
+    @np.errstate(over="ignore")
     def clearance(point, pad: float, t: float):
         # V2, V3: the ball of radius pad about point at time t meets no obstacle.
         margin = math.inf

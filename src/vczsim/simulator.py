@@ -5,9 +5,9 @@ while a classical fixed-step RK4 advances true state and center jointly. A
 run's steps execute in one generated function per scenario, compile_loop's
 loop_kernel, on Python floats: per step the rows (barriers.emit_rows), the
 certified QP solve of the previous step's working set (qp.compile_solver's
-function for it), the confinement law, one record, the RK4 step of the plant
-(plant.emit_rk4) with the centre's own update, and ||x - c||, on 2- and
-3-vectors where a numpy call costs more than its arithmetic. A step whose
+function of its size), the confinement law, one record, the RK4 step of the
+plant (plant.emit_rk4) with the centre's own update, and ||x - c||, on 2-
+and 3-vectors where a numpy call costs more than its arithmetic. A step whose
 hinted solve returns None passes the same rows to virtual.solve_rows.
 _controls, _rk4 (RK4 stages through plant_derivative) and _Recorder.add are
 the plain reference step the loop is tested against; a run calls none of
@@ -176,11 +176,11 @@ def compile_loop(scenario: Scenario):
     """loop(x, extend, status, miss): run()'s whole step loop from the state x
     (c = x), as one generated function. Each pass takes the step's time,
     emit_rows' rows A, b at (c, t), the QP solve of the previous pass's
-    support (compile_solver's function for it, or on None miss(A, b, c, t)'s
-    certified solution), confinement_control's law, then extend(record) and
-    status(qp status) as _Recorder.add does; the last pass, at t_f, takes no
-    step. A step is emit_rk4's plant step with the centre's own update
-    (_rk4), then e = x - c and ||e||. Returns None, or (t, ||e||) when
+    support W (compile_solver's function of W's size, called on W, or on None
+    miss(A, b, c, t)'s certified solution), confinement_control's law, then
+    extend(record) and status(qp status) as _Recorder.add does; the last
+    pass, at t_f, takes no step. A step is emit_rk4's plant step with the
+    centre's own update (_rk4), then e = x - c and ||e||. Returns None, or (t, ||e||) when
     ||e|| >= r_c after the step that ends at t, so no pass starts at a
     breach. The times and sizes of the steps are _step_counts'."""
     n, law, k = scenario.n, scenario.confinement, Constants()
@@ -192,7 +192,7 @@ def compile_loop(scenario: Scenario):
     A, b, h = emit_rows(body, k, emit, c, "t", scenario.obstacles, scenario.r_c, scenario.target.point,
                         scenario.shrink, scenario.slopes)
     solvers = k(compile_solver(scenario.qp_cost, scenario.barrier_count))
-    body += [f"A = {A}", f"b = [{', '.join(b)}]", f"sol = {solvers}[hint](A, b)",
+    body += [f"A = {A}", f"b = [{', '.join(b)}]", f"sol = {solvers}[{k(len)}(hint)](A, b, hint)",
              f"if sol is None: sol = miss(A, b, [{', '.join(c)}], t)",
              unpack(u_c, "sol[0]"),
              f"e_hat = gap / {r_c}",
@@ -325,7 +325,11 @@ def verify_trace(trace: SimTrace, scenario: Scenario) -> ValidationReport:
     one, T5 terminal target membership (not evaluable on truncated traces).
     T1 and T2 are whole-trace geometry, ||c - b_j(t)||^2 - (r_j + r_c)^2 and
     r(t)^2 - ||c - b_R||^2 with r(t) affine in t; no controller code runs.
+    On a trace with no rows (an abort at t = 0) every check fails, not evaluable.
     """
+    if not len(trace):
+        return ValidationReport(tuple(CheckResult(f"T{i}", False, -math.inf, None, "not evaluable: trace has no rows")
+                                      for i in range(1, 6)))
     true_clear, _, avoid = _obstacle_margins(trace, scenario)
     shrink = scenario.shrink
     r = (shrink.r_end - shrink.r_start) * (trace.t / shrink.t_f) + shrink.r_start

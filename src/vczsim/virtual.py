@@ -4,15 +4,15 @@ The center is a single integrator, cdot = u_c, so each barrier h_j gives one
 linear row grad h_j' u_c >= -alpha_j(h_j) - dh_j/dt on the virtual input.
 Stacking all rows under a strictly convex cost yields the QP whose
 minimizer steers the center. A run's step loop (simulator.compile_loop)
-writes the rows inline and calls its hint's QP function itself, and passes
-its rows to solve_rows only when that returns None. solve_rows builds a
-QpProblem on the scenario's checked cost, qp_cost, and calls solve_qp, which
-tries a hint's generated, certified function first, then walks the working
-sets of qp.compile_solver, proves the polyhedron empty or raises
-QpInputError. virtual_control is the plain float reference step: the rows
-one barrier at a time from eval_avoidance and eval_reach (assemble_rows),
-then solve_rows. Rows, the QP and its answer stay Python floats through a
-step: A by rows, b and h as float lists, u_c as a float tuple.
+writes the rows inline and calls the QP function of its hint's size, and
+passes its rows to solve_rows only when that returns None. solve_rows builds
+a QpProblem on the scenario's checked cost, qp_cost, and calls solve_qp,
+which tries the hint, then the working sets, on qp.compile_solver's
+generated, certified per-size functions, proves the polyhedron empty or
+raises QpCertificationError. virtual_control is the plain float reference
+step: the rows one barrier at a time from eval_avoidance and eval_reach
+(assemble_rows), then solve_rows. Rows, the QP and its answer stay Python
+floats through a step: A by rows, b and h as float lists, u_c as a tuple.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ def make_steps_cold(monkeypatch):
     hint, so the step loop takes each QP from simulator.solve_rows, the full
     enumeration of solve_qp. A test may patch simulator.solve_rows to inject
     a fault at any step."""
-    never = collections.defaultdict(lambda: lambda A, b: None)
+    never = collections.defaultdict(lambda: lambda A, b, W: None)
     monkeypatch.setattr(simulator, "compile_solver", lambda cost, d: never)
 
 
@@ -104,8 +104,8 @@ def bundled_benchmark_text() -> str:
 @pytest.fixture
 def fresh_solvers():
     """An empty compile_solver memo before and after the test: a test that
-    counts or lists compiled working sets sees only its own, and keeps none
-    of its patched functions for later tests."""
+    counts compiled solve functions sees only its own, and keeps none of its
+    patched functions for later tests."""
     qp._SOLVERS.clear()
     yield
     qp._SOLVERS.clear()

@@ -27,7 +27,7 @@ fraction_nonempty decides the same question exactly, by Fourier-Motzkin
 elimination, which shares nothing with a least-norm search. loop_exhaustive
 is the hand-looped float enumeration (loop_candidates, loop_eqp and a
 hand-written Cholesky per working set, check_kkt as its certificate) that the
-generated working-set functions of qp.compile_solver replaced, kept as their
+generated per-size functions of qp.compile_solver replaced, kept as their
 bitwise reference; check_kkt is the plain-loop KKT residual that
 qp.compile_certificate unrolls, its bitwise reference. None of these
 imports a private name of vczsim.qp.

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -413,20 +414,32 @@ def test_too_wide_workspace_box_fails_v5_without_a_traceback(tmp_path, command):
     # wide_path.scn's first path spans about +-1e308 in x: numpy cannot draw
     # V5's plant samples from that box, and its OverflowError once ended both
     # commands in a traceback, run before it wrote validation.txt. The child
-    # shows the overflow RuntimeWarnings of V1's norms, which this suite's
-    # warnings-as-errors filter would turn into exceptions in process.
+    # runs without this suite's warnings-as-errors filter, so a warning shows
+    # on its stderr.
     out_dir = tmp_path / "out"
     argv = [command, str(DATA / "wide_path.scn")] + (["--out", str(out_dir)] if command == "run" else [])
     proc = subprocess.run(
         [sys.executable, "-m", "vczsim.cli", *argv], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == EXIT_FAIL
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
     v5 = "V5: FAIL  worst margin -inf (plant sign class: workspace box raised OverflowError: "
     assert v5 in proc.stdout
     assert [line[:3] for line in proc.stdout.splitlines() if ": FAIL" in line] == ["V5:"]
     if command == "run":
         assert (out_dir / "validation.txt").read_text() == proc.stdout
+
+
+def test_too_wide_workspace_box_validates_without_a_warning(capsys):
+    # A distance beyond the float range is +inf to V1's and V2's norms, and
+    # V5 finds the box too wide before numpy draws from it: no overflow
+    # RuntimeWarning on the way to the same report.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", str(DATA / "wide_path.scn")]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    v5 = "V5: FAIL  worst margin -inf (plant sign class: workspace box raised OverflowError: Range exceeds valid bounds)"
+    assert v5 in out.splitlines() and err == ""
 
 
 def test_runtime_imports_numpy_only():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import reference_run
-from vczsim import barriers, plant as plant_module, simulator, virtual
+from vczsim import barriers, plant as plant_module, qp, simulator, virtual
 from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet, TimeDomainError, emit_rows
 from vczsim.confinement import ConfinementLaw
 from vczsim.exprs import Constants, compile_exprs, parse_expr, straight_line, tree_emitter, unpack
@@ -32,6 +32,7 @@ from vczsim.simulator import SimulationAbort, _rk4, run
 from vczsim.virtual import assemble_rows
 
 CROWDED_3D = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / "crowded_3d.scn"
+MANY_OBSTACLES = Path(__file__).resolve().parent / "data" / "many_obstacles.scn"
 COORD = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0, 1.5, -2.0]))
 RATE = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0]))
 RADIUS = st.floats(0.05, 3.0)
@@ -237,14 +238,14 @@ def test_qp_kernel_holds_no_input_text_and_shares_code_by_shape():
     # ones of the templates, and a cost of the same shape reuses the code.
     scenario = benchmark_scenario().with_overrides(qp_h=np.array([[2.0, 0.3], [0.3, 1.5]]), qp_f=np.array([0.7, -0.2]))
     kernel, other = (compile_solver(s.qp_cost, s.barrier_count) for s in (scenario, benchmark_scenario()))
-    sets = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
-    for fn in [kernel[w] for w in sets] + [kernel.certificate]:
+    assert len(kernel) == 3  # working-set sizes 0, 1 and 2
+    for fn in [*kernel, kernel.certificate]:
         code = fn.__code__
         assert code.co_names == ()
         for c in code.co_consts:
             assert c in (None, 0, 1.0, -1.0) or isinstance(c, tuple) and all(x in range(3) for x in c), c
-    for w in sets:
-        assert kernel[w].__code__ is other[w].__code__
+    for fn, twin in zip(kernel, other, strict=True):
+        assert fn.__code__ is twin.__code__
 
 
 def outcome(runner, scenario):
@@ -312,6 +313,23 @@ SQUEEZE = scenario_of(catalog_plant("integrator", 2), [Obstacle.static([5.0, 0.0
 @example(load_scenario(CROWDED_3D).with_overrides(dt=0.02))  # path obstacles over 10 s, with misses
 def test_run_is_bitwise_the_reference_loop(scenario):
     assert outcome(lambda s: run(s, check=False), scenario) == outcome(reference_run, scenario)
+
+
+@pytest.mark.usefixtures("fresh_solvers")
+def test_many_obstacles_run_on_four_qp_functions():
+    # crowded_3d with 24 far static obstacles: d = 31 rows, so a miss may
+    # enumerate up to C(31, <= 3) = 4 992 working sets, all on the
+    # min(m, d) + 1 = 4 functions of one compile_solver. A count, not a timing.
+    scenario = load_scenario(MANY_OBSTACLES).with_overrides(dt=0.02)
+    assert scenario.barrier_count == 31 and validate(scenario).all_passed
+    got = outcome(lambda s: run(s, check=False), scenario)
+    assert got == outcome(reference_run, scenario)
+    assert isinstance(got[-1], dict)  # finished, no abort
+    assert sum(map(len, qp._SOLVERS.values())) <= 4
+    # No far row is ever tight: the centre and the plant move as in crowded_3d.
+    crowded, _ = run(load_scenario(CROWDED_3D).with_overrides(dt=0.02), check=False)
+    for name in ("x", "c", "u_c"):
+        assert got[0][name] == getattr(crowded, name).tobytes(), name
 
 
 def test_reference_step_shares_no_generated_code_with_the_loop(monkeypatch):

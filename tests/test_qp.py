@@ -414,7 +414,7 @@ class TestWarmStart:
 
 
 class TestCompiledSolver:
-    """qp.compile_solver's working-set functions keep the enumeration's skip
+    """qp.compile_solver's per-size functions keep the enumeration's skip
     rule and gates: each case below certifies under the KKT tolerance alone,
     but solve_qp passes over the hinted working set."""
 
@@ -434,24 +434,24 @@ class TestCompiledSolver:
         problem = QpProblem(np.eye(2), np.zeros(2), A, b)
         assert check_kkt(problem, *self.candidate(problem, hint)) <= KKT_TOL
         kernel = qp.compile_solver(problem.cost, len(b))
-        assert kernel[hint](A, b) is None
+        assert kernel[len(hint)](A, b, hint) is None
         solution = solve_qp(problem, hint)
         assert solution.support == support
         assert solution_bits(solution) == solution_bits(loop_exhaustive(problem, hint))
-        assert solution_bits(kernel[support](A, b)) == solution_bits(solution)
+        assert solution_bits(kernel[len(support)](A, b, support)) == solution_bits(solution)
 
     @pytest.mark.usefixtures("fresh_solvers")
     def test_one_solver_per_cost_bytes_and_row_count(self):
         cost = QpProblem(np.eye(2), [0.0, 1.0], [[1.0, 0.0]], [0.5]).cost
         kernel = qp.compile_solver(cost, 1)
-        assert len(kernel) == 0
+        assert len(kernel) == 2  # sizes 0 and min(m, d) = 1
         twin = cost._replace(arrays=tuple(a.copy() for a in cost.arrays))
         assert qp.compile_solver(twin, 1) is kernel
-        assert qp.compile_solver(cost, 2) is not kernel
+        assert qp.compile_solver(cost, 2) is not kernel and len(qp.compile_solver(cost, 2)) == 3
         signed = QpProblem(np.eye(2), [-0.0, 1.0], [[1.0, 0.0]], [0.5]).cost
         assert signed.F == cost.F and qp.compile_solver(signed, 1) is not kernel  # -0.0 == 0.0, not as bytes
         solution = solve_qp(QpProblem(cost, None, [[1.0, 0.0]], [0.5]))  # without a kernel: the memo's
-        assert solution.support == (0,) and sorted(kernel) == [(), (0,)]
+        assert solution.support == (0,) and len(qp._SOLVERS) == 3
 
     @staticmethod
     def candidate(problem, working):

@@ -16,6 +16,7 @@ from vczsim import exprs, plant, qp, scenario_io, simulator, virtual
 from vczsim.barriers import Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
 from vczsim.plant import catalog_plant
+from vczsim.randomized import random_scenario
 from vczsim.scenario import (
     Scenario,
     ScenarioInvalidError,
@@ -385,22 +386,22 @@ class TestWarmStart:
 
     @pytest.mark.usefixtures("fresh_solvers")
     def test_working_set_calls_per_solve(self, monkeypatch):
-        # A count, not a timing: the generated working-set functions called
-        # per solve. Warm, each step calls the hint's and, when it does not
-        # certify, solve_qp calls those it enumerates; cold, the benchmark
-        # needs about 2.4.
-        calls, real = [], qp._compile_working_set
+        # A count, not a timing: the calls of the generated per-size
+        # functions per solve. Warm, each step calls the one of its hint's
+        # size and, when that does not certify, solve_qp calls one per set it
+        # enumerates; cold, the benchmark needs about 2.4.
+        calls, real = [], qp._compile_size
 
         def counting(*args):
             solve = real(*args)
 
-            def counted(A, b):
+            def counted(A, b, W):
                 calls.append(None)
-                return solve(A, b)
+                return solve(A, b, W)
 
             return counted
 
-        monkeypatch.setattr(qp, "_compile_working_set", counting)
+        monkeypatch.setattr(qp, "_compile_size", counting)
         scenario = benchmark_scenario().with_overrides(dt=1e-2)
         trace, _ = run(scenario)
         assert len(trace) <= len(calls) <= 1.1 * len(trace)
@@ -544,6 +545,19 @@ class TestVerifyTrace:
         t5 = report.check("T5")
         assert not t5.passed
         assert "not evaluable" in t5.detail
+
+    def test_trace_without_rows_is_not_evaluable(self):
+        # Seed 3316's QP is infeasible at t = 0, so its abort's trace holds
+        # no row: every check reports that, at margin -inf, and none raises.
+        scenario = random_scenario(3316)
+        with pytest.raises(SimulationAbort) as abort:
+            run(scenario)
+        assert abort.value.reason == simulator.QP_INFEASIBLE and len(abort.value.trace) == 0
+        report = verify_trace(abort.value.trace, scenario)
+        assert [c.check_id for c in report.checks] == ["T1", "T2", "T3", "T4", "T5"]
+        assert all(not c.passed and c.worst_margin == -math.inf and c.detail.startswith("not evaluable")
+                   for c in report.checks)
+        assert report.format().splitlines()[0] == "T1: FAIL  worst margin -inf (not evaluable: trace has no rows)"
 
     @pytest.mark.parametrize("below", [False, True], ids=["at-the-bound", "one-ulp-below"])
     def test_verdict_and_t3_agree_at_the_clearance_bound(self, benchmark_run, below):

@@ -223,7 +223,7 @@ def cbf_qps(draw):
 
 class TestCompiledPath:
     """virtual_control solves through solve_qp on the cost's compiled
-    working-set functions, the hint's first, as the step loop's hinted call
+    per-size functions, on the hint first, as the step loop's hinted call
     does: the outcome is bitwise that of the loop solver of tests/oracles.py."""
 
     @settings(max_examples=400, deadline=None)
@@ -238,82 +238,86 @@ class TestCompiledPath:
         assert outcome(lambda: solve_qp(QpProblem(cost, None, A, b), hint)) == reference
         with mock.patch.object(virtual, "assemble_rows", lambda c, t, scenario: (A, b, [])):
             assert outcome(lambda: virtual_control(None, 0.0, scenario, hint)[1]) == reference
-        compiled = kernel[hint](A, b)
+        working = next(qp._working_sets(len(cost.F), len(A), hint))  # the hint as solve_qp takes it
+        compiled = kernel[len(working)](A, b, working)
         assert compiled is None or solution_bits(compiled) == reference
         if isinstance(reference, tuple) and reference[0] != INFEASIBLE:
             # The certified working set, as a hint, certifies in compiled code.
             support = reference[1]
-            assert solution_bits(kernel[support](A, b)) == reference
+            assert solution_bits(kernel[len(support)](A, b, support)) == reference
 
     def test_non_finite_rows_raise_through_the_fallback(self, monkeypatch):
         cost = BENCH.qp_cost
         kernel = compile_solver(cost, 2)
         scenario = SimpleNamespace(qp_cost=cost)
         for A, b in (([[1.0, math.nan], [0.0, 1.0]], [0.0, 0.0]), ([[1.0, 0.0], [0.0, 1.0]], [math.inf, 0.0])):
-            assert kernel[(0,)](A, b) is None and kernel[()](A, b) is None
+            assert kernel[1](A, b, (0,)) is None and kernel[0](A, b, ()) is None
             monkeypatch.setattr(virtual, "assemble_rows", lambda c, t, scenario: (A, b, []))
             with pytest.raises(QpInputError, match="finite"):
                 virtual_control(None, 0.0, scenario, (0,))
 
-    @pytest.mark.usefixtures("fresh_solvers")
-    def test_invalid_hints_share_the_empty_sets_function(self):
-        kernel = compile_solver(BENCH.qp_cost, 3)
-        for hint in ((), (5,), (-1,), (0, 1, 2), (2, 0, 2)):
-            kernel[hint]
-        assert sorted(kernel) == [(), (0, 2)]
-        assert kernel[(5,)] is kernel[()] and kernel[(2, 0, 2)] is kernel[(0, 2)]
+    def test_invalid_hints_are_normalized_before_the_solve(self, monkeypatch):
+        # The functions take only valid working sets, sorted and without
+        # repeats. solve_qp, and so virtual_control, passes a hint through
+        # _working_sets first: an invalid hint is dropped, and the
+        # enumeration starts at the empty set.
+        calls = recorded_calls(monkeypatch, qp)
+        A, b, _ = assemble_rows([0.0, 0.0], 0.0, BENCH)
+        for hint, first in (((), ()), ((5,), ()), ((-1,), ()), ((0, 1, 2), ()), ((2, 0, 2), (0, 2))):
+            calls.clear()
+            solve_qp(QpProblem(BENCH.qp_cost, None, A, b), hint)
+            assert calls[0][2] == first, hint
+        assert all(type(W) is tuple and list(W) == sorted(set(W)) and set(W) <= {0, 1, 2} and len(W) <= 2
+                   for _, _, W in calls)
+        calls.clear()
         u_c, solution, _ = virtual_control([0.0, 0.0], 0.0, BENCH, [2])  # any sequence is a hint
-        assert solution.support == (2,) and (2,) in kernel
+        assert calls == [(A, b, (2,))] and solution.support == (2,)
 
-    @pytest.mark.usefixtures("fresh_solvers")
-    def test_enumeration_compiles_no_skipped_working_set(self, monkeypatch):
-        # A working set that holds no row u0 = -v violates is skipped and
-        # never compiled: every set a fallback compiles holds such a row of
-        # its QP, or is the empty set, and every other compiled set is a hint
-        # of the step loop.
+    def test_enumeration_calls_no_function_on_a_skipped_working_set(self, monkeypatch):
+        # A working set that holds no row u0 = -v violates is skipped: no
+        # size's function is called on it in a fallback's enumeration.
         scenario = load_scenario(CROWDED_3D).with_overrides(dt=1e-2)
-        hints, compiled_by = recorded_hints(monkeypatch), {}
-        real_solve = virtual.solve_qp
-
-        def solve(problem, hint=()):
-            kernel = compile_solver(problem.cost, problem.d)
-            before = set(kernel)
-            try:
-                return real_solve(problem, hint)
-            finally:
-                compiled_by.update(dict.fromkeys(set(kernel) - before, problem))
-
-        monkeypatch.setattr(virtual, "solve_qp", solve)
+        calls = recorded_calls(monkeypatch, qp)
         run(scenario, check=False)
-        assert compiled_by  # the run enumerates working sets on its fallbacks
+        assert calls  # the run enumerates working sets on its fallbacks
         v = scenario.qp_cost.v
-        for working, problem in compiled_by.items():
-            assert not working or any(-dot(problem.rows[i], v) < problem.rhs[i] for i in working), working
-        assert set(compile_solver(scenario.qp_cost, scenario.barrier_count)) <= set(hints) | set(compiled_by)
+        for A, b, working in calls:
+            assert not working or any(-dot(A[i], v) < b[i] for i in working), working
 
     @pytest.mark.usefixtures("fresh_solvers")
-    def test_a_benchmark_run_compiles_only_the_working_sets_it_uses(self, monkeypatch):
+    def test_a_run_compiles_one_function_per_working_set_size(self, monkeypatch):
+        # m = 2 and d = 3 allow 7 working sets, of sizes 0, 1 and 2: the first
+        # run on the cost compiles min(m, d) + 1 = 3 functions, and a second
+        # run on it compiles none.
         scenario = benchmark_scenario().with_overrides(dt=1e-2)
-        hints = recorded_hints(monkeypatch)
+        compiled, real = [], qp._compile_size
+
+        def counting(cost, d, size, certificate):
+            compiled.append(size)
+            return real(cost, d, size, certificate)
+
+        monkeypatch.setattr(qp, "_compile_size", counting)
+        hints = recorded_calls(monkeypatch, simulator)
         run(scenario, check=False)
-        # m = 2 and d = 3 allow 7 working sets; the run's hints are the
-        # supports it certified, the first step's empty set included.
-        kernel = compile_solver(scenario.qp_cost, scenario.barrier_count)
-        assert set(kernel) == set(hints)
-        assert len(kernel) < 7
+        run(scenario.with_overrides(), check=False)
+        assert compiled == [0, 1, 2]
+        # The run's hints are the supports it certified, the first step's
+        # empty set included: (0, 2) and (1, 2) share size 2's function.
+        assert {W for _, _, W in hints} == {(), (2,), (0, 2), (1, 2)}
 
 
-def recorded_hints(monkeypatch):
-    """The hints that the step loops compiled from here on look up, in order."""
-    hints = []
+def recorded_calls(monkeypatch, module):
+    """(A, b, W) of each call of a compile_solver function that `module`
+    looks up from here on: qp for solve_qp's enumeration, simulator for the
+    hinted call of the step loops compiled from here on."""
+    calls = []
 
-    class Recording:
-        def __init__(self, kernel):
-            self.kernel = kernel
+    def recording(solve):
+        def call(A, b, W):
+            calls.append((A, b, W))
+            return solve(A, b, W)
 
-        def __getitem__(self, hint):
-            hints.append(tuple(hint))
-            return self.kernel[hint]
+        return call
 
-    monkeypatch.setattr(simulator, "compile_solver", lambda cost, d: Recording(compile_solver(cost, d)))
-    return hints
+    monkeypatch.setattr(module, "compile_solver", lambda cost, d: [recording(fn) for fn in compile_solver(cost, d)])
+    return calls
