@@ -53,26 +53,22 @@ def _finite_times(text: str) -> list[float]:
     return times
 
 
-def _load(path: str) -> Scenario:
-    return benchmark_scenario() if path == "benchmark" else load_scenario(path)
-
-
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    overrides = {}
-    if getattr(args, "dt", None) is not None:
-        overrides["dt"] = args.dt
-    if getattr(args, "tf", None) is not None:
-        overrides["t_f"] = args.tf
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return scenario.with_overrides(**overrides) if overrides else scenario
+def _scenario(args) -> Scenario | None:
+    """The scenario that args name, with the --dt, --tf and --seed given, or
+    None after printing the parse error."""
+    flags = vars(args)
+    overrides = {key: flags[key] for key in ("dt", "t_f", "seed") if flags.get(key) is not None}
+    try:
+        scenario = benchmark_scenario() if args.scenario == "benchmark" else load_scenario(args.scenario)
+        return scenario.with_overrides(**overrides) if overrides else scenario
+    except (ValueError, OSError) as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_validate(args) -> int:
-    try:
-        scenario = _apply_overrides(_load(args.scenario), args)
-    except (ValueError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    scenario = _scenario(args)
+    if scenario is None:
         return EXIT_PARSE
     report = validate(scenario, args.samples)
     print(report.format())
@@ -80,10 +76,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = _apply_overrides(_load(args.scenario), args)
-    except (ValueError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    scenario = _scenario(args)
+    if scenario is None:
         return EXIT_PARSE
     out = Path(args.out)
     try:
@@ -118,10 +112,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    try:
-        scenario = _load(args.scenario)
-    except (ValueError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    scenario = _scenario(args)
+    if scenario is None:
         return EXIT_PARSE
     try:
         trace = read_trace(args.trace)
@@ -162,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario file path, or 'benchmark'")
     p.add_argument("--samples", type=_int_at_least(2), default=1001, help="time grid size")
     p.add_argument("--dt", type=float)
-    p.add_argument("--tf", type=float)
+    p.add_argument("--tf", dest="t_f", type=float)
     p.add_argument("--seed", type=_int_at_least(0))
     p.set_defaults(fn=cmd_validate)
 
@@ -170,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario file path, or 'benchmark'")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dt", type=float)
-    p.add_argument("--tf", type=float)
+    p.add_argument("--tf", dest="t_f", type=float)
     p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--decimate", type=_int_at_least(1), default=1, help="write every k-th record")
     p.set_defaults(fn=cmd_run)

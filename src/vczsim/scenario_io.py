@@ -1,25 +1,28 @@
 """Line-oriented scenario file format.
 
 Sections are bracketed headers; entries are ``key = value`` lines, and a key
-the section does not read is an error. Repeating the ``[obstacle]`` section
-declares the obstacle list in order. Vector values are whitespace-separated;
+the section does not read is an error. Only the ``[obstacle]`` section may
+repeat, once per obstacle, in order. Vector values are whitespace-separated;
 matrix values separate rows with ``;``. Plant maps and obstacle paths may be
 prefix expressions (see exprs).
 
-Serialization is canonical: parsing a file and serializing the result is a
-fixed point, which is what the scenario hash is computed from.
+One section list, built by _text, is both the file and the hash: parsing a
+file and serializing the result is a fixed point, and scenario_hash is that
+text without its ``dt`` line. A plant map or obstacle path without
+expression trees is written as ``<callable>``, which no file can hold, so
+such a scenario hashes but does not serialize.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import io
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
-from .barriers import CUSTOM, LINEAR, STATIC, ClassKappa, Obstacle, SettingError, ShrinkSchedule, TargetSet
+from .barriers import CUSTOM, LINEAR, ClassKappa, Obstacle, SettingError, ShrinkSchedule, TargetSet
 from .confinement import DEFAULT_EPSILON_SAT, ConfinementLaw
 from .exprs import ExprError, compile_exprs, parse_expr_rows, parse_expr_sequence
 from .exprs import eval_expr  # noqa: F401  (bench/layers.py traces scenario_io.eval_expr)
@@ -44,6 +47,8 @@ _EXCLUSIVE = {
     "plant": ("catalog", ("f", "g", "omega", "sign_class")),
     "obstacle": ("path", ("center", "velocity")),
 }
+# The text of a plant map or obstacle path that has no expression trees.
+_CALLABLE = "<callable>"
 
 
 class ScenarioParseError(ValueError):
@@ -62,12 +67,12 @@ class ScenarioParseError(ValueError):
         super().__init__(message)
 
 
-class _Entry:
-    __slots__ = ("value", "line")
+class _Entry(NamedTuple):
+    """One ``key = value`` line: the value text, its line number and key."""
 
-    def __init__(self, value: str, line: int):
-        self.value = value
-        self.line = line
+    value: str
+    line: int | None
+    key: str
 
 
 def _split_sections(text: str):
@@ -95,7 +100,7 @@ def _split_sections(text: str):
             raise ScenarioParseError(f"unknown key in section [{current[0]}]", lineno, key)
         if key in current[1]:
             raise ScenarioParseError("duplicate key", lineno, key)
-        current[1][key] = _Entry(value.strip(), lineno)
+        current[1][key] = _Entry(value.strip(), lineno, key)
     for name, body in sections:
         lead, others = _EXCLUSIVE.get(name, ("", ()))
         for key in others:
@@ -104,23 +109,19 @@ def _split_sections(text: str):
     return sections
 
 
-def _floats(entry: _Entry, key: str, count: int | None = None, finite: bool = True) -> np.ndarray:
+def _floats(entry: _Entry, count: int | None = None, finite: bool = True) -> np.ndarray:
     """The entry's numbers, finite unless `finite` is False (keys Scenario checks itself)."""
     try:
         values = np.array([float(v) for v in entry.value.split()])
     except ValueError:
-        raise ScenarioParseError("malformed numeric value", entry.line, key) from None
+        raise ScenarioParseError("malformed numeric value", entry.line, entry.key) from None
     if values.size == 0:
-        raise ScenarioParseError("empty numeric value", entry.line, key)
+        raise ScenarioParseError("empty numeric value", entry.line, entry.key)
     if count is not None and values.size != count:
-        raise ScenarioParseError(f"expected {count} values, got {values.size}", entry.line, key)
+        raise ScenarioParseError(f"expected {count} values, got {values.size}", entry.line, entry.key)
     if finite and not np.isfinite(values).all():
-        raise ScenarioParseError("numeric value must be finite", entry.line, key)
+        raise ScenarioParseError("numeric value must be finite", entry.line, entry.key)
     return values
-
-
-def _one_float(entry: _Entry, key: str, finite: bool = True) -> float:
-    return float(_floats(entry, key, 1, finite)[0])
 
 
 def _require(body: dict, key: str, section: str) -> _Entry:
@@ -129,57 +130,53 @@ def _require(body: dict, key: str, section: str) -> _Entry:
     return body[key]
 
 
-def _float_matrix(entry: _Entry, key: str, shape: tuple[int, int]) -> np.ndarray:
+def _one(body: dict, key: str, section: str, finite: bool = True) -> float:
+    return float(_floats(_require(body, key, section), 1, finite)[0])
+
+
+def _float_matrix(entry: _Entry, shape: tuple[int, int]) -> np.ndarray:
     rows = [r.strip() for r in entry.value.split(";")]
     try:
         mat = np.array([[float(v) for v in row.split()] for row in rows])
     except ValueError:
-        raise ScenarioParseError("malformed matrix value", entry.line, key) from None
+        raise ScenarioParseError("malformed matrix value", entry.line, entry.key) from None
     if mat.shape != shape:
-        raise ScenarioParseError(f"expected a {shape[0]}x{shape[1]} matrix", entry.line, key)
+        raise ScenarioParseError(f"expected a {shape[0]}x{shape[1]} matrix", entry.line, entry.key)
     return mat
+
+
+def _parsed(entry: _Entry, parse):
+    """parse(entry.value), with a ValueError that it raises reported at the
+    entry's line and key: an ExprError, or a constructor's rejection of the
+    numbers already read from the entry."""
+    try:
+        return parse(entry.value)
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc), entry.line, entry.key) from None
 
 
 def _parse_plant(body: dict, n_state: int):
     if "catalog" in body:
-        name = body["catalog"].value
-        try:
-            return catalog_plant(name, n_state)
-        except ValueError as exc:
-            raise ScenarioParseError(str(exc), body["catalog"].line, "catalog") from None
-    for key in ("f", "g", "omega", "sign_class"):
-        _require(body, key, "plant")
-    sign = body["sign_class"].value
-    if sign not in (POSITIVE_DEFINITE, NEGATIVE_DEFINITE):
+        return _parsed(body["catalog"], lambda name: catalog_plant(name, n_state))
+    f, g, omega, sign = (_require(body, key, "plant") for key in ("f", "g", "omega", "sign_class"))
+    if sign.value not in (POSITIVE_DEFINITE, NEGATIVE_DEFINITE):
         raise ScenarioParseError(
-            f"sign_class must be {POSITIVE_DEFINITE} or {NEGATIVE_DEFINITE}",
-            body["sign_class"].line,
-            "sign_class",
+            f"sign_class must be {POSITIVE_DEFINITE} or {NEGATIVE_DEFINITE}", sign.line, "sign_class"
         )
-    parsed = {}
-    parsers = (("f", parse_expr_sequence), ("g", parse_expr_rows), ("omega", parse_expr_sequence))
-    for key, parse in parsers:
-        try:
-            parsed[key] = parse(body[key].value)
-        except ExprError as exc:
-            raise ScenarioParseError(str(exc), body[key].line, key) from None
-    if len(parsed["f"]) != n_state:
-        raise ScenarioParseError(f"f must have {n_state} components", body["f"].line, "f")
+    trees = (_parsed(f, parse_expr_sequence), _parsed(g, parse_expr_rows), _parsed(omega, parse_expr_sequence))
+    if len(trees[0]) != n_state:
+        raise ScenarioParseError(f"f must have {n_state} components", f.line, "f")
     try:
-        return tree_plant(parsed["f"], parsed["g"], parsed["omega"], sign)
+        return tree_plant(*trees, sign.value)
     except SettingError as exc:
         raise ScenarioParseError(str(exc), body[exc.key].line, exc.key) from None
 
 
 def _parse_obstacle(body: dict, n_state: int) -> Obstacle:
-    radius_entry = _require(body, "radius", "obstacle")
-    radius = _one_float(radius_entry, "radius")
+    radius = _one(body, "radius", "obstacle")
     if "path" in body:
         entry = body["path"]
-        try:
-            exprs = parse_expr_sequence(entry.value)
-        except ExprError as exc:
-            raise ScenarioParseError(str(exc), entry.line, "path") from None
+        exprs = _parsed(entry, parse_expr_sequence)
         if len(exprs) != n_state:
             raise ScenarioParseError(f"path must have {n_state} components", entry.line, "path")
         try:
@@ -188,89 +185,62 @@ def _parse_obstacle(body: dict, n_state: int) -> Obstacle:
             raise ScenarioParseError(f"obstacle path {exc}", entry.line, "path") from None
         build = functools.partial(Obstacle.custom, path_fn, trees=tuple(exprs))
     else:
-        center = _floats(_require(body, "center", "obstacle"), "center", n_state)
+        center = _floats(_require(body, "center", "obstacle"), n_state)
         if "velocity" in body:
-            build = functools.partial(Obstacle.linear, center, _floats(body["velocity"], "velocity", n_state))
+            build = functools.partial(Obstacle.linear, center, _floats(body["velocity"], n_state))
         else:
             build = functools.partial(Obstacle.static, center)
-    try:
-        return build(radius)
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc), radius_entry.line, "radius") from None
+    return _parsed(body["radius"], lambda _: build(radius))
 
 
 def parse_scenario(text: str) -> Scenario:
-    sections = _split_sections(text)
-    grouped: dict[str, list[dict]] = {}
-    for name, body in sections:
-        grouped.setdefault(name, []).append(body)
-    for name in _SECTIONS:
-        if name in ("obstacle", "run"):
-            continue
-        if name not in grouped:
+    grouped: dict[str, list[dict]] = {name: [] for name in _SECTIONS}
+    for name, body in _split_sections(text):
+        grouped[name].append(body)
+    for name, bodies in grouped.items():
+        if not bodies and name not in ("obstacle", "run"):
             raise ScenarioParseError(f"missing section [{name}]")
-        if len(grouped[name]) > 1:
+        if len(bodies) > 1 and name != "obstacle":
             raise ScenarioParseError(f"section [{name}] appears more than once")
+    init, tgt, vcz, hor, shr, ctl, run = (
+        (grouped[name] or [{}])[0]
+        for name in ("initial_state", "target", "vcz", "horizon", "shrink", "controller", "run")
+    )
 
-    init = grouped["initial_state"][0]
-    x0 = _floats(_require(init, "x0", "initial_state"), "x0")
+    x0 = _floats(_require(init, "x0", "initial_state"))
     n = x0.size
-
     plant = _parse_plant(grouped["plant"][0], n)
     if plant.n != n:
         raise ScenarioParseError(f"plant dimension {plant.n} disagrees with x0 length {n}")
-    obstacles = tuple(_parse_obstacle(body, n) for body in grouped.get("obstacle", []))
+    obstacles = tuple(_parse_obstacle(body, n) for body in grouped["obstacle"])
 
-    tgt = grouped["target"][0]
-    target_center = _floats(_require(tgt, "center", "target"), "center", n)
-    radius_entry = _require(tgt, "radius", "target")
-    target_radius = _one_float(radius_entry, "radius")
-    try:
-        target = TargetSet(target_center, target_radius)
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc), radius_entry.line, "radius") from None
-    r_c = _one_float(_require(grouped["vcz"][0], "r_c", "vcz"), "r_c")
-    hor = grouped["horizon"][0]
-    t_f = _one_float(_require(hor, "t_f", "horizon"), "t_f", finite=False)
-    dt = _one_float(_require(hor, "dt", "horizon"), "dt", finite=False)
-    shr = grouped["shrink"][0]
-    r_start = _one_float(_require(shr, "r_start", "shrink"), "r_start")
-    r_end = _one_float(_require(shr, "r_end", "shrink"), "r_end")
+    target_center = _floats(_require(tgt, "center", "target"), n)
+    target_radius = _one(tgt, "radius", "target")
+    target = _parsed(tgt["radius"], lambda _: TargetSet(target_center, target_radius))
+    r_c = _one(vcz, "r_c", "vcz")
+    t_f = _one(hor, "t_f", "horizon", finite=False)
+    dt = _one(hor, "dt", "horizon", finite=False)
+    r_start = _one(shr, "r_start", "shrink")
+    r_end = _one(shr, "r_end", "shrink")
 
-    ctl = grouped["controller"][0]
-    gain = _one_float(_require(ctl, "gain", "controller"), "gain")
+    gain = _one(ctl, "gain", "controller")
     d = len(obstacles) + 1
-    if "alpha" in ctl:
-        alpha_vals = _floats(ctl["alpha"], "alpha")
-        if alpha_vals.size == 1:
-            alpha_vals = np.full(d, alpha_vals[0])
-        elif alpha_vals.size != d:
-            raise ScenarioParseError(
-                f"alpha needs 1 or {d} values, got {alpha_vals.size}", ctl["alpha"].line, "alpha"
-            )
-    else:
-        alpha_vals = np.ones(d)
-    try:
-        alphas = tuple(ClassKappa(float(v)) for v in alpha_vals)
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc), ctl["alpha"].line, "alpha") from None
-    epsilon_sat = (
-        _one_float(ctl["epsilon_sat"], "epsilon_sat") if "epsilon_sat" in ctl else DEFAULT_EPSILON_SAT
-    )
-    qp_h = _float_matrix(ctl["qp_h"], "qp_h", (n, n)) if "qp_h" in ctl else np.eye(n)
-    qp_f = _floats(ctl["qp_f"], "qp_f", n, finite=False) if "qp_f" in ctl else np.zeros(n)
+    alpha_entry = ctl.get("alpha", _Entry("1.0", None, "alpha"))
+    alpha = _floats(alpha_entry)
+    if alpha.size not in (1, d):
+        raise ScenarioParseError(f"alpha needs 1 or {d} values, got {alpha.size}", alpha_entry.line, "alpha")
+    alphas = _parsed(alpha_entry, lambda _: tuple(ClassKappa(float(v)) for v in np.broadcast_to(alpha, d)))
+    epsilon_sat = _one(ctl, "epsilon_sat", "controller") if "epsilon_sat" in ctl else DEFAULT_EPSILON_SAT
+    qp_h = _float_matrix(ctl["qp_h"], (n, n)) if "qp_h" in ctl else np.eye(n)
+    qp_f = _floats(ctl["qp_f"], n, finite=False) if "qp_f" in ctl else np.zeros(n)
 
-    seed = 0
-    if "run" in grouped and "seed" in grouped["run"][0]:
-        entry = grouped["run"][0]["seed"]
-        seed_f = _one_float(entry, "seed")
-        if seed_f != int(seed_f) or seed_f < 0:
-            raise ScenarioParseError("seed must be a non-negative integer", entry.line, "seed")
-        seed = int(seed_f)
+    seed = _one(run, "seed", "run") if "seed" in run else 0.0
+    if seed != int(seed) or seed < 0:
+        raise ScenarioParseError("seed must be a non-negative integer", run["seed"].line, "seed")
 
     # The constructors check these settings. No key repeats across their
     # sections, so the key that a SettingError names has one line.
-    settings = {**grouped["vcz"][0], **hor, **shr, **ctl}
+    settings = {**vcz, **hor, **shr, **ctl}
     try:
         return Scenario(
             plant=plant,
@@ -283,7 +253,7 @@ def parse_scenario(text: str) -> Scenario:
             qp_f=qp_f,
             confinement=ConfinementLaw(gain, r_c, epsilon_sat),
             dt=dt,
-            seed=seed,
+            seed=int(seed),
         )
     except SettingError as exc:
         raise ScenarioParseError(str(exc), settings[exc.key].line, exc.key) from None
@@ -308,92 +278,77 @@ class SerializationError(ValueError):
     """Scenario holds callables with no file representation."""
 
 
-def _fmt_vec(values) -> str:
-    return " ".join(repr(float(v)) for v in np.asarray(values).ravel())
+def _fmt(value) -> str:
+    """A number, a vector (space-separated) or a matrix (rows joined by ';'),
+    each float written so that it parses back to itself."""
+    if isinstance(value, (int, float)):
+        return repr(float(value))
+    values = np.asarray(value, dtype=float)
+    if values.ndim == 2:
+        return " ; ".join(map(_fmt, values))
+    return " ".join(map(repr, values.ravel().tolist()))
 
 
-def _fmt_mat(mat) -> str:
-    return " ; ".join(_fmt_vec(row) for row in np.asarray(mat))
+def _text(scenario: Scenario) -> str:
+    """The scenario file: its (section, [(key, value text), ...]) list in file
+    order, joined."""
+    desc = scenario.plant.descriptor or ("exprs", (_CALLABLE,), ((_CALLABLE,),), (_CALLABLE,))
+    if desc[0] == "catalog":
+        plant = [("catalog", desc[1])]
+    else:
+        _, f, g, omega = desc
+        plant = [("f", " ".join(f)), ("g", " ; ".join(map(" ".join, g))), ("omega", " ".join(omega))]
+        plant.append(("sign_class", scenario.plant.sign_class))
+    sections = [("plant", plant)]
+    for obs in scenario.obstacles:
+        if obs.kind == CUSTOM:
+            body = [("path", " ".join(obs.path_source or (_CALLABLE,)))]
+        else:
+            # center(0.0), not the point: a linear obstacle's p + w * 0.0
+            # writes a -0.0 coordinate of rate w >= 0 as 0.0, and the hashes
+            # that traces record depend on it.
+            body = [("center", _fmt(obs.center(0.0)))]
+            if obs.kind == LINEAR:
+                body.append(("velocity", _fmt(obs.velocity(0.0))))
+        sections.append(("obstacle", body + [("radius", _fmt(obs.radius))]))
+    law, shrink = scenario.confinement, scenario.shrink
+    sections += [
+        ("target", [("center", _fmt(scenario.target.center)), ("radius", _fmt(scenario.target.radius))]),
+        ("vcz", [("r_c", _fmt(scenario.r_c))]),
+        ("horizon", [("t_f", _fmt(scenario.t_f)), ("dt", _fmt(scenario.dt))]),
+        ("shrink", [("r_start", _fmt(shrink.r_start)), ("r_end", _fmt(shrink.r_end))]),
+        ("controller", [
+            ("gain", _fmt(law.gain)),
+            ("alpha", _fmt([a.slope for a in scenario.alphas])),
+            ("epsilon_sat", _fmt(law.epsilon_sat)),
+            ("qp_h", _fmt(scenario.qp_h)),
+            ("qp_f", _fmt(scenario.qp_f)),
+        ]),
+        ("initial_state", [("x0", _fmt(scenario.x0))]),
+        ("run", [("seed", str(scenario.seed))]),
+    ]
+    return "\n".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in body) for name, body in sections
+    )
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical text form; raises SerializationError for opaque callables."""
-    out = io.StringIO()
-
-    out.write("[plant]\n")
-    desc = scenario.plant.descriptor
-    if desc is None:
-        raise SerializationError("plant has no file representation")
-    if desc[0] == "catalog":
-        out.write(f"catalog = {desc[1]}\n")
-    else:
-        _, f_srcs, g_srcs, omega_srcs = desc
-        out.write(f"f = {' '.join(f_srcs)}\n")
-        out.write(f"g = {' ; '.join(' '.join(row) for row in g_srcs)}\n")
-        out.write(f"omega = {' '.join(omega_srcs)}\n")
-        out.write(f"sign_class = {scenario.plant.sign_class}\n")
-
-    for obs in scenario.obstacles:
-        out.write("\n[obstacle]\n")
-        if obs.kind == STATIC:
-            out.write(f"center = {_fmt_vec(obs.center(0.0))}\n")
-        elif obs.kind == LINEAR:
-            out.write(f"center = {_fmt_vec(obs.center(0.0))}\n")
-            out.write(f"velocity = {_fmt_vec(obs.velocity(0.0))}\n")
-        elif obs.path_source is not None:
-            out.write(f"path = {' '.join(obs.path_source)}\n")
-        else:
-            raise SerializationError("custom obstacle path has no file representation")
-        out.write(f"radius = {repr(float(obs.radius))}\n")
-
-    out.write("\n[target]\n")
-    out.write(f"center = {_fmt_vec(scenario.target.center)}\n")
-    out.write(f"radius = {repr(float(scenario.target.radius))}\n")
-    out.write("\n[vcz]\n")
-    out.write(f"r_c = {repr(float(scenario.r_c))}\n")
-    out.write("\n[horizon]\n")
-    out.write(f"t_f = {repr(float(scenario.t_f))}\n")
-    out.write(f"dt = {repr(float(scenario.dt))}\n")
-    out.write("\n[shrink]\n")
-    out.write(f"r_start = {repr(float(scenario.shrink.r_start))}\n")
-    out.write(f"r_end = {repr(float(scenario.shrink.r_end))}\n")
-    out.write("\n[controller]\n")
-    out.write(f"gain = {repr(float(scenario.confinement.gain))}\n")
-    out.write(f"alpha = {_fmt_vec([a.slope for a in scenario.alphas])}\n")
-    out.write(f"epsilon_sat = {repr(float(scenario.confinement.epsilon_sat))}\n")
-    out.write(f"qp_h = {_fmt_mat(scenario.qp_h)}\n")
-    out.write(f"qp_f = {_fmt_vec(scenario.qp_f)}\n")
-    out.write("\n[initial_state]\n")
-    out.write(f"x0 = {_fmt_vec(scenario.x0)}\n")
-    out.write("\n[run]\n")
-    out.write(f"seed = {scenario.seed}\n")
-    return out.getvalue()
+    """Canonical text form; raises SerializationError for callables without
+    expression trees."""
+    text = _text(scenario)
+    if _CALLABLE in text:
+        raise SerializationError("plant map or obstacle path has no file representation")
+    return text
 
 
 def scenario_hash(scenario: Scenario) -> str:
-    """Stable identifier of the problem definition.
+    """Stable identifier of the problem definition: the serialized text,
+    callables without trees written as a marker, less its dt line.
 
     The integration step is excluded (trace metadata records it separately),
     so traces from step-size overrides still match their scenario file.
-    Falls back to a structural digest for plants with opaque callables.
+    Scenarios that differ only in callables without trees share a hash.
     """
-    try:
-        text = "\n".join(
-            line for line in serialize_scenario(scenario).splitlines()
-            if not line.startswith("dt = ")
-        )
-    except SerializationError:
-        text = "|".join(
-            [
-                f"n={scenario.n}",
-                f"x0={scenario.x0.tolist()}",
-                f"target={scenario.target.center.tolist()}:{scenario.target.radius}",
-                f"r_c={scenario.r_c}",
-                f"t_f={scenario.t_f}",
-                f"shrink={scenario.shrink.r_start}:{scenario.shrink.r_end}",
-                f"gain={scenario.confinement.gain}",
-                f"obstacles={[(o.kind, o.radius) for o in scenario.obstacles]}",
-                f"seed={scenario.seed}",
-            ]
-        )
+    lines = _text(scenario).splitlines()
+    text = "\n".join(line for line in lines if not line.startswith("dt = "))
     return hashlib.sha256(text.encode()).hexdigest()[:16]

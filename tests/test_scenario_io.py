@@ -13,6 +13,7 @@ from vczsim.barriers import ClassKappa, Obstacle, ShrinkSchedule, TargetSet
 from vczsim.confinement import ConfinementLaw
 from vczsim.exprs import MAX_DEPTH
 from vczsim.plant import POSITIVE_DEFINITE, PlantModel, catalog_plant, expression_plant
+from vczsim.randomized import random_scenario
 from vczsim.scenario import Scenario, validate
 from vczsim.scenario_io import (
     ScenarioParseError,
@@ -309,12 +310,13 @@ class TestParseErrors:
             ("custom", "path = (+ 5 (* 0.4 t)) (- 5 (* 0.4 t))", "path = (+ 5 (* 0.4 t))",
              "path must have 2 components", "path", "path = (+ 5 (* 0.4 t))"),
             ("bundled", "[vcz]", "[vcz]\nr_c = 0.5\n[vcz]", "section [vcz] appears more than once", None, None),
+            ("bundled", "[run]", "[run]\nseed = 5\n[run]", "section [run] appears more than once", None, None),
             ("bundled", "alpha = 1.0", "alpha = 1 2", "alpha needs 1 or 3 values, got 2", "alpha", "alpha = 1 2"),
             ("bundled", "alpha = 1.0", "alpha = -1", "class-K slope must be > 0, got -1.0", "alpha", "alpha = -1"),
         ],
         ids=["entry-before-header", "no-equals", "empty-value", "value-count", "missing-key", "qp_h-malformed"]
         + ["qp_h-shape", "catalog-unknown", "sign_class-bad", "f-count", "path-count", "section-twice"]
-        + ["alpha-count", "alpha-negative"],
+        + ["run-twice", "alpha-count", "alpha-negative"],
     )
     def test_rejection_names_message_key_and_line(self, base, old, new, message, key, at):
         text = (bundled_benchmark_text() if base == "bundled" else CUSTOM_TEXT).replace(old, new, 1)
@@ -357,7 +359,10 @@ class TestHash:
         for name, value in perturbed.items():
             assert scenario_hash(replace(base, **{name: value})) != scenario_hash(base), name
 
-    def test_opaque_plant_falls_back_to_structural_digest(self):
+    def test_callables_without_trees_hash_as_a_marker(self):
+        # The hash is the file text with a marker for each plant map or path
+        # without trees, so every other field still reaches it. A structural
+        # digest once left obstacle centres, alphas and qp_h out.
         base = benchmark_scenario()
         opaque = PlantModel(
             lambda x: np.zeros(2), lambda x: np.eye(2), lambda t: np.zeros(2),
@@ -366,5 +371,44 @@ class TestHash:
         scenario = base.with_overrides(plant=opaque)
         with pytest.raises(SerializationError):
             serialize_scenario(scenario)
-        assert len(scenario_hash(scenario)) == 16
-        assert scenario_hash(scenario) == scenario_hash(scenario)
+        assert scenario_hash(scenario.with_overrides(dt=5e-4)) == scenario_hash(scenario)
+        changed = {
+            "obstacle moved": {"obstacles": (Obstacle.static([1.0, 1.0], 0.5), base.obstacles[1])},
+            "alphas": {"alphas": (ClassKappa(3.0),) * len(base.alphas)},
+            "qp_h": {"qp_h": 2.0 * np.eye(2)},
+            "path without trees": {"obstacles": (Obstacle.custom(lambda t: (1.5, 2.0), 0.5), base.obstacles[1])},
+        }
+        hashes = {name: scenario_hash(scenario.with_overrides(**fields)) for name, fields in changed.items()}
+        assert len(set(hashes.values()) | {scenario_hash(scenario)}) == len(changed) + 1, hashes
+
+    @pytest.mark.parametrize(
+        "source, digest",
+        [
+            ("benchmark", "f02f6e33f193c757"),
+            ("bench/scenarios/crowded_3d.scn", "039e4164cec26af4"),
+            ("tests/data/many_obstacles.scn", "50e319136b1ec7d6"),
+            ("tests/data/wide_path.scn", "267ce8f58e6cbc8e"),
+            ("tests/data/nan_path.scn", "7847a4bb9f6c6bd6"),
+            ("tests/data/overflow_path.scn", "904fd67fb59d6ae7"),
+            (2024, "5a5305e8777e0f83"),
+            (2025, "685eb982244442bc"),
+            (2026, "02a834932c137243"),
+            (2027, "a412ca74985ac196"),
+            (2028, "3b6f53d667ef0994"),
+            (2029, "559e09238fb585b7"),
+            (2030, "b168b83d5bc69c65"),
+            (2031, "204694f78169d99b"),
+        ],
+    )
+    def test_text_form_is_pinned(self, source, digest):
+        # Each committed scenario and campaign seed keeps the text that its
+        # traces' hashes were computed from, and that text is a fixed point.
+        if source == "benchmark":
+            scenario = benchmark_scenario()
+        elif isinstance(source, int):
+            scenario = random_scenario(source)
+        else:
+            scenario = load_scenario(Path(__file__).resolve().parents[1] / source)
+        text = serialize_scenario(scenario)
+        assert serialize_scenario(parse_scenario(text)) == text
+        assert scenario_hash(scenario) == digest
